@@ -7,18 +7,21 @@ identical job-time samples, and the cached replay performs zero simulations.
 The parallel-speedup assertion only applies when the machine actually has a
 second CPU to use.
 
-A second case races the *vectorized* path on a heterogeneous concentration
-grid against the scalar per-config path, asserting the >= 3x speedup the
-group-max batched sampler delivers plus statistical agreement within the
-batch-means CI, appending to the ``BENCH_sweep.json`` trajectory (committed
-baseline + CI artifact) so the speedup is tracked across commits.
+A second case races Monte-Carlo group sampling (``run(..., vectorized=True)``)
+on a heterogeneous concentration grid against the scalar per-config path,
+asserting the >= 3x speedup the group-max batched sampler delivers plus
+statistical agreement within the batch-means CI, appending to the
+``BENCH_sweep.json`` trajectory (committed baseline + CI artifact) so the
+speedup is tracked across commits.
 
-A third case races the array *event kernel* against the generator oracles on
-the three event-driven grids — ``policy-compare`` (closed, every scheduling
-policy), ``arrival-sweep`` (open Poisson streams) and ``admission-sweep``
-(space-shared job classes under every admission policy) — asserting bitwise
-identity on every point plus each grid's throughput gate, and appending to
-the ``BENCH_kernel.json`` trajectory.
+A third case races the array *event kernel* against the generator oracles,
+each called directly per point, on the three event-driven grids —
+``policy-compare`` (closed, every scheduling policy), ``arrival-sweep``
+(open Poisson streams) and ``admission-sweep`` (space-shared job classes
+under every admission policy) — asserting bitwise identity on every point
+plus each grid's throughput gate, and appending to the ``BENCH_kernel.json``
+trajectory.  (A sweep requested under an oracle mode runs on the kernel, so
+the oracle side cannot be timed through ``SweepRunner``.)
 """
 
 import os
@@ -101,12 +104,11 @@ def test_sweep_engine_vectorized_heterogeneous(once):
     grid = build_grid("hetero-concentration", **HETERO_KWARGS)
 
     scalar_time, scalar = _timed(SweepRunner(jobs=1), grid)
-    fast = once(SweepRunner(jobs=1).run_vectorized, grid)
+    fast = once(SweepRunner(jobs=1).run, grid, vectorized=True)
 
-    # The whole grid batches: one group per (W, T) cell, nothing degrades.
+    # The whole grid batches: one group per (W, T) cell.
     assert len(fast) == len(grid)
     assert fast.vectorized_groups == 3
-    assert fast.fallback_points == 0
 
     # Statistical agreement: scalar and batched means within the summed CI.
     for a, b in zip(scalar, fast):
@@ -124,7 +126,6 @@ def test_sweep_engine_vectorized_heterogeneous(once):
         "vectorized_seconds": fast.elapsed_seconds,
         "speedup": speedup,
         "vectorized_groups": fast.vectorized_groups,
-        "fallback_points": fast.fallback_points,
         "cpus": float(os.cpu_count() or 1),
     }
     print()
@@ -177,8 +178,9 @@ def test_event_kernel_vs_oracle(once):
         sections = {}
         for grid_name, oracle_mode, gate in KERNEL_GRIDS:
             grid = build_grid(grid_name, num_jobs=KERNEL_NUM_JOBS)
+            backend = get_backend(oracle_mode)
             start = time.perf_counter()
-            oracle = SweepRunner(jobs=1).run(grid, mode=oracle_mode)
+            oracle = [backend(config).run() for config in grid]
             oracle_seconds = time.perf_counter() - start
             start = time.perf_counter()
             kernel = get_backend("event-kernel").run_batch(grid)

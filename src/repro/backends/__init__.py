@@ -12,12 +12,10 @@ tables, the CLI ``--mode`` choices) resolves back-ends through
 them.
 
 The modules import in dependency order; importing this package registers all
-built-in back-ends.  ``repro.cluster.simulation`` remains as a thin
-re-export shim so pre-existing imports keep working unchanged.
+built-in back-ends.
 """
 
 from .base import (
-    BackendCapabilities,
     SimulationBackend,
     SimulationConfig,
     SimulationMode,
@@ -47,7 +45,6 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
-    "BackendCapabilities",
     "SimulationBackend",
     "SimulationConfig",
     "SimulationMode",

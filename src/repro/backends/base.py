@@ -12,14 +12,13 @@ a backend without knowing which one it is:
     :mod:`repro.backends.open_system`).
 
 :class:`SimulationBackend`
-    The abstract base every backend subclasses: a registry ``name``, declared
-    :class:`BackendCapabilities`, a ``run()`` method, and the NPZ
-    serialize/deserialize hooks the result cache calls so each backend owns
-    its on-disk layout (no mode special-cases anywhere else).
+    The abstract base every backend subclasses: a registry ``name``, a
+    ``run()`` method, and the NPZ serialize/deserialize hooks the result
+    cache calls so each backend owns its on-disk layout (no mode
+    special-cases anywhere else).
 
 :func:`register_backend` / :func:`get_backend` / :func:`backend_names`
-    The registry replacing the old hardcoded ``_BACKENDS`` dict in
-    ``cluster/simulation.py``.  Every layer — :func:`run_simulation`, the
+    The backend registry.  Every layer — :func:`run_simulation`, the
     sweep runner, the result cache, the grid tables, the CLI ``--mode``
     choices — resolves backends through it, so registering a new backend
     makes it available end-to-end.
@@ -47,7 +46,6 @@ from ..stats import BatchMeansResult, batch_means_interval
 __all__ = [
     "SimulationConfig",
     "SimulationResult",
-    "BackendCapabilities",
     "SimulationBackend",
     "SimulationMode",
     "register_backend",
@@ -378,53 +376,20 @@ def _integral_task_demand(task_demand: float, mode: str) -> int:
 # -- backend protocol and registry -----------------------------------------
 
 
-@dataclass(frozen=True)
-class BackendCapabilities:
-    """What a backend can simulate, declared for registry introspection.
-
-    The sweep engine uses these to choose fast paths and fallbacks (e.g. the
-    vectorized runner only batches through backends that support it and
-    falls back to a capable scalar backend otherwise).
-
-    Attributes
-    ----------
-    scheduling_policies:
-        Supports non-static task-scheduling policies
-        (:mod:`repro.cluster.policies`).
-    open_system:
-        Consumes scenarios with a job-arrival process and returns queueing
-        metrics instead of standalone job times.
-    fractional_demand:
-        Accepts non-integral per-task demands (the discrete backends treat
-        ``T`` as a binomial trial count and must reject them).
-    trace_owners:
-        Can replay recorded :class:`~repro.workload.OwnerActivityTrace`
-        owner activity (``StationSpec(demand_kind="trace")``).
-    batched:
-        Exposes a vectorised multi-config ``run_batch`` fast path.
-    """
-
-    scheduling_policies: bool = False
-    open_system: bool = False
-    fractional_demand: bool = False
-    trace_owners: bool = False
-    batched: bool = False
-
-
 class SimulationBackend(abc.ABC):
     """Abstract base of every simulation backend.
 
     Subclasses set :attr:`name` (the registry key, also exposed as ``mode``
-    for backwards compatibility), declare :attr:`capabilities`, implement
-    :meth:`run`, and may override the NPZ hooks when their result flavour
-    stores different arrays than the closed-system default.
+    for backwards compatibility), implement :meth:`run` — which refuses,
+    with a ``ValueError``, any config the backend cannot simulate — and may
+    override the NPZ hooks when their result flavour stores different
+    arrays than the closed-system default.
     """
 
     #: Registry key; ``mode`` is kept as an alias because results and years
     #: of call sites label themselves with ``mode`` strings.
     name: ClassVar[str]
     mode: ClassVar[str]
-    capabilities: ClassVar[BackendCapabilities] = BackendCapabilities()
 
     def __init__(self, config: SimulationConfig) -> None:
         self.config = config
@@ -440,17 +405,15 @@ class SimulationBackend(abc.ABC):
         configs: Sequence[SimulationConfig],
         seed: int | None = None,
     ) -> list[SimulationResult]:
-        """Vectorised multi-config fast path (``capabilities.batched`` only).
+        """Vectorised multi-config fast path, for backends that batch.
 
-        Backends advertising ``BackendCapabilities(batched=True)`` override
-        this with a sampler that evaluates many configs in one pass; the
-        sweep engine dispatches to it through the registry
+        Batching backends override this to evaluate many configs in one
+        pass; callers dispatch to it through the registry
         (``get_backend(mode).run_batch(...)``) so replacement backends are
-        honoured.  The default refuses, keeping the capability flag honest.
+        honoured.  The default refuses.
         """
         raise NotImplementedError(
-            f"backend {cls.name!r} does not implement run_batch "
-            "(capabilities.batched is False)"
+            f"backend {cls.name!r} has no batched run_batch"
         )
 
     # -- NPZ cache hooks ---------------------------------------------------

@@ -10,7 +10,6 @@ import numpy as np
 
 from ..stats import batch_means_interval
 from .base import (
-    BackendCapabilities,
     SimulationBackend,
     SimulationResult,
     _integral_task_demand,
@@ -50,7 +49,6 @@ class DiscreteTimeSimulator(SimulationBackend):
     """Faithful (slow) discrete-time simulation of the paper's model."""
 
     name = "discrete-time"
-    capabilities = BackendCapabilities()
 
     def run(self) -> SimulationResult:
         """Simulate ``num_jobs`` independent jobs and return the estimates."""

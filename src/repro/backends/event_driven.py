@@ -21,7 +21,6 @@ from ..desim import Environment
 from ..obs import get_sim_tap
 from ..stats import batch_means_interval
 from .base import (
-    BackendCapabilities,
     SimulationBackend,
     SimulationResult,
     _reject_open_scenario,
@@ -64,9 +63,6 @@ class EventDrivenClusterSimulator(SimulationBackend):
     """Full process-oriented simulation with explicit workstations and owners."""
 
     name = "event-driven"
-    capabilities = BackendCapabilities(
-        scheduling_policies=True, fractional_demand=True, trace_owners=True
-    )
 
     def _build_cluster(self, env: Environment) -> list[Workstation]:
         # Wire the process's installed sim-event tap (if any) into each

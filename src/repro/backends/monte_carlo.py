@@ -21,7 +21,6 @@ from scipy import stats as _scipy_stats
 from ..desim import StreamRegistry
 from ..stats import batch_means_interval
 from .base import (
-    BackendCapabilities,
     SimulationBackend,
     SimulationConfig,
     SimulationResult,
@@ -50,7 +49,6 @@ class MonteCarloSampler(SimulationBackend):
     """Vectorised direct sampler of the analytical model's closed form."""
 
     name = "monte-carlo"
-    capabilities = BackendCapabilities(batched=True)
 
     def sample_interruptions(self, num_jobs: int | None = None) -> np.ndarray:
         """Sample the per-task interruption counts, shape ``(num_jobs, W)``.

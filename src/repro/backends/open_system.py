@@ -24,11 +24,7 @@ from ..stats import (
     steady_state_interval,
     warmup_truncate,
 )
-from .base import (
-    BackendCapabilities,
-    SimulationConfig,
-    register_backend,
-)
+from .base import SimulationConfig, register_backend
 from .event_driven import EventDrivenClusterSimulator, _split_demands
 
 __all__ = ["OpenSystemResult", "OpenSystemSimulator"]
@@ -328,12 +324,6 @@ class OpenSystemSimulator(EventDrivenClusterSimulator):
     """
 
     name = "open-system"
-    capabilities = BackendCapabilities(
-        scheduling_policies=True,
-        open_system=True,
-        fractional_demand=True,
-        trace_owners=True,
-    )
 
     # -- NPZ cache hooks ---------------------------------------------------
 

@@ -259,11 +259,10 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument(
         "--vectorized", action="store_true",
         help=(
-            "run the grid through the batched fast paths: monte-carlo grids "
-            "draw whole groups in vectorized numpy calls (statistically "
+            "opt monte-carlo points into group sampling: each shared-shape "
+            "group is drawn in one vectorized numpy pass (statistically "
             "identical but not bitwise, so sampled points bypass the "
-            "cache); event-driven/open-system grids batch on the array "
-            "event kernel (bitwise-equal to the scalar path, cache-aware)"
+            "cache); other modes run as without the flag"
         ),
     )
     sweep_parser.add_argument(
@@ -385,9 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--executor", default="sweep", choices=EXECUTORS,
         help=(
             "execution strategy: 'sweep' (bitwise, fully cache-served; the "
-            "default) or 'vectorized' (batched fast paths — sampled "
-            "monte-carlo points bypass the cache and are only statistically "
-            "identical)"
+            "default) or 'vectorized' (monte-carlo points drawn by group "
+            "sampling — only statistically identical, bypassing the cache)"
         ),
     )
     submit_parser.add_argument(
@@ -483,17 +481,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                     "shard scheduler does not thread profiling through; "
                     "trace or profile, one at a time"
                 )
-            if args.vectorized and args.mode is not None:
-                # run_vectorized takes no mode: it routes each point itself
-                # (sampler batch / event kernel / scalar fallback), so a
-                # --mode here would be validated and then silently ignored.
-                raise ValueError(
-                    f"--mode {args.mode} cannot be combined with --vectorized: "
-                    "the vectorized path picks its own executor per point "
-                    "(batched sampler, array event kernel, or scalar "
-                    "fallback); drop --mode, or drop --vectorized to force "
-                    "one backend"
-                )
             mode = args.mode or grid_mode(args.grid)
             runner = SweepRunner(
                 jobs=args.jobs,
@@ -538,10 +525,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(f"trace: {count} events -> {args.trace} (raw spans: {jsonl_path})")
             return 0
         profiling = args.profile is not None
-        outcome = (
-            runner.run_vectorized(configs, profile=profiling)
-            if args.vectorized
-            else runner.run(configs, mode=mode, profile=profiling)
+        outcome = runner.run(
+            configs, mode=mode, profile=profiling, vectorized=args.vectorized
         )
         for result in outcome:
             print(result.summary())

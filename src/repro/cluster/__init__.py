@@ -38,10 +38,10 @@ from .policies import (
 )
 from .workstation import TaskExecution, Workstation
 
-#: Names re-exported from the simulation shim (now :mod:`repro.backends`).
-#: They resolve lazily via module ``__getattr__`` so importing this package
-#: never races the backends package, which imports the leaf modules above
-#: while it initialises (PEP 562).
+#: Names re-exported from :mod:`repro.backends`.  They resolve lazily via
+#: module ``__getattr__`` so importing this package never races the backends
+#: package, which imports the leaf modules above while it initialises
+#: (PEP 562).
 _SIMULATION_EXPORTS = frozenset(
     {
         "DiscreteTimeSimulator",
@@ -59,19 +59,6 @@ _SIMULATION_EXPORTS = frozenset(
 
 
 def __getattr__(name: str):
-    if name == "simulation":
-        # Attribute-style access (``repro.cluster.simulation.run_simulation``)
-        # used to work because the eager import bound the submodule; keep it
-        # working by importing the shim on first touch.  ``import_module``
-        # (not ``from . import``) avoids re-entering this __getattr__ while
-        # the shim itself is mid-import.
-        import importlib
-        import sys
-
-        module = sys.modules.get(f"{__name__}.simulation")
-        if module is None:
-            module = importlib.import_module(".simulation", __name__)
-        return module
     if name in _SIMULATION_EXPORTS:
         from .. import backends
 
@@ -80,7 +67,7 @@ def __getattr__(name: str):
 
 
 def __dir__() -> list[str]:
-    return sorted(set(globals()) | _SIMULATION_EXPORTS | {"simulation"})
+    return sorted(set(globals()) | _SIMULATION_EXPORTS)
 
 __all__ = [
     "AdmissionController",

@@ -85,7 +85,6 @@ from .scaling import (
     scaled_speedup,
     scaled_sweep,
 )
-from .sweep import SweepGrid, SweepRow, group_rows, pivot_series, run_sweep
 
 __all__ = [
     # params
@@ -159,10 +158,4 @@ __all__ = [
     "scaled_speedup",
     "response_time_inflation",
     "fixed_vs_scaled_comparison",
-    # sweep
-    "SweepGrid",
-    "SweepRow",
-    "run_sweep",
-    "group_rows",
-    "pivot_series",
 ]

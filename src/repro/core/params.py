@@ -747,7 +747,7 @@ class ScenarioSpec:
     This is the generalised description the simulation back-ends consume.  The
     paper's model is the special case of ``W`` identical stations, a balanced
     task split and the static one-task-per-station policy — which is exactly
-    what :class:`~repro.cluster.simulation.SimulationConfig` builds when no
+    what :class:`~repro.backends.SimulationConfig` builds when no
     scenario is given, so every homogeneous experiment reduces to this layer
     bitwise.
 

@@ -3,7 +3,7 @@
 Each figure of the paper corresponds to a grid of independent simulation
 points.  This module names those grids so the CLI (``repro-experiments sweep
 fig01``), the benchmarks and the tests all build the *same*
-:class:`~repro.cluster.simulation.SimulationConfig` lists — with per-point
+:class:`~repro.backends.SimulationConfig` lists — with per-point
 seeds derived deterministically from one base seed via
 :meth:`~repro.desim.StreamRegistry.derive_seed`, so every point is independent
 yet the whole sweep reproduces from a single integer.

@@ -9,6 +9,12 @@ re-run of a figure replays cached raw samples instead of resimulating.
 Back-ends are resolved through the registry in :mod:`repro.backends.base`,
 so a newly registered backend is sweepable without touching this module.
 
+:meth:`SweepRunner.run` is the one entry point.  Points requested as
+``event-driven`` or ``open-system`` execute on the ``event-kernel`` backend,
+the array kernel pinned bitwise to those generator oracles (which stay
+registered as the references the pins compare against).  Monte-Carlo group
+sampling is the one opt-in route (``vectorized=True``).
+
 Determinism: each point carries its own seed and every backend builds its
 random streams from that seed alone (via
 :class:`~repro.desim.StreamRegistry`), so the results are bitwise-identical
@@ -32,18 +38,15 @@ import os
 import pstats
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
 
 from ..backends import (
     OpenSystemResult,
     SimulationConfig,
     SimulationResult,
-    backend_names,
     get_backend,
 )
-from ..core.params import STATIC_POLICY
-from ..kernel.backend import kernel_blocker
 from ..obs import REGISTRY, active_trace_path, configure_tracing, trace_span
 
 #: Either flavour of completed simulation point (closed or open system).
@@ -67,13 +70,8 @@ _R = TypeVar("_R")
 _POINTS = REGISTRY.counter(
     "repro_sweep_points_total",
     "Sweep points by execution path, counted per run "
-    "(simulated / cached / kernel-batched / sampler-batched / fallback)",
+    "(simulated / cached / sampler-batched)",
     ("path",),
-)
-_FALLBACKS = REGISTRY.counter(
-    "repro_sweep_fallbacks_total",
-    "Vectorized-path points that degraded to a scalar backend, by reason",
-    ("reason",),
 )
 _POINT_SECONDS = REGISTRY.histogram(
     "repro_sweep_point_seconds",
@@ -82,12 +80,19 @@ _POINT_SECONDS = REGISTRY.histogram(
 )
 _BATCH_SECONDS = REGISTRY.histogram(
     "repro_sweep_batch_seconds",
-    "Wall-clock seconds per in-process batched pass",
-    ("path",),
+    "Wall-clock seconds per Monte-Carlo sampler group pass",
 )
-_SWEEPS = REGISTRY.counter(
-    "repro_sweeps_total", "Sweep executions by entry point", ("entry",)
-)
+_SWEEPS = REGISTRY.counter("repro_sweeps_total", "Sweep executions")
+
+#: The bitwise-pinned oracle modes the array kernel executes, each mapped to
+#: whether its scenarios are open (job-stream) ones.
+_KERNEL_ORACLES = {"event-driven": False, "open-system": True}
+
+#: The backend executing the oracles' points.
+_KERNEL_MODE = "event-kernel"
+
+#: The backend whose ``run_batch`` the ``vectorized`` opt-in draws through.
+_SAMPLED_MODE = "monte-carlo"
 
 
 def resolve_jobs(jobs: int | None) -> int:
@@ -97,6 +102,20 @@ def resolve_jobs(jobs: int | None) -> int:
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs!r}")
     return int(jobs)
+
+
+def _executor(config: SimulationConfig, mode: str) -> str:
+    """The backend that executes one point requested under ``mode``.
+
+    An oracle's points run on the array kernel.  A config outside the
+    oracle's scope (an open scenario under ``event-driven``, a closed one
+    under ``open-system``) stays on the oracle, so it fails with the
+    oracle's own ``ValueError`` exactly as a direct run would.
+    """
+    is_open = _KERNEL_ORACLES.get(mode)
+    if is_open is not None and is_open == config.effective_scenario.is_open:
+        return _KERNEL_MODE
+    return mode
 
 
 def _simulate_point(item: tuple[SimulationConfig, str]) -> PointResult:
@@ -211,22 +230,13 @@ def parallel_map(
 class SweepOutcome:
     """Results of one sweep execution plus its bookkeeping.
 
-    ``results`` is ordered like the input grid.  ``simulated`` counts points
-    actually executed this run; ``cache_hits`` counts points replayed from the
-    cache (``simulated + cache_hits == len(results)``).
-
-    The vectorized path additionally reports its batching diagnostics:
-    ``vectorized_groups`` counts the shared-shape groups drawn in single
-    batched passes, ``kernel_points`` counts configs the Monte-Carlo sampler
-    could not express but the array event kernel batched instead (one shared
-    kernel instance, bitwise-equal to the scalar oracle), ``fallback_points``
-    counts configs that could not be batched by *either* fast path and ran
-    through a scalar backend, and ``fallback_reasons`` maps each fallback
-    reason to how many points it affected — so a sweep that silently
-    degraded to the slow path is visible in :meth:`summary` rather than only
-    in its wall time.  Like ``simulated``, these diagnostics count only
-    points that actually *executed* this run: a point replayed from the
-    cache is a ``cache_hit``, never a kernel point or a scalar fallback.
+    ``results`` is ordered like the input grid, and each result's own
+    ``mode`` names the backend that produced it; ``mode`` here is the one
+    the sweep requested.  ``simulated`` counts points actually executed this
+    run; ``cache_hits`` counts points replayed from the cache
+    (``simulated + cache_hits == len(results)``).  ``vectorized_groups``
+    counts the shared-shape groups a ``vectorized`` sweep drew in single
+    batched passes.
     """
 
     results: list[PointResult]
@@ -236,9 +246,6 @@ class SweepOutcome:
     cache_hits: int = 0
     elapsed_seconds: float = 0.0
     vectorized_groups: int = 0
-    kernel_points: int = 0
-    fallback_points: int = 0
-    fallback_reasons: dict[str, int] = field(default_factory=dict)
     profile: pstats.Stats | None = None
 
     def __len__(self) -> int:
@@ -257,18 +264,8 @@ class SweepOutcome:
             f"{self.cache_hits} cached) mode={self.mode} jobs={self.jobs} "
             f"in {self.elapsed_seconds:.2f}s"
         )
-        if self.vectorized_groups or self.kernel_points or self.fallback_points:
+        if self.vectorized_groups:
             line += f", {self.vectorized_groups} vectorized groups"
-            if self.kernel_points:
-                line += f", {self.kernel_points} kernel-batched"
-            if self.fallback_points:
-                reasons = "; ".join(
-                    f"{reason}: {count}"
-                    for reason, count in sorted(self.fallback_reasons.items())
-                )
-                line += f", {self.fallback_points} scalar fallbacks ({reasons})"
-            else:
-                line += ", fully batched (0 scalar fallbacks)"
         return line
 
     def profile_report(self, top: int = 15) -> str:
@@ -288,84 +285,6 @@ class SweepOutcome:
         self.profile.stream = stream
         self.profile.sort_stats("cumulative").print_stats(top)
         return stream.getvalue()
-
-
-#: The backend whose ``run_batch`` the vectorized path draws through.
-_BATCH_MODE = "monte-carlo"
-
-#: The batched event executor picking up what the sampler cannot express.
-_KERNEL_MODE = "event-kernel"
-
-
-def _config_requirements(config: SimulationConfig) -> dict[str, bool]:
-    """Which :class:`~repro.backends.BackendCapabilities` a config demands.
-
-    Keys are capability field names, so eligibility and fallback choices can
-    be made against each backend's *declared* capabilities instead of a
-    hardcoded rule set that could drift from what the back-ends enforce.
-    """
-    scenario = config.effective_scenario
-    return {
-        "open_system": scenario.is_open,
-        "scheduling_policies": scenario.policy != STATIC_POLICY,
-        "trace_owners": any(
-            station.demand_kind == "trace" for station in scenario.stations
-        ),
-        "fractional_demand": float(config.task_demand) != int(config.task_demand),
-    }
-
-
-def _blocker_label(config: SimulationConfig, capability: str) -> str:
-    """Human-readable fallback reason for one missing capability."""
-    if capability == "open_system":
-        return "open-system scenario"
-    if capability == "scheduling_policies":
-        return f"non-static policy ({config.effective_scenario.policy})"
-    if capability == "trace_owners":
-        return "trace-driven owners"
-    return "fractional task demand"
-
-
-def _batch_blocker(config: SimulationConfig) -> str | None:
-    """Why a config cannot join a vectorized batch (None if it can).
-
-    A config batches only if the batch backend's declared capabilities cover
-    everything the config demands, so the eligibility rules live with the
-    backend rather than being duplicated here.
-    """
-    capabilities = get_backend(_BATCH_MODE).capabilities
-    if not capabilities.batched:
-        return f"{_BATCH_MODE} backend is not batched"
-    for capability, needed in _config_requirements(config).items():
-        if needed and not getattr(capabilities, capability):
-            return _blocker_label(config, capability)
-    return None
-
-
-def _fallback_mode(config: SimulationConfig) -> str:
-    """Scalar backend capable of running a config the batch path rejected.
-
-    Picks the first registered backend whose declared capabilities cover the
-    config's requirements (closed configs never land on an open-only
-    backend), so a newly registered backend with broader capabilities is
-    eligible without touching this module.
-    """
-    requirements = _config_requirements(config)
-    for name in backend_names():
-        capabilities = get_backend(name).capabilities
-        if not all(
-            getattr(capabilities, capability)
-            for capability, needed in requirements.items()
-            if needed
-        ):
-            continue
-        if capabilities.open_system and not requirements["open_system"]:
-            continue  # job-stream backends need an arrival process
-        return name
-    raise ValueError(
-        f"no registered backend supports the requirements {requirements!r} "
-        f"of config {config!r}"
-    )
 
 
 class SweepRunner:
@@ -402,12 +321,25 @@ class SweepRunner:
         configs: Sequence[SimulationConfig],
         mode: str | None = None,
         profile: bool = False,
+        vectorized: bool = False,
     ) -> SweepOutcome:
         """Execute every point of the grid; results keep the input order.
 
+        Every point takes the same path: cache lookup, execution over the
+        worker pool, cache store.  Points requested as ``event-driven`` or
+        ``open-system`` execute on the ``event-kernel`` backend — bitwise
+        equal to those oracles and sharing their cache entries — so their
+        results are labelled ``event-kernel``.
+
+        ``vectorized=True`` opts ``monte-carlo`` points into group sampling:
+        the grid is grouped by shared ``(W, T, num_jobs)`` shape and each
+        group is drawn in one ``run_batch`` pass.  That is statistically
+        identical to the per-point path but not bitwise (a group shares one
+        stream), so sampled points bypass the cache.  Other modes ignore it.
+
         With ``profile=True`` every simulated point runs under ``cProfile``
-        *inside its worker process*; the per-worker stats pickle back as raw
-        dicts and merge into :attr:`SweepOutcome.profile` (render it with
+        *inside its worker process* (sampled groups profile in-process); the
+        stats merge into :attr:`SweepOutcome.profile` (render it with
         :meth:`SweepOutcome.profile_report`).  Cached points execute nothing
         and therefore contribute nothing to the profile.
         """
@@ -415,53 +347,65 @@ class SweepRunner:
         get_backend(mode)  # fail fast on an unregistered mode
         configs = list(configs)
         started = time.perf_counter()
-        results: list[PointResult | None] = [None] * len(configs)
-
-        profiles: list[dict] = []
+        sampled = vectorized and mode == _SAMPLED_MODE
         with trace_span(
-            "sweep", entry="run", mode=mode, points=len(configs), jobs=self.jobs
+            "sweep", mode=mode, points=len(configs), jobs=self.jobs, sampled=sampled
         ):
-            pending: list[tuple[int, SimulationConfig]] = []
-            cache_hits = 0
-            if self.cache is not None:
-                for index, config in enumerate(configs):
-                    cached = self.cache.load(config, mode)
-                    if cached is None:
-                        pending.append((index, config))
-                    else:
-                        results[index] = cached
-                        cache_hits += 1
+            if sampled:
+                results, groups, profiles = _sample_groups(configs, profile)
+                cache_hits = 0
             else:
-                pending = list(enumerate(configs))
+                results, cache_hits, profiles = self._run_points(
+                    configs, mode, profile
+                )
+                groups = 0
 
-            trace_path = active_trace_path()
-            executed = parallel_map(
-                _execute_point,
-                [(config, mode, profile, trace_path) for _, config in pending],
-                jobs=self.jobs,
-            )
-            for (index, config), (result, elapsed, stats) in zip(
-                pending, executed
-            ):
-                results[index] = result
-                _POINT_SECONDS.observe(elapsed)
-                if stats:
-                    profiles.append(stats)
-                if self.cache is not None:
-                    self.cache.store(config, mode, result)
-
-        _SWEEPS.labels(entry="run").inc()
-        _POINTS.labels(path="simulated").inc(len(pending))
+        simulated = len(configs) - cache_hits
+        _SWEEPS.inc()
+        _POINTS.labels(path="simulated").inc(simulated)
         _POINTS.labels(path="cached").inc(cache_hits)
+        if sampled:
+            _POINTS.labels(path="sampler-batched").inc(simulated)
         return SweepOutcome(
-            results=[r for r in results if r is not None],
+            results=results,
             mode=mode,
             jobs=self.jobs,
-            simulated=len(pending),
+            simulated=simulated,
             cache_hits=cache_hits,
             elapsed_seconds=time.perf_counter() - started,
+            vectorized_groups=groups,
             profile=merge_profile_stats(profiles),
         )
+
+    def _run_points(
+        self, configs: list[SimulationConfig], mode: str, profile: bool
+    ) -> tuple[list[PointResult], int, list[dict]]:
+        """The per-point path; returns ``(results, cache hits, profiles)``."""
+        executors = [_executor(config, mode) for config in configs]
+        results: list[Any] = [None] * len(configs)
+        pending: list[int] = []
+        for index, (config, executor) in enumerate(zip(configs, executors)):
+            cached = None if self.cache is None else self.cache.load(config, executor)
+            if cached is None:
+                pending.append(index)
+            else:
+                results[index] = cached
+
+        trace_path = active_trace_path()
+        executed = parallel_map(
+            _execute_point,
+            [(configs[i], executors[i], profile, trace_path) for i in pending],
+            jobs=self.jobs,
+        )
+        profiles: list[dict] = []
+        for index, (result, elapsed, stats) in zip(pending, executed):
+            results[index] = result
+            _POINT_SECONDS.observe(elapsed)
+            if stats:
+                profiles.append(stats)
+            if self.cache is not None:
+                self.cache.store(configs[index], executors[index], result)
+        return results, len(configs) - len(pending), profiles
 
     def run_experiment(self, name: str, **overrides: Any) -> SweepOutcome:
         """Execute a named sweep grid from :mod:`repro.engine.grids`.
@@ -473,182 +417,43 @@ class SweepRunner:
 
         return self.run(build_grid(name, **overrides), mode=grid_mode(name))
 
-    def run_vectorized(
-        self,
-        configs: Sequence[SimulationConfig],
-        profile: bool = False,
-    ) -> SweepOutcome:
-        """Fast path drawing whole sweeps in batched vectorised passes.
 
-        Every batch-eligible config — homogeneous *and* heterogeneous
-        static-policy scenarios alike — takes the vectorized path by default:
-        the grid is grouped by shared ``(W, T, num_jobs)`` shape (one group
-        per concentration family of a heterogeneous sweep) and each group is
-        handed to the batched backend's ``run_batch``, which samples the
-        whole group's job times directly from their exact distributions.
+def _sample_groups(
+    configs: list[SimulationConfig], profile: bool
+) -> tuple[list[PointResult], int, list[dict]]:
+    """Monte-Carlo group sampling; returns ``(results, groups, profiles)``.
 
-        Configs the sampler cannot express route through the next fast path:
-        the array event kernel batches every event-driven point it has
-        transition tables for (non-static policies, open-system streams,
-        trace owners, fractional demands) on one shared kernel instance —
-        bitwise-equal to the scalar oracle, so these points also replay from
-        and store into the cache.  Only configs *neither* fast path can take
-        (space-shared admission, unregistered policies) fall back to a
-        scalar run on a capable backend, and the fallback is *recorded*:
-        :attr:`SweepOutcome.vectorized_groups`,
-        :attr:`SweepOutcome.kernel_points`,
-        :attr:`SweepOutcome.fallback_points` and
-        :attr:`SweepOutcome.fallback_reasons` surface exactly what degraded
-        and why instead of silently running slow.
-
-        Statistically identical to :meth:`run` but not bitwise on the
-        *sampled* groups (each group shares one stream), so those points
-        bypass the cache.  Kernel-batched points and scalar fallbacks run
-        the exact bitwise path :meth:`run` would, so when the runner has a
-        cache they replay from and store into it; scalar fallbacks
-        additionally fan out over the runner's worker pool (they are exactly
-        the expensive points), while kernel batches run in-process where the
-        shared-instance batching already amortises the setup.
-
-        With ``profile=True`` the scalar fallbacks profile inside their
-        worker processes and the in-process batch passes (kernel and
-        sampler) profile in the parent; everything merges into
-        :attr:`SweepOutcome.profile`.
-        """
-        configs = list(configs)
-        started = time.perf_counter()
-        results: list[PointResult | None] = [None] * len(configs)
-        groups: dict[tuple, list[int]] = {}
-        kernel_batch: list[tuple[int, SimulationConfig]] = []
-        fallbacks: list[tuple[int, SimulationConfig, str, str]] = []
-        for index, config in enumerate(configs):
-            if _batch_blocker(config) is None:
-                key = (
-                    config.workstations,
-                    float(config.task_demand),
-                    config.num_jobs,
-                    config.num_batches,
-                    float(config.confidence),
-                )
-                groups.setdefault(key, []).append(index)
-                continue
-            blocker = kernel_blocker(config)
-            if blocker is None:
-                kernel_batch.append((index, config))
-                continue
-            fallbacks.append((index, config, _fallback_mode(config), blocker))
-        profiles: list[dict] = []
-        with trace_span(
-            "sweep", entry="vectorized", points=len(configs), jobs=self.jobs
-        ):
-            cache_hits = 0
-            pending = fallbacks
-            kernel_pending = kernel_batch
-            if self.cache is not None:
-                pending = []
-                for index, config, fallback_mode, blocker in fallbacks:
-                    cached = self.cache.load(config, fallback_mode)
-                    if cached is None:
-                        pending.append((index, config, fallback_mode, blocker))
-                    else:
-                        results[index] = cached
-                        cache_hits += 1
-                kernel_pending = []
-                for index, config in kernel_batch:
-                    cached = self.cache.load(config, _KERNEL_MODE)
-                    if cached is None:
-                        kernel_pending.append((index, config))
-                    else:
-                        results[index] = cached
-                        cache_hits += 1
-            # Diagnostics count what actually *executed* this run: a point
-            # that replayed from the cache never fell back to a scalar
-            # backend nor entered a kernel batch, so a fully cached sweep
-            # reports zero of both instead of phantom degradations.
-            fallback_reasons: dict[str, int] = {}
-            for _, _, _, blocker in pending:
-                fallback_reasons[blocker] = fallback_reasons.get(blocker, 0) + 1
-            trace_path = active_trace_path()
-            fallen_back = parallel_map(
-                _execute_point,
-                [
-                    (config, mode, profile, trace_path)
-                    for _, config, mode, _ in pending
-                ],
-                jobs=self.jobs,
-            )
-            for (index, config, fallback_mode, _), (result, elapsed, stats) in zip(
-                pending, fallen_back
-            ):
-                results[index] = result
-                _POINT_SECONDS.observe(elapsed)
-                if stats:
-                    profiles.append(stats)
-                if self.cache is not None:
-                    self.cache.store(config, fallback_mode, result)
-            batch_profiler = cProfile.Profile() if profile else None
-            if kernel_pending:
-                backend = get_backend(_KERNEL_MODE)
-                kernel_configs = [config for _, config in kernel_pending]
-                batch_started = time.perf_counter()
-                with trace_span(
-                    "kernel-batch", entry="vectorized", points=len(kernel_configs)
-                ):
-                    if batch_profiler is not None:
-                        batch = batch_profiler.runcall(
-                            backend.run_batch, kernel_configs
-                        )
-                    else:
-                        batch = backend.run_batch(kernel_configs)
-                _BATCH_SECONDS.labels(path="kernel").observe(
-                    time.perf_counter() - batch_started
-                )
-                for (index, config), result in zip(kernel_pending, batch):
-                    results[index] = result
-                    if self.cache is not None:
-                        self.cache.store(config, _KERNEL_MODE, result)
-            sampled_points = 0
-            for indices in groups.values():
-                backend = get_backend(_BATCH_MODE)
-                group_configs = [configs[i] for i in indices]
-                sampled_points += len(group_configs)
-                batch_started = time.perf_counter()
-                with trace_span(
-                    "sampler-group", entry="vectorized", points=len(group_configs)
-                ):
-                    if batch_profiler is not None:
-                        batch = batch_profiler.runcall(
-                            backend.run_batch, group_configs
-                        )
-                    else:
-                        batch = backend.run_batch(group_configs)
-                _BATCH_SECONDS.labels(path="sampler").observe(
-                    time.perf_counter() - batch_started
-                )
-                for index, result in zip(indices, batch):
-                    results[index] = result
-            if batch_profiler is not None and (kernel_pending or groups):
-                batch_profiler.create_stats()
-                profiles.append(batch_profiler.stats)
-
-        _SWEEPS.labels(entry="vectorized").inc()
-        _POINTS.labels(path="simulated").inc(len(configs) - cache_hits)
-        _POINTS.labels(path="cached").inc(cache_hits)
-        _POINTS.labels(path="kernel-batched").inc(len(kernel_pending))
-        _POINTS.labels(path="sampler-batched").inc(sampled_points)
-        _POINTS.labels(path="fallback").inc(len(pending))
-        for reason, count in fallback_reasons.items():
-            _FALLBACKS.labels(reason=reason).inc(count)
-        return SweepOutcome(
-            results=[r for r in results if r is not None],
-            mode="monte-carlo" if not (fallbacks or kernel_batch) else "mixed",
-            jobs=self.jobs,
-            simulated=len(configs) - cache_hits,
-            cache_hits=cache_hits,
-            elapsed_seconds=time.perf_counter() - started,
-            vectorized_groups=len(groups),
-            kernel_points=len(kernel_pending),
-            fallback_points=len(pending),
-            fallback_reasons=fallback_reasons,
-            profile=merge_profile_stats(profiles),
+    Configs sharing ``(W, T, num_jobs, num_batches, confidence)`` form one
+    group — homogeneous utilization curves and heterogeneous static-policy
+    scenarios alike — drawn in one ``run_batch`` pass that samples each job
+    time directly from its exact distribution.  A config the sampler cannot
+    express raises its ``ValueError`` exactly as the per-point path would.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for index, config in enumerate(configs):
+        key = (
+            config.workstations,
+            float(config.task_demand),
+            config.num_jobs,
+            config.num_batches,
+            float(config.confidence),
         )
+        groups.setdefault(key, []).append(index)
+    backend = get_backend(_SAMPLED_MODE)
+    profiler = cProfile.Profile() if profile else None
+    results: list[Any] = [None] * len(configs)
+    for indices in groups.values():
+        group = [configs[i] for i in indices]
+        started = time.perf_counter()
+        with trace_span("sampler-group", points=len(group)):
+            if profiler is None:
+                batch = backend.run_batch(group)
+            else:
+                batch = profiler.runcall(backend.run_batch, group)
+        _BATCH_SECONDS.observe(time.perf_counter() - started)
+        for index, result in zip(indices, batch):
+            results[index] = result
+    if profiler is None or not groups:
+        return results, len(groups), []
+    profiler.create_stats()
+    return results, len(groups), [profiler.stats]

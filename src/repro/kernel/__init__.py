@@ -15,8 +15,8 @@ transition tables, while reproducing the oracle's results bit for bit:
     (owner/task/job/source state machines instead of coroutines).
 
 :mod:`repro.kernel.backend`
-    The ``event-kernel`` registry backend and the :func:`kernel_blocker`
-    routing probe.  Imported by :mod:`repro.backends` (which owns the
+    The ``event-kernel`` registry backend, which the sweep runner executes
+    the oracles' points on.  Imported by :mod:`repro.backends` (which owns the
     registry), *not* here — importing ``repro.kernel`` alone must not drag
     the backend layer in, both to keep layering one-directional and to avoid
     an import cycle.

@@ -3,22 +3,21 @@
 Adapter between :class:`repro.kernel.machine.EventKernel` and the backend
 protocol of :mod:`repro.backends.base`.  One registry entry covers both
 result flavours: closed scenarios produce the ``event-driven`` backend's
-:class:`SimulationResult`, open (classless job-stream) scenarios produce the
+:class:`SimulationResult`, open (job-stream) scenarios produce the
 ``open-system`` backend's :class:`OpenSystemResult` — in both cases
 bitwise-identical to what the generator-based oracle computes for the same
-config, just labelled ``mode="event-kernel"`` for provenance.
+config, just labelled ``mode="event-kernel"`` for provenance.  The sweep
+runner executes every point requested under either oracle mode here.
 
 ``run_batch`` is the cross-point batching entry: back-to-back grid points
 share one :class:`EventKernel` instance (one reusable agenda heap), while
 every point still seeds its own :class:`~repro.desim.StreamRegistry` from
 its config, so batch composition cannot change any result.
 
-:func:`kernel_blocker` is the capability probe the sweep engine uses to
-decide routing: it names the reason a config cannot run on the kernel (an
-unregistered scheduling policy), or returns ``None``.  Space-shared
+Every registered scheduling policy has transition tables (the kernel
+refuses a policy without one with a ``ValueError``), and space-shared
 admission scenarios (job classes under FCFS / EASY-backfill / priority
-admission) run through :meth:`EventKernel.run_space_shared` and are fully
-covered — no grid family falls back to scalar simulation.
+admission) run through :meth:`EventKernel.run_space_shared`.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ..backends.base import (
-    BackendCapabilities,
     SimulationBackend,
     SimulationConfig,
     SimulationResult,
@@ -39,21 +37,9 @@ from ..backends.base import (
 from ..backends.open_system import OpenSystemResult
 from ..obs import get_sim_tap
 from ..stats import batch_means_interval
-from .machine import KERNEL_POLICIES, EventKernel
+from .machine import EventKernel
 
-__all__ = ["EventKernelBackend", "kernel_blocker"]
-
-
-def kernel_blocker(config: SimulationConfig) -> str | None:
-    """Why ``config`` cannot run on the event kernel (``None`` if it can).
-
-    The returned string is the per-reason fallback label the sweep runner
-    surfaces in :class:`~repro.engine.runner.SweepOutcome`.
-    """
-    scenario = config.effective_scenario
-    if scenario.policy not in KERNEL_POLICIES:
-        return f"no kernel transition table for policy ({scenario.policy})"
-    return None
+__all__ = ["EventKernelBackend"]
 
 
 @register_backend
@@ -61,13 +47,6 @@ class EventKernelBackend(SimulationBackend):
     """Array-based replacement for the event-driven / open-system hot path."""
 
     name = "event-kernel"
-    capabilities = BackendCapabilities(
-        scheduling_policies=True,
-        open_system=True,
-        fractional_demand=True,
-        trace_owners=True,
-        batched=True,
-    )
 
     def run(self):
         """Run one config on a fresh kernel instance."""
@@ -80,9 +59,6 @@ class EventKernelBackend(SimulationBackend):
         if tap is not None:
             kernel.tap = tap.record
         cfg = self.config
-        blocker = kernel_blocker(cfg)
-        if blocker is not None:
-            raise ValueError(f"the {self.name} backend cannot run this config: {blocker}")
         scenario = cfg.effective_scenario
         if scenario.is_open:
             spec = scenario.arrivals

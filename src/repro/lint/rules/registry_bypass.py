@@ -20,8 +20,9 @@ module defining the class):
   class-level hooks are reachable via ``get_backend(mode)`` too,
 * any use of the private registry-dict names (``_REGISTRY`` / ``_BACKENDS``).
 
-Importing and re-exporting the class names stays legal — the compatibility
-shims (``repro.cluster.simulation``) do exactly that.
+Importing and re-exporting the class names stays legal — the package
+re-exports (:mod:`repro.backends`, whose names ``repro.cluster`` forwards)
+do exactly that.
 """
 
 from __future__ import annotations

@@ -120,6 +120,17 @@ class _Handler(BaseHTTPRequestHandler):
             return
         try:
             length = int(self.headers.get("Content-Length", "0"))
+        except ValueError:
+            length = -1
+        if length < 0:
+            # rfile.read(-1) would block until the client hangs up; refuse
+            # unread and drop the connection, whose body was never consumed.
+            self.close_connection = True
+            self._send_error_json(
+                400, "bad submission: Content-Length must be a non-negative integer"
+            )
+            return
+        try:
             payload = json.loads(self.rfile.read(length) or b"{}")
             spec = SweepJobSpec.from_json(payload)
             record = self.server.service.submit(spec)

@@ -21,7 +21,7 @@ import os
 import re
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterator, Mapping
 
@@ -41,10 +41,12 @@ class JobRecord:
     """One submission's durable state, mirrored to ``<jobs>/<job_id>.json``.
 
     The counters mirror :class:`~repro.engine.SweepOutcome` semantics:
-    ``simulated`` / ``cache_hits`` / ``kernel_points`` / ``fallback_points``
-    count what actually happened *this run*, accumulated shard by shard, so
-    a fully cache-served job finishes with ``simulated == 0`` and
-    ``cache_hits == total_points``.
+    ``simulated`` / ``cache_hits`` count what actually happened *this run*,
+    accumulated shard by shard, so a fully cache-served job finishes with
+    ``simulated == 0`` and ``cache_hits == total_points``.  ``mode`` is the
+    mode the submission resolved to; each result names the backend that
+    produced it.  Keys :meth:`from_json` does not know are ignored, so job
+    files carrying extra counters still load.
     """
 
     job_id: str
@@ -58,9 +60,6 @@ class JobRecord:
     simulated: int = 0
     cache_hits: int = 0
     vectorized_groups: int = 0
-    kernel_points: int = 0
-    fallback_points: int = 0
-    fallback_reasons: dict[str, int] = field(default_factory=dict)
     eta_seconds: float | None = None
     submitted_at: float = 0.0
     started_at: float | None = None
@@ -82,9 +81,6 @@ class JobRecord:
             "simulated": self.simulated,
             "cache_hits": self.cache_hits,
             "vectorized_groups": self.vectorized_groups,
-            "kernel_points": self.kernel_points,
-            "fallback_points": self.fallback_points,
-            "fallback_reasons": dict(sorted(self.fallback_reasons.items())),
             "eta_seconds": self.eta_seconds,
             "submitted_at": self.submitted_at,
             "started_at": self.started_at,
@@ -111,14 +107,6 @@ class JobRecord:
             simulated=int(payload.get("simulated", 0)),
             cache_hits=int(payload.get("cache_hits", 0)),
             vectorized_groups=int(payload.get("vectorized_groups", 0)),
-            kernel_points=int(payload.get("kernel_points", 0)),
-            fallback_points=int(payload.get("fallback_points", 0)),
-            fallback_reasons={
-                str(reason): int(count)
-                for reason, count in dict(
-                    payload.get("fallback_reasons", {})
-                ).items()
-            },
             eta_seconds=(
                 None
                 if payload.get("eta_seconds") is None
@@ -236,9 +224,6 @@ class JobStore:
                 record.simulated = 0
                 record.cache_hits = 0
                 record.vectorized_groups = 0
-                record.kernel_points = 0
-                record.fallback_points = 0
-                record.fallback_reasons = {}
                 record.eta_seconds = None
                 record.started_at = None
                 record.note = "recovered after restart"

@@ -4,19 +4,17 @@ The service does not run a job's whole grid in one :meth:`SweepRunner.run`
 call.  It slices the grid into fixed-size shards (grid order preserved) and
 executes them one shard at a time, firing a progress callback after each —
 that callback is how the job record streams ``points_completed`` /
-``cache_hits`` / fallback counters to pollers while the job is still
-running, and why a crash mid-job loses at most one shard of work (completed
-shards are already in the shared result cache, so a recovery rerun replays
-them as hits).
+``cache_hits`` counters to pollers while the job is still running, and why
+a crash mid-job loses at most one shard of work (completed shards are
+already in the shared result cache, so a recovery rerun replays them as
+hits).
 
 Sharding is free under the engine's determinism contract: every point's
 seed derives from its own config, never from its position in a batch, so
 ``run(shard_a) + run(shard_b)`` is bitwise-identical to
-``run(shard_a + shard_b)``.  The scheduler reuses the runner's existing
-routing per shard — :meth:`SweepRunner.run` for the ``sweep`` executor,
-:meth:`SweepRunner.run_vectorized` (batched sampler / array event kernel /
-scalar fallback) for the ``vectorized`` executor — rather than reinventing
-either.
+``run(shard_a + shard_b)``.  Every shard goes through
+:meth:`SweepRunner.run`; the ``vectorized`` executor only turns on its
+Monte-Carlo sampling opt-in.
 """
 
 from __future__ import annotations
@@ -68,9 +66,6 @@ class ShardProgress:
         self.simulated = 0
         self.cache_hits = 0
         self.vectorized_groups = 0
-        self.kernel_points = 0
-        self.fallback_points = 0
-        self.fallback_reasons: dict[str, int] = {}
         self.eta_seconds: float | None = None
         self._elapsed_seconds = 0.0
 
@@ -80,12 +75,6 @@ class ShardProgress:
         self.simulated += outcome.simulated
         self.cache_hits += outcome.cache_hits
         self.vectorized_groups += outcome.vectorized_groups
-        self.kernel_points += outcome.kernel_points
-        self.fallback_points += outcome.fallback_points
-        for reason, count in outcome.fallback_reasons.items():
-            self.fallback_reasons[reason] = (
-                self.fallback_reasons.get(reason, 0) + count
-            )
         self._elapsed_seconds += outcome.elapsed_seconds
         remaining = self.shards_total - self.shards_completed
         self.eta_seconds = (
@@ -134,8 +123,8 @@ class ShardScheduler:
 
         ``on_shard`` fires after each shard with the running
         :class:`ShardProgress` totals — the service persists the job record
-        there.  ``executor`` picks the runner entry point: ``"sweep"``
-        (bitwise, cache-served) or ``"vectorized"`` (routed fast paths).
+        there.  ``executor="vectorized"`` opts the shards' Monte-Carlo
+        points into group sampling (see :meth:`SweepRunner.run`).
         """
         shards = self.shards(configs)
         progress = ShardProgress(
@@ -152,10 +141,9 @@ class ShardScheduler:
                 shards_total=len(shards),
                 points=len(shard),
             ):
-                if executor == "vectorized":
-                    outcome = self.runner.run_vectorized(shard)
-                else:
-                    outcome = self.runner.run(shard, mode=mode)
+                outcome = self.runner.run(
+                    shard, mode=mode, vectorized=executor == "vectorized"
+                )
             _SHARD_SECONDS.labels(executor=executor).observe(
                 time.perf_counter() - started
             )

@@ -153,9 +153,6 @@ class SweepService:
             record.simulated = progress.simulated
             record.cache_hits = progress.cache_hits
             record.vectorized_groups = progress.vectorized_groups
-            record.kernel_points = progress.kernel_points
-            record.fallback_points = progress.fallback_points
-            record.fallback_reasons = dict(progress.fallback_reasons)
             record.eta_seconds = progress.eta_seconds
             self.store.save(record)
 

@@ -44,13 +44,11 @@ __all__ = [
     "spec_digest",
 ]
 
-#: Execution strategies a job may request.  ``sweep`` runs every shard
-#: through :meth:`SweepRunner.run` on the job's backend mode — the bitwise,
-#: fully cache-served contract the service guarantees.  ``vectorized`` runs
-#: shards through :meth:`SweepRunner.run_vectorized` instead (batched
-#: sampler / array kernel / scalar-fallback routing): kernel and fallback
-#: points stay bitwise and cached, but sampler-batched Monte-Carlo points
-#: are only statistically identical and bypass the cache.
+#: Execution strategies a job may request.  Both run every shard through
+#: :meth:`SweepRunner.run` on the job's backend mode.  ``sweep`` is the
+#: bitwise, fully cache-served contract the service guarantees;
+#: ``vectorized`` also opts Monte-Carlo points into group sampling, which
+#: is only statistically identical and bypasses the cache.
 EXECUTORS: tuple[str, ...] = ("sweep", "vectorized")
 
 
@@ -346,12 +344,6 @@ class SweepJobSpec:
                 raise ValueError("a points submission needs at least one config")
             if not self.mode:
                 raise ValueError("a points submission needs a backend mode")
-            if self.executor == "vectorized":
-                raise ValueError(
-                    "the vectorized executor routes per point and ignores a "
-                    "fixed mode; submit it as a grid, or use the 'sweep' "
-                    "executor for raw points"
-                )
         object.__setattr__(self, "points", tuple(self.points))
         object.__setattr__(self, "overrides", dict(self.overrides))
 

@@ -1,8 +1,7 @@
 """Tests for the backend registry seam introduced by the backends package.
 
-The registry replaced the hardcoded ``_BACKENDS`` dict of the old
-``cluster/simulation.py`` monolith; these tests pin the two contracts every
-layer now relies on: registry dispatch reproduces direct backend
+These tests pin the two contracts every layer relies on: registry dispatch
+reproduces direct backend
 construction **bitwise** for every mode, and every registered backend's NPZ
 serialize/deserialize hooks round-trip its result bitwise through
 :class:`~repro.engine.ResultCache`.
@@ -16,7 +15,6 @@ import pytest
 
 import repro.backends.base as backends_base
 from repro.backends import (
-    BackendCapabilities,
     DiscreteTimeSimulator,
     EventDrivenClusterSimulator,
     MonteCarloSampler,
@@ -107,7 +105,6 @@ class TestRegistry:
 
         class ConstantBackend(SimulationBackend):
             name = "test-constant"
-            capabilities = BackendCapabilities()
 
             def run(self):
                 from repro.stats import batch_means_interval
@@ -145,14 +142,27 @@ class TestRegistry:
 
 
 class TestCapabilities:
-    def test_declared_capabilities(self):
-        assert MonteCarloSampler.capabilities.batched
-        assert not MonteCarloSampler.capabilities.fractional_demand
-        assert EventDrivenClusterSimulator.capabilities.scheduling_policies
-        assert EventDrivenClusterSimulator.capabilities.trace_owners
-        assert not EventDrivenClusterSimulator.capabilities.open_system
-        assert OpenSystemSimulator.capabilities.open_system
-        assert not DiscreteTimeSimulator.capabilities.scheduling_policies
+    def test_declared_capabilities(self, paper_owner):
+        """What each backend can simulate is declared by what its run()
+        accepts: the rest raises ``ValueError``."""
+        from dataclasses import replace
+
+        closed = _config_for("event-driven", paper_owner)
+        fractional = replace(closed, task_demand=30.5)
+        policy = SimulationConfig.from_scenario(
+            ScenarioSpec.homogeneous(3, paper_owner, policy="self-scheduling"),
+            task_demand=30, num_jobs=40, num_batches=4, seed=11,
+        )
+        with pytest.raises(ValueError, match="integral task_demand"):
+            run_simulation(fractional, "monte-carlo")
+        with pytest.raises(ValueError, match="self-scheduling"):
+            run_simulation(policy, "discrete-time")
+        with pytest.raises(ValueError, match="job-arrival process"):
+            run_simulation(_config_for("open-system", paper_owner), "event-driven")
+        with pytest.raises(ValueError, match="job-arrival process"):
+            run_simulation(closed, "open-system")
+        run_simulation(fractional, "event-driven")
+        run_simulation(policy, "event-driven")
 
 
 class TestRegistryDispatchBitwise:
@@ -237,20 +247,14 @@ class TestCacheRoundTrip:
 
 
 class TestShimCompatibility:
-    """The old import surface must keep resolving to the same objects."""
-
-    def test_cluster_simulation_shim(self):
-        from repro.cluster import simulation as shim
-
-        assert shim.MonteCarloSampler is MonteCarloSampler
-        assert shim.run_simulation is run_simulation
-        assert shim.SimulationConfig is SimulationConfig
-        assert shim.OpenSystemResult is OpenSystemResult
+    """The ``repro.cluster`` import surface resolves to the backends' objects."""
 
     def test_cluster_package_lazy_exports(self):
         import repro.cluster as cluster
 
         assert cluster.EventDrivenClusterSimulator is EventDrivenClusterSimulator
+        assert cluster.OpenSystemResult is OpenSystemResult
+        assert cluster.run_simulation is run_simulation
         assert "SimulationConfig" in dir(cluster)
         with pytest.raises(AttributeError):
             cluster.NoSuchSimulator
@@ -259,16 +263,7 @@ class TestShimCompatibility:
         """Importing backends before repro.cluster must not deadlock/fail."""
         self._assert_subprocess_ok(
             "import repro.backends, repro.cluster; "
-            "from repro.cluster.simulation import MonteCarloSampler; "
-            "print('ok')"
-        )
-
-    def test_submodule_attribute_access_without_prior_import(self):
-        """`import repro.cluster; repro.cluster.simulation.<name>` must keep
-        working even though the package no longer imports the shim eagerly."""
-        self._assert_subprocess_ok(
-            "import repro.cluster; "
-            "assert repro.cluster.simulation.MonteCarloSampler; "
+            "from repro.cluster import MonteCarloSampler; "
             "print('ok')"
         )
 

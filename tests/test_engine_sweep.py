@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.backends import get_backend
 from repro.cli import main
 from repro.cluster import MonteCarloSampler, SimulationConfig, run_simulation
 from repro.core import OwnerSpec
@@ -21,6 +22,7 @@ from repro.engine import (
     resolve_jobs,
 )
 from repro.experiments import run_simulation_validation
+from repro.service import JobRecord, SweepJobSpec
 
 
 @pytest.fixture
@@ -219,7 +221,7 @@ class TestSweepRunner:
 
     def test_run_vectorized_agrees_statistically(self, small_grid):
         exact = SweepRunner(jobs=1).run(small_grid)
-        fast = SweepRunner(jobs=1).run_vectorized(small_grid)
+        fast = SweepRunner(jobs=1).run(small_grid, vectorized=True)
         assert len(fast) == len(exact)
         for a, b in zip(exact, fast):
             assert a.config is b.config
@@ -232,7 +234,7 @@ class TestSweepRunner:
 
 
 class TestVectorizedHeterogeneous:
-    """run_vectorized must batch heterogeneous grids and report fallbacks."""
+    """Group sampling batches heterogeneous grids; event points use the kernel."""
 
     def _hetero_grid(self, num_jobs: int = 4000):
         return build_grid(
@@ -246,19 +248,17 @@ class TestVectorizedHeterogeneous:
 
     def test_heterogeneous_grid_is_fully_batched(self):
         grid = self._hetero_grid(num_jobs=400)
-        outcome = SweepRunner(jobs=1).run_vectorized(grid)
+        outcome = SweepRunner(jobs=1).run(grid, vectorized=True)
         assert len(outcome) == len(grid)
-        # one batched group per (W, T) cell, no scalar degradation
+        # one batched group per (W, T) cell
         assert outcome.vectorized_groups == 2
-        assert outcome.fallback_points == 0
-        assert outcome.fallback_reasons == {}
         assert outcome.mode == "monte-carlo"
         assert "2 vectorized groups" in outcome.summary()
 
     def test_heterogeneous_batch_matches_scalar_within_ci(self):
         grid = self._hetero_grid(num_jobs=4000)
         exact = SweepRunner(jobs=1).run(grid)
-        fast = SweepRunner(jobs=1).run_vectorized(grid)
+        fast = SweepRunner(jobs=1).run(grid, vectorized=True)
         for a, b in zip(exact, fast):
             tolerance = (
                 a.job_time_interval.half_width + b.job_time_interval.half_width
@@ -283,21 +283,20 @@ class TestVectorizedHeterogeneous:
             workstations=3, task_demand=20.5, owner=paper_owner,
             num_jobs=30, num_batches=4, seed=9,
         )
-        grid = eligible + [policy_config, open_config, fractional]
-        outcome = SweepRunner(jobs=1).run_vectorized(grid)
-        assert len(outcome) == len(grid)
-        assert outcome.vectorized_groups == 1
-        # the sampler-ineligible points all have kernel transition tables, so
-        # they batch on the array kernel instead of degrading to scalar runs
-        assert outcome.kernel_points == 3
-        assert outcome.fallback_points == 0
-        assert outcome.fallback_reasons == {}
-        assert outcome[2].mode == "event-kernel"
-        assert outcome[3].mode == "event-kernel"
-        assert outcome[4].mode == "event-kernel"
-        assert outcome.mode == "mixed"
-        summary = outcome.summary()
-        assert "3 kernel-batched" in summary
+        runner = SweepRunner(jobs=1)
+        # the requested mode is honoured: the sampler refuses what it
+        # cannot express instead of rerouting it
+        with pytest.raises(ValueError, match="static one-task-per-station"):
+            runner.run(eligible + [policy_config], vectorized=True)
+        # under the oracle modes the sampler-ineligible points run on the
+        # array kernel, and the sampling opt-in leaves them there
+        closed = runner.run(
+            [policy_config, fractional], "event-driven", vectorized=True
+        )
+        opened = runner.run([open_config], "open-system", vectorized=True)
+        assert closed.vectorized_groups == opened.vectorized_groups == 0
+        assert [r.mode for r in (*closed, *opened)] == ["event-kernel"] * 3
+        assert (closed.mode, opened.mode) == ("event-driven", "open-system")
 
     def _space_shared_config(self, paper_owner, seed: int = 3):
         from repro.core import JobArrivalSpec, JobClassSpec, ScenarioSpec
@@ -317,119 +316,67 @@ class TestVectorizedHeterogeneous:
     def test_space_shared_configs_kernel_batch_with_zero_fallbacks(
         self, paper_owner
     ):
-        # formerly the one remaining scalar-fallback family: space-shared
-        # admission now has kernel transition tables and batches like the rest
+        # space-shared admission has kernel transition tables, so its points
+        # run on the kernel like every other open-system point
         space_shared = self._space_shared_config(paper_owner)
-        grid = self._hetero_grid(num_jobs=200)[:1] + [space_shared]
-        outcome = SweepRunner(jobs=1).run_vectorized(grid)
-        assert len(outcome) == len(grid)
-        assert outcome.kernel_points == 1
-        assert outcome.fallback_points == 0
-        assert outcome.fallback_reasons == {}
-        assert outcome[1].mode == "event-kernel"
-        assert outcome.mode == "mixed"
-        assert "fully batched (0 scalar fallbacks)" in outcome.summary()
-
-    def test_kernel_inexpressible_configs_fall_back_with_reasons(
-        self, paper_owner, monkeypatch
-    ):
-        from repro.core import ScenarioSpec
-        import repro.kernel.backend as kernel_backend
-
-        # No real config is kernel-inexpressible any more; shrink the kernel's
-        # policy registry so the fallback accounting machinery stays covered.
-        monkeypatch.setattr(kernel_backend, "KERNEL_POLICIES", ("static",))
-        policy_config = SimulationConfig.from_scenario(
-            ScenarioSpec.homogeneous(4, paper_owner, policy="self-scheduling"),
-            task_demand=25.0, num_jobs=20, num_batches=4, seed=3,
-        )
-        grid = self._hetero_grid(num_jobs=200)[:1] + [policy_config]
-        outcome = SweepRunner(jobs=1).run_vectorized(grid)
-        assert len(outcome) == len(grid)
-        assert outcome.kernel_points == 0
-        assert outcome.fallback_points == 1
-        assert outcome.fallback_reasons == {
-            "no kernel transition table for policy (self-scheduling)": 1,
-        }
-        # the fallback ran on a capable scalar backend and the outcome-level
-        # label reports the mix honestly
-        assert outcome[1].mode == "event-driven"
-        assert outcome.mode == "mixed"
-        summary = outcome.summary()
-        assert "1 scalar fallbacks" in summary
-        assert "no kernel transition table for policy (self-scheduling): 1" in summary
+        outcome = SweepRunner(jobs=1).run([space_shared], mode="open-system")
+        assert outcome[0].mode == "event-kernel"
+        oracle = run_simulation(space_shared, "open-system")
+        np.testing.assert_array_equal(outcome[0].end_times, oracle.end_times)
+        np.testing.assert_array_equal(outcome[0].job_widths, oracle.job_widths)
 
     def test_every_registered_grid_family_is_fallback_free(self):
-        # the zero-fallback guarantee, asserted grid family by grid family —
-        # silent re-degradation to scalar simulation fails here (and in CI)
-        from repro.engine.grids import GRID_NAMES
-
+        # no point of any registered grid family runs on a generator oracle:
+        # the event grids execute on the kernel, the rest on their own mode
         for name in GRID_NAMES:
-            grid = build_grid(name, num_jobs=8, num_batches=2)
-            outcome = SweepRunner(jobs=1).run_vectorized(grid[:6])
-            assert outcome.fallback_points == 0, name
-            assert outcome.fallback_reasons == {}, name
-            assert "scalar fallbacks (" not in outcome.summary(), name
+            mode = grid_mode(name)
+            grid = build_grid(name, num_jobs=8, num_batches=2)[:6]
+            outcome = SweepRunner(jobs=1).run(grid, mode)
+            expected = (
+                "event-kernel" if mode in ("event-driven", "open-system") else mode
+            )
+            assert {result.mode for result in outcome} == {expected}, name
 
     def test_kernel_points_replay_from_the_cache(self, tmp_path, paper_owner):
-        """Kernel-batched points are bitwise runs, so a configured cache
+        """Kernel-executed points are bitwise runs, so a configured cache
         serves them; the sampled (non-bitwise) points keep bypassing it."""
         fractional = SimulationConfig(
             workstations=2, task_demand=10.5, owner=paper_owner,
             num_jobs=20, num_batches=4, seed=5,
         )
-        grid = self._hetero_grid(num_jobs=200)[:2] + [fractional]
         runner = SweepRunner(jobs=1, cache=tmp_path / "cache")
-        first = runner.run_vectorized(grid)
-        assert first.simulated == 3 and first.cache_hits == 0
-        second = runner.run_vectorized(grid)
-        assert second.cache_hits == 1  # the kernel point replayed
-        assert second.simulated == 2  # the batched points re-drew
-        np.testing.assert_array_equal(first[2].job_times, second[2].job_times)
-        # the cached kernel point is bitwise-equal to the oracle, so it is
-        # also visible to the plain run() path under the oracle's mode
-        direct = runner.run([fractional], mode="event-driven")
-        assert direct.cache_hits == 1
+        first = runner.run([fractional], mode="event-driven")
+        second = runner.run([fractional], mode="event-driven")
+        assert first.simulated == 1 and second.cache_hits == 1
+        assert second[0].mode == "event-kernel"
+        np.testing.assert_array_equal(first[0].job_times, second[0].job_times)
+        # the entry is the oracle's own: schema 6 shares the digest
+        assert runner.cache.load(fractional, "event-driven") is not None
+        sampled = self._hetero_grid(num_jobs=200)[:2]
+        runner.run(sampled, vectorized=True)
+        again = runner.run(sampled, vectorized=True)
+        assert again.simulated == 2 and again.cache_hits == 0
 
     def test_cached_sweep_reports_no_phantom_degradations(
         self, tmp_path, paper_owner
     ):
-        """A replayed point never executed, so it must not be counted as a
-        kernel point or scalar fallback (regression: the diagnostics were
-        computed before the cache check, so a fully cached sweep still
-        claimed 'N scalar fallbacks')."""
-        from repro.core import JobArrivalSpec, JobClassSpec, ScenarioSpec
-
-        fractional = SimulationConfig(
-            workstations=2, task_demand=10.5, owner=paper_owner,
-            num_jobs=20, num_batches=4, seed=5,
-        )
-        space_shared = SimulationConfig.from_scenario(
-            ScenarioSpec.homogeneous(
-                4,
-                paper_owner,
-                arrivals=JobArrivalSpec.poisson(
-                    rate=0.002,
-                    job_classes=(JobClassSpec("narrow", width=1),),
-                ),
-            ),
-            task_demand=30.0, num_jobs=20, num_batches=4, seed=3,
-        )
-        grid = [fractional, space_shared]
+        """A replayed point never executed, so a fully cached sweep reports
+        nothing but cache hits."""
+        grid = [
+            self._space_shared_config(paper_owner, seed=seed) for seed in (3, 4)
+        ]
         runner = SweepRunner(jobs=1, cache=tmp_path / "cache")
-        first = runner.run_vectorized(grid)
-        assert first.kernel_points == 2 and first.fallback_points == 0
-        assert first.fallback_reasons == {}
-        second = runner.run_vectorized(grid)
+        first = runner.run(grid, mode="open-system")
+        assert first.simulated == 2 and first.cache_hits == 0
+        second = runner.run(grid, mode="open-system")
         assert second.cache_hits == 2 and second.simulated == 0
-        assert second.kernel_points == 0
-        assert second.fallback_points == 0
-        assert second.fallback_reasons == {}
-        assert "scalar fallbacks" not in second.summary()
-        assert "kernel-batched" not in second.summary()
+        assert second.summary().startswith(
+            "2 points (0 simulated, 2 cached) mode=open-system"
+        )
+        assert "vectorized" not in second.summary()
 
     def test_kernel_results_are_composition_independent(self, paper_owner):
-        """A point's result must not depend on what shares its batch."""
+        """A point's result must not depend on what shares its sweep."""
         fractionals = [
             SimulationConfig(
                 workstations=2, task_demand=10.5, owner=paper_owner,
@@ -437,10 +384,9 @@ class TestVectorizedHeterogeneous:
             )
             for seed in (1, 2, 3)
         ]
-        together = SweepRunner(jobs=1).run_vectorized(fractionals)
-        assert together.kernel_points == 3
+        together = SweepRunner(jobs=1).run(fractionals, mode="event-driven")
         for config, batched in zip(fractionals, together):
-            alone = SweepRunner(jobs=1).run_vectorized([config])
+            alone = SweepRunner(jobs=1).run([config], mode="event-driven")
             np.testing.assert_array_equal(alone[0].job_times, batched.job_times)
 
     def test_kernel_results_match_direct_oracle_runs(self, paper_owner):
@@ -448,9 +394,63 @@ class TestVectorizedHeterogeneous:
             workstations=3, task_demand=20.5, owner=paper_owner,
             num_jobs=30, num_batches=4, seed=9,
         )
-        outcome = SweepRunner(jobs=1).run_vectorized([fractional])
+        outcome = SweepRunner(jobs=1).run([fractional], mode="event-driven")
         direct = run_simulation(fractional, "event-driven")
         np.testing.assert_array_equal(outcome[0].job_times, direct.job_times)
+
+
+class TestKernelRoute:
+    """The one sweep route runs event grids on the kernel, through the pool."""
+
+    @pytest.mark.parametrize(
+        "name, overrides",
+        [
+            ("policy-compare", dict(workstation_counts=(4,))),
+            ("arrival-sweep", dict(workstation_counts=(4,))),
+            ("admission-sweep", dict(workstation_counts=(8,))),
+        ],
+    )
+    def test_run_equals_the_oracle_bitwise(self, name, overrides):
+        mode = grid_mode(name)
+        grid = build_grid(
+            name, num_jobs=20, num_batches=4, utilizations=(0.1,), **overrides
+        )
+        outcome = SweepRunner(jobs=2).run(grid, mode)
+        assert outcome.mode == mode and len(outcome) == len(grid) > 1
+        # every array of every point — job times, or arrival/start/end
+        # times, demands, widths, class ids and restarts — equals a direct
+        # oracle run, after crossing the process pool
+        oracle = get_backend(mode)
+        for config, result in zip(grid, outcome):
+            assert result.mode == "event-kernel"
+            expected = oracle.serialize_result(oracle(config).run())
+            actual = get_backend(result.mode).serialize_result(result)
+            assert expected.keys() == actual.keys()
+            for key, value in expected.items():
+                np.testing.assert_array_equal(actual[key], value, err_msg=key)
+
+        # a config the requested oracle rejects fails with the oracle's error
+        other = "open-system" if mode == "event-driven" else "event-driven"
+        with pytest.raises(ValueError) as direct:
+            get_backend(other)(grid[0]).run()
+        with pytest.raises(ValueError) as routed:
+            SweepRunner(jobs=1).run(grid[:1], other)
+        assert str(routed.value) == str(direct.value)
+
+        # a job record still carrying the old routing counters loads
+        payload = JobRecord(
+            job_id="job-000001-00000000",
+            spec=SweepJobSpec.for_grid(name),
+            mode=mode,
+            total_points=len(grid),
+        ).to_json()
+        payload.update(
+            kernel_points=len(grid),
+            fallback_points=0,
+            fallback_reasons={"open-system scenario": 0},
+        )
+        loaded = JobRecord.from_json(payload)
+        assert (loaded.mode, loaded.total_points) == (mode, len(grid))
 
 
 class TestParallelMap:
@@ -586,8 +586,8 @@ class TestSweepCli:
         assert "cache:" not in out
 
     def test_vectorized_kernel_grid_replays_from_the_cache(self, capsys, tmp_path):
-        # An event-driven grid under --vectorized batches on the array
-        # kernel; the kernel path is bitwise, so a second run replays.
+        # An event-driven grid runs on the array kernel, --vectorized or not;
+        # the kernel path is bitwise, so a second run replays every point.
         args = [
             "sweep", "policy-compare",
             "--num-jobs", "30",
@@ -598,26 +598,20 @@ class TestSweepCli:
         ]
         assert main(args) == 0
         out = capsys.readouterr().out
-        # the static-policy point is sampler-eligible; the other two batch
-        # on the kernel and enter the cache
-        assert "2 kernel-batched" in out
         assert "3 points (3 simulated, 0 cached)" in out
+        assert "[event-kernel]" in out and "vectorized groups" not in out
         assert main(args) == 0
-        out = capsys.readouterr().out
-        # the sampled point re-draws (not bitwise, never cached); both
-        # kernel points replay
-        assert "3 points (1 simulated, 2 cached)" in out
+        assert "3 points (0 simulated, 3 cached)" in capsys.readouterr().out
 
     @pytest.mark.parametrize("mode", ["discrete-time", "monte-carlo"])
-    def test_vectorized_rejects_explicit_mode(self, capsys, mode):
-        """--mode used to be accepted alongside --vectorized and then
-        silently ignored (run_vectorized takes no mode); now the
-        combination is rejected outright, for every backend name."""
+    def test_vectorized_honours_explicit_mode(self, capsys, mode):
+        """--vectorized only opts monte-carlo points into group sampling, so
+        it composes with every --mode, which is always honoured."""
         args = self.ARGS + ["--no-cache", "--vectorized", "--mode", mode]
-        assert main(args) == 2
-        err = capsys.readouterr().err
-        assert "cannot be combined with --vectorized" in err
-        assert mode in err
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        assert f"[{mode}] W=5" in out
+        assert ("vectorized groups" in out) == (mode == "monte-carlo")
 
     def test_profile_prints_cumulative_stats(self, capsys):
         args = self.ARGS + ["--no-cache", "--mode", "event-driven", "--profile", "5"]
@@ -625,8 +619,8 @@ class TestSweepCli:
         out = capsys.readouterr().out
         assert "Ordered by: cumulative time" in out
         assert "restriction <5>" in out
-        # the simulator hot path dominates, so its module must show up
-        assert "desim" in out
+        # event-driven points run on the kernel, whose hot path dominates
+        assert "kernel/machine.py" in out
 
     def test_profile_with_full_cache_reports_nothing_ran(self, capsys, tmp_path):
         args = self.ARGS + ["--cache-dir", str(tmp_path / "cache")]
@@ -650,15 +644,11 @@ class TestSweepProfiling:
         for a, b in zip(plain, outcome):
             np.testing.assert_array_equal(a.job_times, b.job_times)
 
-    def test_run_vectorized_profiles_the_batch_passes(self, paper_owner):
-        fractional = SimulationConfig(
-            workstations=2, task_demand=10.5, owner=paper_owner,
-            num_jobs=20, num_batches=4, seed=5,
-        )
-        outcome = SweepRunner(jobs=1).run_vectorized([fractional], profile=True)
-        assert outcome.kernel_points == 1
+    def test_run_vectorized_profiles_the_batch_passes(self, small_grid):
+        outcome = SweepRunner(jobs=1).run(small_grid, vectorized=True, profile=True)
+        assert outcome.vectorized_groups == 2
         assert outcome.profile is not None
-        assert "kernel" in outcome.profile_report(top=30)
+        assert "run_batch" in outcome.profile_report(top=30)
 
     def test_unprofiled_outcome_reports_no_profile(self, small_grid):
         outcome = SweepRunner(jobs=1).run(small_grid)

@@ -30,7 +30,6 @@ from repro.core import JobArrivalSpec, JobClassSpec, OwnerSpec, ScenarioSpec
 from repro.desim import Environment, StreamRegistry
 from repro.engine import ResultCache, config_fingerprint
 from repro.kernel import NORMAL, URGENT, EventAgenda, KERNEL_POLICIES
-from repro.kernel.backend import kernel_blocker
 from repro.workload import generate_trace
 
 
@@ -235,7 +234,7 @@ class TestAgendaContract:
 
 
 # ---------------------------------------------------------------------------
-# routing probe
+# coverage: the sweep runner sends every oracle point here
 # ---------------------------------------------------------------------------
 
 
@@ -244,23 +243,18 @@ class TestKernelBlocker:
         # the kernel must keep transition tables for the full policy registry;
         # a new policy has to either get one or extend this contract knowingly
         assert set(POLICY_NAMES) == set(KERNEL_POLICIES)
-        for policy in POLICY_NAMES:
-            assert kernel_blocker(_closed_config(policy)) is None
-            assert kernel_blocker(_open_config(policy)) is None
-            assert kernel_blocker(_space_shared_config(policy)) is None
+        with pytest.raises(ValueError, match="unknown scheduling policy"):
+            get_backend("event-kernel")(_closed_config("mystery")).run()
 
     def test_space_shared_admission_is_covered(self):
-        # formerly the kernel's one capability gap; every admission policy now
-        # has transition tables, so no config with a registered scheduling
-        # policy is ever routed to scalar fallback
+        # every admission policy has transition tables, so every
+        # space-shared point of an open-system sweep runs on the kernel
         for admission in ("fcfs", "easy-backfill", "priority"):
-            config = _space_shared_config(admission=admission, num_jobs=10)
-            assert kernel_blocker(config) is None
-        result = get_backend("event-kernel")(
-            _space_shared_config(num_jobs=10)
-        ).run()
-        assert result.mode == "event-kernel"
-        assert result.widths is not None and result.restarts is not None
+            result = get_backend("event-kernel")(
+                _space_shared_config(admission=admission, num_jobs=10)
+            ).run()
+            assert result.mode == "event-kernel"
+            assert result.widths is not None and result.restarts is not None
 
     def test_run_space_shared_rejects_classless_configs(self):
         from repro.kernel import EventKernel
@@ -269,10 +263,21 @@ class TestKernelBlocker:
             EventKernel().run_space_shared(_open_config("static"))
 
     def test_registered_with_full_capabilities(self):
+        # policies, open streams, trace owners and fractional demands, batched
         assert "event-kernel" in backend_names()
-        caps = get_backend("event-kernel").capabilities
-        assert caps.scheduling_policies and caps.open_system
-        assert caps.fractional_demand and caps.trace_owners and caps.batched
+        fractional = SimulationConfig(
+            workstations=3, task_demand=20.5,
+            owner=OwnerSpec(demand=10.0, utilization=0.3),
+            num_jobs=10, num_batches=2, seed=1,
+        )
+        configs = [
+            _closed_config("self-scheduling"),
+            _open_config("static"),
+            _trace_config("static"),
+            fractional,
+        ]
+        results = get_backend("event-kernel").run_batch(configs)
+        assert [result.mode for result in results] == ["event-kernel"] * 4
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ in the shipped tree, so the fixes cannot quietly revert:
   backends registered under the same mode.  It must dispatch through
   ``get_backend``.
 * The base-class ``run_batch`` hook must refuse on backends that do not
-  declare the ``batched`` capability.
+  override it.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ class TestOwnerInterruptPropagation:
 
 
 class TestRunBatchRegistryDispatch:
-    """SL004 regression: the vectorized sweep honours replacement backends."""
+    """SL004 regression: group sampling honours replacement backends."""
 
     def _configs(self):
         return [
@@ -118,11 +118,13 @@ class TestRunBatchRegistryDispatch:
 
         register_backend(InstrumentedSampler, replace=True)
         try:
-            outcome = SweepRunner(jobs=1, cache=None).run_vectorized(self._configs())
+            outcome = SweepRunner(jobs=1, cache=None).run(
+                self._configs(), vectorized=True
+            )
         finally:
             register_backend(original, replace=True)
         assert calls == [2], (
-            "run_vectorized bypassed the registry: the replacement backend's "
+            "group sampling bypassed the registry: the replacement backend's "
             "run_batch was never called"
         )
         assert len(outcome.results) == 2
@@ -139,8 +141,7 @@ class TestRunBatchRegistryDispatch:
             Unbatched.run_batch([])
 
     def test_batched_capability_matches_override(self):
-        # Backends declaring batched=True must actually override the hook.
-        for mode in ("monte-carlo",):
-            backend = get_backend(mode)
-            assert backend.capabilities.batched
-            assert backend.run_batch is not SimulationBackend.run_batch
+        # The backends callers batch through must actually override the hook.
+        for mode in ("monte-carlo", "event-kernel"):
+            hook = get_backend(mode).run_batch.__func__
+            assert hook is not SimulationBackend.run_batch.__func__

@@ -17,6 +17,7 @@ import urllib.request
 
 import pytest
 
+from repro.backends import run_simulation
 from repro.engine import SweepRunner, build_grid, grid_mode
 from repro.obs import (
     REGISTRY,
@@ -102,17 +103,18 @@ class TestObserverPurity:
 
     @pytest.mark.parametrize("mode", ["event-driven", "event-kernel"])
     def test_tapped_run_is_bitwise_identical(self, tmp_path, mode, grid):
+        # direct backend runs: a sweep would execute both modes on the kernel
         config = grid[0]
-        bare = SweepRunner(jobs=1).run([config], mode=mode)
+        bare = run_simulation(config, mode)
 
         tap = install_sim_tap(SimEventTap())
         try:
-            tapped = SweepRunner(jobs=1).run([config], mode=mode)
+            tapped = run_simulation(config, mode)
         finally:
             uninstall_sim_tap()
 
-        assert payload_bytes(tmp_path, "tapped", tapped.results) == (
-            payload_bytes(tmp_path, "bare", bare.results)
+        assert payload_bytes(tmp_path, "tapped", [tapped]) == (
+            payload_bytes(tmp_path, "bare", [bare])
         )
         # The tap actually saw the run: owners arrive in every busy system.
         counts = tap.counts()

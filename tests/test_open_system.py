@@ -640,7 +640,7 @@ class TestOpenSystemCLI:
         assert main(args) == 0
         out = capsys.readouterr().out
         assert "(2 simulated, 0 cached)" in out
-        assert "[open-system]" in out
+        assert "[event-kernel]" in out and "mode=open-system" in out
         assert main(args) == 0
         assert "(0 simulated, 2 cached)" in capsys.readouterr().out
 

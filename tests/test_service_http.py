@@ -12,6 +12,7 @@ The two contracts the service must never break are pinned here:
 from __future__ import annotations
 
 import json
+import socket
 import threading
 
 import numpy as np
@@ -182,6 +183,24 @@ class TestHTTPEndToEnd:
         with pytest.raises(ServiceError) as no_route:
             client._request_json("/nonsense")
         assert no_route.value.status == 404
+
+    def test_negative_content_length_is_refused_unread(self, live):
+        # rfile.read(-1) reads to EOF: the handler used to block until the
+        # client hung up, then submit whatever body had arrived by then
+        service, client = live
+        port = int(client.base_url.rsplit(":", 1)[1])
+        with socket.create_connection(("127.0.0.1", port), timeout=5.0) as sock:
+            sock.sendall(
+                b"POST /jobs HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+                b"Content-Length: -1\r\n\r\n"
+            )
+            answer = b""
+            while chunk := sock.recv(4096):  # the server closes after answering
+                answer += chunk
+        assert answer.startswith(b"HTTP/1.1 400 ")
+        assert b"Content-Length must be a non-negative integer" in answer
+        assert len(service.store) == 0
+        assert client.health()["status"] == "ok"
 
     def test_result_before_done_is_a_conflict(self, service):
         # Server up, but the worker thread deliberately not started: the

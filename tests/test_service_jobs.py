@@ -111,14 +111,13 @@ class TestSweepJobSpec:
             with pytest.raises(ValueError):
                 SweepJobSpec(**bad)
 
-    def test_vectorized_points_rejected(self):
-        # run_vectorized routes per point and takes no mode, so a raw-points
-        # submission pinning one is contradictory — same rule the CLI
-        # enforces for `sweep --vectorized --mode`.
-        with pytest.raises(ValueError, match="vectorized"):
-            SweepJobSpec.for_points(
-                build_grid("fig01")[:1], mode="monte-carlo", executor="vectorized"
-            )
+    def test_vectorized_points_accepted(self):
+        # the vectorized executor only opts monte-carlo points into group
+        # sampling, so it composes with a raw-points submission's mode
+        spec = SweepJobSpec.for_points(
+            build_grid("fig01")[:1], mode="monte-carlo", executor="vectorized"
+        )
+        assert SweepJobSpec.from_json(spec.to_json()) == spec
 
     def test_unknown_grid_fails_at_resolve(self):
         with pytest.raises(KeyError):
@@ -173,9 +172,7 @@ class TestJobStore:
         record.shards_completed = 2
         record.simulated = 5
         record.cache_hits = 3
-        record.kernel_points = 1
-        record.fallback_points = 2
-        record.fallback_reasons = {"open-system scenario": 2}
+        record.vectorized_groups = 2
         record.started_at = 100.0
         record.finished_at = 200.0
         record.result_file = f"{record.job_id}.npz"

@@ -74,27 +74,6 @@ class TestShardScheduler:
         )
         assert seen == [(1, 2, 0), (2, 4, 0)]
 
-    def test_vectorized_executor_reports_routing(self):
-        # policy-compare is event-driven: the vectorized executor batches it
-        # on the array event kernel (bitwise), and the progress totals must
-        # say so.
-        grid = build_grid(
-            "policy-compare",
-            num_jobs=40,
-            num_batches=4,
-            workstation_counts=(4,),
-            utilizations=(0.1,),
-        )
-        results, progress = ShardScheduler(
-            SweepRunner(jobs=1), shard_size=8
-        ).execute(grid, grid_mode("policy-compare"), executor="vectorized")
-        assert len(results) == len(grid)
-        # The static-policy point draws through the batched sampler; the
-        # non-static policies batch on the array event kernel.
-        assert progress.vectorized_groups == 1
-        assert progress.kernel_points == 2
-        assert progress.fallback_points == 0
-
 
 class TestResultPayloads:
     def test_round_trip_and_split(self, small_grid, tmp_path):
