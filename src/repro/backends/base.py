@@ -110,7 +110,7 @@ class SimulationConfig:
     confidence: float = 0.90
     seed: int = 0
     owner_demand_kind: str = "deterministic"
-    owner_demand_kwargs: dict = field(default_factory=dict)
+    owner_demand_kwargs: dict[str, float] = field(default_factory=dict)
     imbalance: float = 0.0
     scenario: ScenarioSpec | None = None
 

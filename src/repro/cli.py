@@ -278,9 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
     lint_parser = subparsers.add_parser(
         "lint",
         help=(
-            "statically check the domain invariants (determinism, cache-"
-            "fingerprint coverage, interrupt safety, registry dispatch, NPZ "
-            "symmetry)"
+            "statically check the domain invariants (determinism, interrupt "
+            "safety, registry dispatch, NPZ symmetry, kernel and telemetry "
+            "layering)"
         ),
     )
     lint_parser.add_argument(

@@ -172,8 +172,12 @@ class OwnerSpec:
     with mean ``1/P`` time units) and *using* the workstation for ``demand``
     units.  Owner processes have preemptive priority over parallel tasks.
 
-    Exactly one of ``utilization`` or ``request_probability`` must be given;
-    the other is derived via Eq. (8).
+    Give ``utilization`` or ``request_probability`` and the other is derived
+    via Eq. (8).  Both may be given only as a pair that Eq. (8) maps one onto
+    the other exactly — which is what every spec stores, so a stored spec
+    rebuilds from its own fields — and any other pair is rejected: the
+    back-ends sample ``P`` while reporting reads ``U``, so the two must
+    never disagree.
 
     Attributes
     ----------
@@ -194,17 +198,27 @@ class OwnerSpec:
     def __post_init__(self) -> None:
         if self.demand <= 0:
             raise ValueError(f"owner demand must be positive, got {self.demand!r}")
-        if (self.utilization is None) == (self.request_probability is None):
-            raise ValueError(
-                "exactly one of utilization / request_probability must be provided"
-            )
-        if self.utilization is not None:
-            p = utilization_to_request_probability(self.utilization, self.demand)
-            object.__setattr__(self, "request_probability", p)
-        else:
-            assert self.request_probability is not None
+        if self.utilization is None:
+            if self.request_probability is None:
+                raise ValueError(
+                    "one of utilization / request_probability must be provided"
+                )
             u = request_probability_to_utilization(self.request_probability, self.demand)
             object.__setattr__(self, "utilization", u)
+        elif self.request_probability is None:
+            p = utilization_to_request_probability(self.utilization, self.demand)
+            object.__setattr__(self, "request_probability", p)
+        elif (
+            utilization_to_request_probability(self.utilization, self.demand)
+            != self.request_probability
+            and request_probability_to_utilization(self.request_probability, self.demand)
+            != self.utilization
+        ):
+            raise ValueError(
+                f"utilization {self.utilization!r} and request_probability "
+                f"{self.request_probability!r} disagree under Eq. 8 for owner "
+                f"demand {self.demand!r}; give only one of them"
+            )
 
     @classmethod
     def from_utilization(cls, utilization: float, demand: float = 10.0) -> "OwnerSpec":

@@ -27,6 +27,7 @@ import json
 import os
 import tempfile
 import zipfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +39,7 @@ from ..backends import (
     get_backend,
 )
 from ..obs import REGISTRY
+from .codec import to_json
 
 __all__ = ["CACHE_VERSION", "SCHEMA_HISTORY", "config_fingerprint", "ResultCache"]
 
@@ -61,14 +63,18 @@ _CACHE_STORES = REGISTRY.counter(
 _CACHE_STORE_BYTES = REGISTRY.counter(
     "repro_cache_store_bytes_total", "Compressed NPZ bytes written to the cache"
 )
+_CACHE_STORE_FAILURES = REGISTRY.counter(
+    "repro_cache_store_failures_total",
+    "Stores skipped because writing or renaming the temp file failed",
+)
 
 #: The fingerprint schema changelog, one ``(version, what changed and why)``
 #: entry per schema, oldest first.  Append an entry whenever the on-disk
 #: layout or the fingerprint payload changes — a bump changes every digest,
 #: so entries written under an older schema can never silently replay.  This
 #: tuple is the single source of truth: :data:`CACHE_VERSION` is derived from
-#: its last entry, the SL002 lint rule checks it stays contiguous, and the
-#: docs render it verbatim.
+#: its last entry, a runtime test checks it stays contiguous, and the docs
+#: render it verbatim.
 SCHEMA_HISTORY: tuple[tuple[int, str], ...] = (
     (
         1,
@@ -111,6 +117,15 @@ SCHEMA_HISTORY: tuple[tuple[int, str], ...] = (
         "a sweep cached under either executor replays on the other instead "
         "of resimulating",
     ),
+    (
+        7,
+        "replaced the hand-written payload by the config's one JSON "
+        "encoding, walked off the spec dataclasses (the service wire codec) "
+        "after folding the legacy owner fields into the effective scenario: "
+        "a new config field now enters the key without anyone editing the "
+        "fingerprint, where a forgotten field in the hand-written payload "
+        "would have replayed stale entries",
+    ),
 )
 
 #: Current fingerprint schema version — always the last history entry.
@@ -131,100 +146,42 @@ def _canonical_mode(config: SimulationConfig, mode: str) -> str:
     return str(mode)
 
 
+def _canonical_config(config: SimulationConfig) -> SimulationConfig:
+    """The config with its representative owner fields folded into its scenario.
+
+    Sets the explicit scenario to the effective one and the legacy owner
+    fields to its first station's, so a homogeneous legacy config and the
+    equivalent explicit ``ScenarioSpec`` canonicalise to one config, and the
+    representative owner of a scenario config — which no back-end reads —
+    stays out of the key.  Every other field passes through ``replace``
+    untouched, so a new ``SimulationConfig`` field enters the key by itself.
+    """
+    scenario = config.effective_scenario
+    first = scenario.stations[0]
+    return replace(
+        config,
+        scenario=scenario,
+        owner=first.owner,
+        owner_demand_kind=first.demand_kind,
+        owner_demand_kwargs=dict(first.demand_kwargs),
+    )
+
+
 def config_fingerprint(config: SimulationConfig, mode: str) -> str:
     """Stable hex digest identifying one ``(config, mode)`` simulation point.
 
-    Every field that affects the sampled output enters the payload; floats are
-    serialized via ``repr`` round-tripping JSON so equal configs always map to
-    the same key.  The per-station scenario enters through its *effective*
-    form, so a homogeneous ``ScenarioSpec`` and the equivalent legacy config
-    share one cache entry.  Bitwise-equivalent executors share one entry too:
-    the mode enters through :func:`_canonical_mode`.
+    The payload is the config's one JSON encoding
+    (:func:`repro.engine.codec.to_json`), so every field that affects the
+    sampled output enters it and floats keep their exact ``repr``.  The
+    config enters through :func:`_canonical_config`, so equivalent legacy and
+    scenario configs share one cache entry; the mode enters through
+    :func:`_canonical_mode`, so bitwise-equivalent executors share one too.
     """
-    scenario = config.effective_scenario
+    canonical = _canonical_config(config)
     payload = {
         "schema": CACHE_VERSION,
-        "mode": _canonical_mode(config, mode),
-        "workstations": int(config.workstations),
-        "task_demand": float(config.task_demand),
-        "num_jobs": int(config.num_jobs),
-        "num_batches": int(config.num_batches),
-        "confidence": float(config.confidence),
-        "seed": int(config.seed),
-        "stations": [
-            {
-                "owner_demand": float(station.owner.demand),
-                "owner_utilization": (
-                    None
-                    if station.owner.utilization is None
-                    else float(station.owner.utilization)
-                ),
-                "request_probability": (
-                    None
-                    if station.owner.request_probability is None
-                    else float(station.owner.request_probability)
-                ),
-                "demand_kind": str(station.demand_kind),
-                "demand_kwargs": [list(pair) for pair in station.demand_kwargs],
-                "trace": (
-                    None
-                    if station.trace is None
-                    else {
-                        "horizon": float(station.trace.horizon),
-                        "busy_intervals": [
-                            [float(start), float(end)]
-                            for start, end in station.trace.busy_intervals
-                        ],
-                    }
-                ),
-            }
-            for station in scenario.stations
-        ],
-        "policy": str(scenario.policy),
-        "policy_kwargs": [list(pair) for pair in scenario.policy_kwargs],
-        "imbalance": float(scenario.imbalance),
-        "arrivals": (
-            None
-            if scenario.arrivals is None
-            else {
-                "kind": str(scenario.arrivals.kind),
-                "rate": (
-                    None
-                    if scenario.arrivals.rate is None
-                    else float(scenario.arrivals.rate)
-                ),
-                "interarrivals": [float(g) for g in scenario.arrivals.interarrivals],
-                "demand_kind": str(scenario.arrivals.demand_kind),
-                "demand_kwargs": [
-                    list(pair) for pair in scenario.arrivals.demand_kwargs
-                ],
-                "max_concurrent_jobs": int(scenario.arrivals.max_concurrent_jobs),
-                "warmup_fraction": float(scenario.arrivals.warmup_fraction),
-                "job_classes": [
-                    {
-                        "name": str(job_class.name),
-                        "width": int(job_class.width),
-                        "priority": int(job_class.priority),
-                        "weight": float(job_class.weight),
-                        "population": int(job_class.population),
-                        "think_time": (
-                            None
-                            if job_class.think_time is None
-                            else float(job_class.think_time)
-                        ),
-                        "think_time_kind": str(job_class.think_time_kind),
-                        "think_time_kwargs": [
-                            list(pair) for pair in job_class.think_time_kwargs
-                        ],
-                    }
-                    for job_class in scenario.arrivals.job_classes
-                ],
-                "admission_policy": str(scenario.arrivals.admission_policy),
-                "admission_kwargs": [
-                    list(pair) for pair in scenario.arrivals.admission_kwargs
-                ],
-            }
-        ),
+        "mode": _canonical_mode(canonical, mode),
+        "config": to_json(canonical),
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
@@ -251,9 +208,10 @@ class ResultCache:
         into place; a writer killed between the two leaks the temp file,
         which ``glob("*.npz")`` never sees — so without this sweep a shared
         cache directory accumulates invisible garbage across service
-        restarts.  A concurrently *live* writer's temp file could in
-        principle be swept too, but that write simply fails and the point is
-        resimulated — the cache never serves a torn entry either way.
+        restarts.  A concurrently *live* writer's temp file can be swept
+        too; that writer's :meth:`store` is then skipped, its sweep still
+        returns the point, and the point is resimulated the next time it is
+        requested — the cache never serves a torn entry either way.
         """
         removed = 0
         for leftover in self.root.glob("*.tmp"):
@@ -311,8 +269,16 @@ class ResultCache:
         config: SimulationConfig,
         mode: str,
         result: SimulationResult | OpenSystemResult,
-    ) -> Path:
-        """Persist one completed point; returns the cache file path."""
+    ) -> Path | None:
+        """Persist one completed point; returns its cache file path.
+
+        A store is an optimisation, never a condition of the sweep: an
+        ``OSError`` while writing or renaming the temp file (a full disk,
+        or another process sweeping this directory's ``*.tmp`` files
+        mid-write) skips it — the temp file is removed, the skip is counted
+        in ``repro_cache_store_failures_total`` and ``None`` is returned
+        instead of a path.
+        """
         arrays = get_backend(mode).serialize_result(result)
         path = self.path_for(config, mode)
         fd, tmp_name = tempfile.mkstemp(
@@ -322,12 +288,15 @@ class ResultCache:
             with os.fdopen(fd, "wb") as handle:
                 np.savez_compressed(handle, **arrays)
             os.replace(tmp_name, path)
-        except BaseException:
+        except BaseException as exc:
             try:
                 os.unlink(tmp_name)
             except OSError:
                 pass
-            raise
+            if not isinstance(exc, OSError):
+                raise
+            _CACHE_STORE_FAILURES.inc()
+            return None
         _CACHE_STORES.inc()
         try:
             _CACHE_STORE_BYTES.inc(path.stat().st_size)

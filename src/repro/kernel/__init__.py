@@ -6,7 +6,7 @@ per-event Python-object path (generator coroutines parked on
 transition tables, while reproducing the oracle's results bit for bit:
 
 :mod:`repro.kernel.agenda`
-    The calendar-style event agenda: ``(when, priority, tie)`` ordering with
+    The binary-heap event agenda: ``(when, priority, tie)`` ordering with
     the oracle's FIFO tie-breaking contract, plus tie *ticks* for elided
     no-op events.
 

@@ -10,7 +10,7 @@ test suite).
 from __future__ import annotations
 
 import tomllib
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 __all__ = ["LintConfig", "load_config", "find_pyproject"]
@@ -37,19 +37,6 @@ class LintConfig:
     rng_allowed:
         Path suffixes exempt from SL001 — the one module allowed to construct
         raw numpy generators (the seed-derivation boundary itself).
-    fingerprint_function:
-        Name of the cache-key function SL002 inspects.
-    spec_classes:
-        Dataclass names whose fields must all enter the fingerprint payload.
-    fingerprint_covered_by:
-        Field-coverage aliases for SL002: accessing the *key* attribute
-        inside the fingerprint function counts as covering the listed fields
-        (``effective_scenario`` folds the legacy homogeneous fields and the
-        explicit scenario into one canonical form, so reading it covers
-        them).
-    schema_history_name / cache_version_name:
-        Names of the schema-history tuple and derived version constant SL002
-        cross-checks in the fingerprint module.
     interrupt_names:
         Exception-type names SL003 treats as able to deliver a preemption
         (``Interrupt`` plus its catch-all ancestors).
@@ -83,27 +70,6 @@ class LintConfig:
     ignore: tuple[str, ...] = ()
     # SL001
     rng_allowed: tuple[str, ...] = ("src/repro/desim/rng.py",)
-    # SL002
-    fingerprint_function: str = "config_fingerprint"
-    spec_classes: tuple[str, ...] = (
-        "SimulationConfig",
-        "ScenarioSpec",
-        "StationSpec",
-        "JobArrivalSpec",
-        "JobClassSpec",
-    )
-    fingerprint_covered_by: dict[str, tuple[str, ...]] = field(
-        default_factory=lambda: {
-            "effective_scenario": (
-                "owner",
-                "owner_demand_kind",
-                "owner_demand_kwargs",
-                "scenario",
-            ),
-        }
-    )
-    schema_history_name: str = "SCHEMA_HISTORY"
-    cache_version_name: str = "CACHE_VERSION"
     # SL003
     interrupt_names: tuple[str, ...] = ("Interrupt", "Exception", "BaseException")
     # SL004
@@ -184,24 +150,13 @@ def load_config(start: Path | str | None = None) -> LintConfig:
             f"unknown simlint option(s) {unknown!r} in {pyproject}; "
             f"expected a subset of {sorted(known)!r}"
         )
+    defaults = LintConfig()
     overrides: dict[str, object] = {}
     for key, value in table.items():
         name = key.replace("-", "_")
-        if name == "fingerprint_covered_by":
-            overrides[name] = {
-                str(attr): _tuple(covered) for attr, covered in dict(value).items()
-            }
-        elif name in (
-            "fingerprint_function",
-            "schema_history_name",
-            "cache_version_name",
-            "registry_base_class",
-            "registry_decorator",
-            "serialize_method",
-            "deserialize_method",
-            "telemetry_module",
-        ):
+        # each default fixes its option's type: a name, or a list of them
+        if isinstance(getattr(defaults, name), str):
             overrides[name] = str(value)
         else:
             overrides[name] = _tuple(value)
-    return LintConfig().with_overrides(**overrides)
+    return defaults.with_overrides(**overrides)

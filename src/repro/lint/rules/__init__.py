@@ -8,7 +8,6 @@ simulation backends use.
 # Import order fixes registration order (and so --list-rules / report order):
 # keep it numeric by rule id.
 from .determinism import DeterminismRule
-from .fingerprint import FingerprintCoverageRule
 from .interrupts import InterruptSafetyRule
 from .registry_bypass import RegistryBypassRule
 from .npz_symmetry import NpzSymmetryRule
@@ -17,7 +16,6 @@ from .telemetry import TelemetryLayeringRule
 
 __all__ = [
     "DeterminismRule",
-    "FingerprintCoverageRule",
     "InterruptSafetyRule",
     "KernelLayeringRule",
     "NpzSymmetryRule",

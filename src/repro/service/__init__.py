@@ -23,13 +23,8 @@ from .results import (
 )
 from .scheduler import DEFAULT_SHARD_SIZE, ShardProgress, ShardScheduler
 from .service import SweepService
-from .specs import (
-    EXECUTORS,
-    SweepJobSpec,
-    config_from_json,
-    config_to_json,
-    spec_digest,
-)
+from ..engine.codec import config_from_json, config_to_json
+from .specs import EXECUTORS, SweepJobSpec, spec_digest
 
 __all__ = [
     "EXECUTORS",

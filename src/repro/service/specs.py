@@ -3,11 +3,11 @@
 The sweep service accepts work over a JSON wire format, so everything a
 :class:`~repro.backends.SimulationConfig` can express — heterogeneous
 stations, trace-driven owners, open-system arrival streams, space-shared job
-classes — needs a lossless JSON round trip.  The codec here mirrors the
-fingerprint payload of :func:`repro.engine.cache.config_fingerprint` field
-for field: floats travel as JSON numbers (Python guarantees ``repr`` round
-trips them exactly), so a config decoded from its own encoding fingerprints
-to the *same* cache digest and simulates bitwise-identically.
+classes — needs a lossless JSON round trip.  Raw points travel in the
+config's one encoding, :func:`repro.engine.codec.config_to_json`, walked off
+the spec dataclasses — the same walk the cache fingerprint hashes — so a
+config decoded from its own encoding fingerprints to the *same* cache digest
+and simulates bitwise-identically.
 
 A submission is a :class:`SweepJobSpec` — either a named grid plus
 :func:`~repro.engine.grids.build_grid` overrides (``kind="grid"``) or an
@@ -22,27 +22,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Mapping, Sequence
 
 from ..backends import SimulationConfig
-from ..core.params import (
-    JobArrivalSpec,
-    JobClassSpec,
-    OwnerSpec,
-    ScenarioSpec,
-    StationSpec,
-)
 from ..engine import build_grid, grid_mode
-from ..workload import OwnerActivityTrace
+from ..engine.codec import config_from_json, config_to_json
 
-__all__ = [
-    "EXECUTORS",
-    "SweepJobSpec",
-    "config_to_json",
-    "config_from_json",
-    "spec_digest",
-]
+__all__ = ["EXECUTORS", "SweepJobSpec", "spec_digest"]
 
 #: Execution strategies a job may request.  Both run every shard through
 #: :meth:`SweepRunner.run` on the job's backend mode.  ``sweep`` is the
@@ -50,222 +37,6 @@ __all__ = [
 #: ``vectorized`` also opts Monte-Carlo points into group sampling, which
 #: is only statistically identical and bypasses the cache.
 EXECUTORS: tuple[str, ...] = ("sweep", "vectorized")
-
-
-def _owner_to_json(owner: OwnerSpec) -> dict[str, Any]:
-    return {
-        "demand": float(owner.demand),
-        "utilization": None if owner.utilization is None else float(owner.utilization),
-        "request_probability": (
-            None
-            if owner.request_probability is None
-            else float(owner.request_probability)
-        ),
-    }
-
-
-def _owner_from_json(payload: Mapping[str, Any]) -> OwnerSpec:
-    demand = float(payload["demand"])
-    utilization = payload.get("utilization")
-    probability = payload.get("request_probability")
-    if utilization is not None:
-        owner = OwnerSpec(demand=demand, utilization=float(utilization))
-        if probability is not None and owner.request_probability != float(probability):
-            # The spec was originally built from its request probability and
-            # Eq. 8 does not round-trip this pair exactly; rebuild from the
-            # probability so both stored floats are reproduced bit for bit
-            # (the cache fingerprint covers both).
-            owner = OwnerSpec(demand=demand, request_probability=float(probability))
-            if owner.utilization != float(utilization):
-                object.__setattr__(owner, "utilization", float(utilization))
-        return owner
-    if probability is None:
-        raise ValueError(
-            "an owner payload needs utilization or request_probability"
-        )
-    return OwnerSpec(demand=demand, request_probability=float(probability))
-
-
-def _pairs_to_json(pairs: Sequence[Sequence[Any]]) -> list[list[Any]]:
-    return [[str(name), float(value)] for name, value in pairs]
-
-
-def _pairs_from_json(payload: Sequence[Sequence[Any]]) -> tuple[tuple[str, float], ...]:
-    return tuple((str(name), float(value)) for name, value in payload)
-
-
-def _trace_to_json(trace: OwnerActivityTrace | None) -> dict[str, Any] | None:
-    if trace is None:
-        return None
-    return {
-        "horizon": float(trace.horizon),
-        "busy_intervals": [
-            [float(start), float(end)] for start, end in trace.busy_intervals
-        ],
-    }
-
-
-def _trace_from_json(payload: Mapping[str, Any] | None) -> OwnerActivityTrace | None:
-    if payload is None:
-        return None
-    return OwnerActivityTrace(
-        horizon=float(payload["horizon"]),
-        busy_intervals=tuple(
-            (float(start), float(end)) for start, end in payload["busy_intervals"]
-        ),
-    )
-
-
-def _station_to_json(station: StationSpec) -> dict[str, Any]:
-    return {
-        "owner": _owner_to_json(station.owner),
-        "demand_kind": str(station.demand_kind),
-        "demand_kwargs": _pairs_to_json(station.demand_kwargs),
-        "trace": _trace_to_json(station.trace),
-    }
-
-
-def _station_from_json(payload: Mapping[str, Any]) -> StationSpec:
-    return StationSpec(
-        owner=_owner_from_json(payload["owner"]),
-        demand_kind=str(payload.get("demand_kind", "deterministic")),
-        demand_kwargs=_pairs_from_json(payload.get("demand_kwargs", ())),
-        trace=_trace_from_json(payload.get("trace")),
-    )
-
-
-def _job_class_to_json(job_class: JobClassSpec) -> dict[str, Any]:
-    return {
-        "name": str(job_class.name),
-        "width": int(job_class.width),
-        "priority": int(job_class.priority),
-        "weight": float(job_class.weight),
-        "population": int(job_class.population),
-        "think_time": (
-            None if job_class.think_time is None else float(job_class.think_time)
-        ),
-        "think_time_kind": str(job_class.think_time_kind),
-        "think_time_kwargs": _pairs_to_json(job_class.think_time_kwargs),
-    }
-
-
-def _job_class_from_json(payload: Mapping[str, Any]) -> JobClassSpec:
-    think_time = payload.get("think_time")
-    return JobClassSpec(
-        name=str(payload["name"]),
-        width=int(payload["width"]),
-        priority=int(payload.get("priority", 0)),
-        weight=float(payload.get("weight", 1.0)),
-        population=int(payload.get("population", 0)),
-        think_time=None if think_time is None else float(think_time),
-        think_time_kind=str(payload.get("think_time_kind", "exponential")),
-        think_time_kwargs=_pairs_from_json(payload.get("think_time_kwargs", ())),
-    )
-
-
-def _arrivals_to_json(arrivals: JobArrivalSpec | None) -> dict[str, Any] | None:
-    if arrivals is None:
-        return None
-    return {
-        "kind": str(arrivals.kind),
-        "rate": None if arrivals.rate is None else float(arrivals.rate),
-        "interarrivals": [float(gap) for gap in arrivals.interarrivals],
-        "demand_kind": str(arrivals.demand_kind),
-        "demand_kwargs": _pairs_to_json(arrivals.demand_kwargs),
-        "max_concurrent_jobs": int(arrivals.max_concurrent_jobs),
-        "warmup_fraction": float(arrivals.warmup_fraction),
-        "job_classes": [_job_class_to_json(jc) for jc in arrivals.job_classes],
-        "admission_policy": str(arrivals.admission_policy),
-        "admission_kwargs": _pairs_to_json(arrivals.admission_kwargs),
-    }
-
-
-def _arrivals_from_json(
-    payload: Mapping[str, Any] | None,
-) -> JobArrivalSpec | None:
-    if payload is None:
-        return None
-    rate = payload.get("rate")
-    return JobArrivalSpec(
-        kind=str(payload.get("kind", "poisson")),
-        rate=None if rate is None else float(rate),
-        interarrivals=tuple(float(gap) for gap in payload.get("interarrivals", ())),
-        demand_kind=str(payload.get("demand_kind", "deterministic")),
-        demand_kwargs=_pairs_from_json(payload.get("demand_kwargs", ())),
-        max_concurrent_jobs=int(payload.get("max_concurrent_jobs", 1)),
-        warmup_fraction=float(payload.get("warmup_fraction", 0.1)),
-        job_classes=tuple(
-            _job_class_from_json(jc) for jc in payload.get("job_classes", ())
-        ),
-        admission_policy=str(payload.get("admission_policy", "fcfs")),
-        admission_kwargs=_pairs_from_json(payload.get("admission_kwargs", ())),
-    )
-
-
-def _scenario_to_json(scenario: ScenarioSpec | None) -> dict[str, Any] | None:
-    if scenario is None:
-        return None
-    return {
-        "stations": [_station_to_json(station) for station in scenario.stations],
-        "policy": str(scenario.policy),
-        "policy_kwargs": _pairs_to_json(scenario.policy_kwargs),
-        "imbalance": float(scenario.imbalance),
-        "arrivals": _arrivals_to_json(scenario.arrivals),
-    }
-
-
-def _scenario_from_json(payload: Mapping[str, Any] | None) -> ScenarioSpec | None:
-    if payload is None:
-        return None
-    return ScenarioSpec(
-        stations=tuple(
-            _station_from_json(station) for station in payload["stations"]
-        ),
-        policy=str(payload.get("policy", "static")),
-        policy_kwargs=_pairs_from_json(payload.get("policy_kwargs", ())),
-        imbalance=float(payload.get("imbalance", 0.0)),
-        arrivals=_arrivals_from_json(payload.get("arrivals")),
-    )
-
-
-def config_to_json(config: SimulationConfig) -> dict[str, Any]:
-    """Encode one simulation point losslessly as JSON-safe data."""
-    return {
-        "workstations": int(config.workstations),
-        "task_demand": float(config.task_demand),
-        "owner": _owner_to_json(config.owner),
-        "num_jobs": int(config.num_jobs),
-        "num_batches": int(config.num_batches),
-        "confidence": float(config.confidence),
-        "seed": int(config.seed),
-        "owner_demand_kind": str(config.owner_demand_kind),
-        "owner_demand_kwargs": {
-            str(name): float(value)
-            for name, value in sorted(config.owner_demand_kwargs.items())
-        },
-        "imbalance": float(config.imbalance),
-        "scenario": _scenario_to_json(config.scenario),
-    }
-
-
-def config_from_json(payload: Mapping[str, Any]) -> SimulationConfig:
-    """Decode a point encoded by :func:`config_to_json` (validating it)."""
-    return SimulationConfig(
-        workstations=int(payload["workstations"]),
-        task_demand=float(payload["task_demand"]),
-        owner=_owner_from_json(payload["owner"]),
-        num_jobs=int(payload.get("num_jobs", 2000)),
-        num_batches=int(payload.get("num_batches", 20)),
-        confidence=float(payload.get("confidence", 0.90)),
-        seed=int(payload.get("seed", 0)),
-        owner_demand_kind=str(payload.get("owner_demand_kind", "deterministic")),
-        owner_demand_kwargs={
-            str(name): float(value)
-            for name, value in dict(payload.get("owner_demand_kwargs", {})).items()
-        },
-        imbalance=float(payload.get("imbalance", 0.0)),
-        scenario=_scenario_from_json(payload.get("scenario")),
-    )
 
 
 #: Grid-override keys forwarded to :func:`~repro.engine.grids.build_grid`
@@ -404,25 +175,19 @@ class SweepJobSpec:
 
     @classmethod
     def from_json(cls, payload: Mapping[str, Any]) -> "SweepJobSpec":
-        """Decode a submission; the kind may be inferred from its keys."""
-        kind = payload.get("kind")
-        if kind is None:
-            kind = "points" if "points" in payload else "grid"
-        if kind == "grid":
-            return cls(
-                kind="grid",
-                grid=payload.get("grid"),
-                overrides=dict(payload.get("overrides", {})),
-                executor=str(payload.get("executor", "sweep")),
-            )
-        return cls(
-            kind="points",
-            points=tuple(
-                config_from_json(point) for point in payload.get("points", ())
-            ),
-            mode=payload.get("mode"),
-            executor=str(payload.get("executor", "sweep")),
-        )
+        """Decode a submission; the kind may be inferred from its keys.
+
+        Keys that name no field are rejected rather than ignored, so a
+        misspelt key (``"overides"``) cannot silently run the defaults.
+        """
+        if not isinstance(payload, Mapping):
+            raise ValueError(f"a submission must be a JSON object, got {payload!r}")
+        unknown = payload.keys() - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown submission key(s) {sorted(unknown)!r}")
+        kind = payload.get("kind") or ("points" if "points" in payload else "grid")
+        points = tuple(config_from_json(point) for point in payload.get("points", ()))
+        return cls(**{**payload, "kind": kind, "points": points})
 
 
 def spec_digest(spec: SweepJobSpec) -> str:

@@ -623,10 +623,11 @@ class TestSchemaFourCache:
     def test_cache_version_bumped(self):
         # 4 introduced the admission fields; 5 added trace-driven owners and
         # the backend-owned NPZ layouts; 6 canonicalized the mode so
-        # event-kernel results alias the oracle fingerprints.  Pinned
-        # exactly: adding fingerprint-relevant fields without bumping the
-        # schema must fail here, so stale entries can never silently replay.
-        assert CACHE_VERSION == 6
+        # event-kernel results alias the oracle fingerprints; 7 walks the
+        # payload off the spec dataclasses.  Pinned exactly: changing the
+        # fingerprint payload without bumping the schema must fail here, so
+        # stale entries can never silently replay.
+        assert CACHE_VERSION == 7
 
     def test_admission_fields_enter_fingerprint(self):
         base = _classed_config((JobClassSpec("narrow", width=2),))

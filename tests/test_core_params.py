@@ -109,6 +109,29 @@ class TestOwnerSpec:
         with pytest.raises(ValueError):
             OwnerSpec(demand=10.0, utilization=0.1, request_probability=0.01)
 
+    @pytest.mark.parametrize(
+        "owner",
+        [
+            OwnerSpec(demand=10.0, utilization=0.1),
+            OwnerSpec(demand=10.0, request_probability=0.0123456789),
+            OwnerSpec(demand=0.5, utilization=0.9),  # P clamps to 1
+        ],
+    )
+    def test_consistent_pair_rebuilds_the_stored_spec(self, owner):
+        # Both stored floats, as a codec hands them back, are accepted as-is.
+        rebuilt = OwnerSpec(
+            demand=owner.demand,
+            utilization=owner.utilization,
+            request_probability=owner.request_probability,
+        )
+        assert rebuilt == owner
+
+    def test_inconsistent_pair_rejected(self):
+        # Eq. 8 gives P = 0.1 for U = 0.5, O = 10: sampling P = 0.001 while
+        # reporting U = 0.5 would misdescribe the simulated owner.
+        with pytest.raises(ValueError, match="disagree"):
+            OwnerSpec(demand=10.0, utilization=0.5, request_probability=0.001)
+
     def test_idle_owner(self):
         owner = OwnerSpec.idle()
         assert owner.utilization == 0.0

@@ -58,9 +58,10 @@ class TestCacheSchemaV2:
         # Schema 3 added the job-arrival (open-system) fields; schema 4 the
         # admission subsystem (job classes, admission policy); schema 5
         # trace-driven owners and the backend-owned NPZ layouts; schema 6 the
-        # canonical mode that aliases event-kernel entries to the oracles'.
+        # canonical mode that aliases event-kernel entries to the oracles';
+        # schema 7 the payload walked off the spec dataclasses.
         # Pinned exactly so a fingerprint-payload change must bump the schema.
-        assert CACHE_VERSION == 6
+        assert CACHE_VERSION == 7
 
     def test_schema_history_is_the_source_of_truth(self):
         from repro.engine import SCHEMA_HISTORY

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import errno
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from repro.engine import (
     resolve_jobs,
 )
 from repro.experiments import run_simulation_validation
+from repro.obs import REGISTRY
 from repro.service import JobRecord, SweepJobSpec
 
 
@@ -152,6 +155,37 @@ class TestResultCache:
         assert cache.clear() == 1  # tmp leftovers are swept but not counted
         assert list(root.glob("*.tmp")) == []
         assert len(cache) == 0
+
+    @pytest.mark.parametrize("failure", ["second-opener-sweeps-tmp", "disk-full"])
+    def test_failed_store_is_skipped_and_the_sweep_succeeds(
+        self, tmp_path, paper_owner, monkeypatch, failure
+    ):
+        root = tmp_path / "cache"
+        runner = SweepRunner(jobs=1, cache=root)
+        config = SimulationConfig(
+            workstations=2, task_demand=40, owner=paper_owner, num_jobs=60, num_batches=4
+        )
+        write = np.savez_compressed
+
+        def failing_write(handle, **arrays):
+            if failure == "disk-full":
+                raise OSError(errno.ENOSPC, "No space left on device")
+            write(handle, **arrays)
+            # another process opening the shared directory mid-write sweeps
+            # this writer's live temp file, so the rename finds nothing
+            ResultCache(root)
+
+        monkeypatch.setattr(np, "savez_compressed", failing_write)
+        failures = REGISTRY.get("repro_cache_store_failures_total")
+        before = failures.value
+        outcome = runner.run([config])
+        assert outcome.simulated == 1
+        np.testing.assert_array_equal(
+            outcome[0].job_times, run_simulation(config, "monte-carlo").job_times
+        )
+        assert not runner.cache.contains(config, "monte-carlo")
+        assert list(root.iterdir()) == []
+        assert failures.value - before == 1
 
     def test_clear(self, tmp_path, paper_owner):
         cache = ResultCache(tmp_path)

@@ -204,7 +204,7 @@ class TestConfigLoading:
         assert config.rng_allowed == ("lib/seeds.py",)
         assert config.ignore == ("SL005",)
         # untouched keys keep their defaults
-        assert config.fingerprint_function == "config_fingerprint"
+        assert config.serialize_method == "serialize_result"
 
     def test_unknown_key_rejected(self, tmp_path):
         (tmp_path / "pyproject.toml").write_text(

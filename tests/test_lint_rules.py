@@ -1,10 +1,9 @@
 """Per-rule fixture tests for the simlint static-analysis pass.
 
 Every rule gets at least one fixture it must flag (the true positive) and
-one clean fixture it must stay silent on, including the two incident-class
-fixtures the pass exists for: the PR-3 Interrupt-at-grant-instant pattern
-(SL003) and a new ``SimulationConfig`` field that never reaches
-``config_fingerprint`` (SL002).
+one clean fixture it must stay silent on, including the incident-class
+fixture the pass exists for: the Interrupt-at-grant-instant pattern
+(SL003).
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ import pytest
 from repro.lint import LintConfig, all_rules, get_rule, register_rule, rule_names
 from repro.lint.core import Finding, LintRule, SourceFile
 from repro.lint.rules.determinism import DeterminismRule
-from repro.lint.rules.fingerprint import FingerprintCoverageRule
 from repro.lint.rules.interrupts import InterruptSafetyRule
 from repro.lint.rules.layering import KernelLayeringRule
 from repro.lint.rules.npz_symmetry import NpzSymmetryRule
@@ -46,7 +44,7 @@ def _project_findings(rule_cls, *sources, config=None):
 class TestRuleRegistry:
     def test_builtin_rules_registered_in_order(self):
         assert rule_names() == (
-            "SL001", "SL002", "SL003", "SL004", "SL005", "SL006", "SL007",
+            "SL001", "SL003", "SL004", "SL005", "SL006", "SL007",
         )
         assert [rule.rule_id for rule in all_rules()] == list(rule_names())
 
@@ -196,177 +194,6 @@ class TestDeterminism:
         # The exemption applies by path; without it the module would trip
         # (it is the one place allowed to build raw generators).
         assert list(rule.check_file(source)) == []
-
-
-# ---------------------------------------------------------------------------
-# SL002 fingerprint coverage
-# ---------------------------------------------------------------------------
-
-_FINGERPRINT_MODULE = """
-SCHEMA_HISTORY = (
-    (1, "initial"),
-    (2, "scenario fields"),
-)
-CACHE_VERSION = SCHEMA_HISTORY[-1][0]
-
-def config_fingerprint(config, mode):
-    return hash((config.seed, config.workstations))
-"""
-
-
-class TestFingerprintCoverage:
-    def test_new_config_field_without_coverage_flagged(self):
-        spec = _source(
-            """
-            from dataclasses import dataclass
-
-            @dataclass(frozen=True)
-            class SimulationConfig:
-                workstations: int
-                seed: int
-                shiny_new_knob: float = 0.0
-            """
-        )
-        findings = _project_findings(
-            FingerprintCoverageRule, spec, _source(_FINGERPRINT_MODULE)
-        )
-        assert len(findings) == 1
-        assert "shiny_new_knob" in findings[0].message
-        assert "SCHEMA_HISTORY" in findings[0].message
-
-    def test_covered_fields_clean(self):
-        spec = _source(
-            """
-            from dataclasses import dataclass
-
-            @dataclass(frozen=True)
-            class SimulationConfig:
-                workstations: int
-                seed: int
-            """
-        )
-        findings = _project_findings(
-            FingerprintCoverageRule, spec, _source(_FINGERPRINT_MODULE)
-        )
-        assert findings == []
-
-    def test_alias_covers_indirect_fields(self):
-        spec = _source(
-            """
-            from dataclasses import dataclass
-
-            @dataclass(frozen=True)
-            class SimulationConfig:
-                seed: int
-                owner: object = None
-                scenario: object = None
-            """
-        )
-        fingerprint = _source(
-            """
-            SCHEMA_HISTORY = ((1, "initial"),)
-            CACHE_VERSION = SCHEMA_HISTORY[-1][0]
-
-            def config_fingerprint(config, mode):
-                return hash((config.seed, config.effective_scenario))
-            """
-        )
-        findings = _project_findings(FingerprintCoverageRule, spec, fingerprint)
-        assert findings == []
-
-    def test_no_fingerprint_in_file_set_is_silent(self):
-        spec = _source(
-            """
-            from dataclasses import dataclass
-
-            @dataclass
-            class SimulationConfig:
-                mystery: int = 0
-            """
-        )
-        assert _project_findings(FingerprintCoverageRule, spec) == []
-
-    def test_classvar_and_private_fields_ignored(self):
-        spec = _source(
-            """
-            from dataclasses import dataclass
-            from typing import ClassVar
-
-            @dataclass
-            class SimulationConfig:
-                seed: int
-                kind: ClassVar[str] = "config"
-                _cached: object = None
-            """
-        )
-        findings = _project_findings(
-            FingerprintCoverageRule, spec, _source(_FINGERPRINT_MODULE)
-        )
-        assert findings == []
-
-    def test_gap_in_schema_history_flagged(self):
-        fingerprint = _source(
-            """
-            SCHEMA_HISTORY = ((1, "initial"), (3, "skipped two"))
-            CACHE_VERSION = SCHEMA_HISTORY[-1][0]
-
-            def config_fingerprint(config, mode):
-                return 0
-            """
-        )
-        findings = _project_findings(FingerprintCoverageRule, fingerprint)
-        assert len(findings) == 1
-        assert "contiguously" in findings[0].message
-
-    def test_hardcoded_stale_cache_version_flagged(self):
-        fingerprint = _source(
-            """
-            SCHEMA_HISTORY = ((1, "initial"), (2, "more"))
-            CACHE_VERSION = 1
-
-            def config_fingerprint(config, mode):
-                return 0
-            """
-        )
-        findings = _project_findings(FingerprintCoverageRule, fingerprint)
-        assert len(findings) == 1
-        assert "does not match" in findings[0].message
-
-    def test_hardcoded_but_current_cache_version_clean(self):
-        fingerprint = _source(
-            """
-            SCHEMA_HISTORY = ((1, "initial"), (2, "more"))
-            CACHE_VERSION = 2
-
-            def config_fingerprint(config, mode):
-                return 0
-            """
-        )
-        assert _project_findings(FingerprintCoverageRule, fingerprint) == []
-
-    def test_non_literal_history_flagged(self):
-        fingerprint = _source(
-            """
-            SCHEMA_HISTORY = build_history()
-            CACHE_VERSION = 2
-
-            def config_fingerprint(config, mode):
-                return 0
-            """
-        )
-        findings = _project_findings(FingerprintCoverageRule, fingerprint)
-        assert len(findings) == 1
-        assert "literal tuple" in findings[0].message
-
-    def test_real_tree_is_covered(self):
-        # The repo's own cache module + spec dataclasses must satisfy the
-        # rule — this is the live guarantee, not a fixture.
-        sources = [
-            SourceFile("src/repro/engine/cache.py"),
-            SourceFile("src/repro/backends/base.py"),
-            SourceFile("src/repro/core/params.py"),
-        ]
-        assert _project_findings(FingerprintCoverageRule, *sources) == []
 
 
 # ---------------------------------------------------------------------------

@@ -18,16 +18,21 @@ import threading
 import numpy as np
 import pytest
 
+from repro.backends import SimulationConfig
 from repro.cli import main
+from repro.core import ScenarioSpec
 from repro.engine import SweepRunner, build_grid, grid_mode
 from repro.service import (
     ServiceClient,
     ServiceError,
     SweepJobSpec,
     SweepService,
+    config_to_json,
+    load_result_arrays,
     make_server,
     save_result_npz,
 )
+from repro.workload import OwnerActivityTrace
 
 #: A grid small enough for the suite, wide enough to shard (4 points).
 GRID = "fig01"
@@ -37,6 +42,40 @@ OVERRIDES = {
     "num_jobs": 80,
     "num_batches": 4,
 }
+
+
+def _trace_owner_points() -> list[SimulationConfig]:
+    traces = [
+        OwnerActivityTrace(horizon=400.0, busy_intervals=((10.0, 22.5), (150.0, 161.0))),
+        OwnerActivityTrace(horizon=400.0, busy_intervals=((60.0, 75.0),)),
+    ]
+    scenario = ScenarioSpec.from_traces(traces)
+    return [
+        SimulationConfig.from_scenario(
+            scenario, task_demand=40.0, num_jobs=40, num_batches=4, seed=seed
+        )
+        for seed in (11, 12)
+    ]
+
+
+#: Raw-point batches covering the wire codec's branches: homogeneous closed
+#: points, space-shared open points with job classes, and trace-replaying
+#: owners.
+POINT_BATCHES = {
+    "fig01": lambda: (
+        build_grid("fig01", num_jobs=40, workstation_counts=(2,))[:2],
+        grid_mode("fig01"),
+    ),
+    "admission-sweep": lambda: (
+        build_grid("admission-sweep", num_jobs=40)[:2],
+        grid_mode("admission-sweep"),
+    ),
+    "trace-owner": lambda: (_trace_owner_points(), "event-driven"),
+}
+
+_POINT = config_to_json(build_grid(GRID, num_jobs=40)[0])
+_OPEN_POINT_WIDTH_2_9 = config_to_json(build_grid("admission-sweep", num_jobs=40)[0])
+_OPEN_POINT_WIDTH_2_9["scenario"]["arrivals"]["job_classes"][0]["width"] = 2.9
 
 
 def library_payload_bytes(tmp_path):
@@ -143,21 +182,59 @@ class TestHTTPEndToEnd:
             first.job_id
         )
 
-    def test_points_submission_round_trip(self, live):
+    @pytest.mark.parametrize("batch", sorted(POINT_BATCHES))
+    def test_points_submission_round_trip(self, live, tmp_path, batch):
         _, client = live
-        points = build_grid(GRID, num_jobs=40, workstation_counts=(2,))[:2]
-        record = client.wait(
-            client.submit_points(points, mode=grid_mode(GRID)).job_id
-        )
+        points, mode = POINT_BATCHES[batch]()
+        record = client.wait(client.submit_points(points, mode=mode).job_id)
         assert record.status == "done"
         arrays = client.result_arrays(record.job_id)
-        lone = SweepRunner(jobs=1).run(points, mode=grid_mode(GRID))
-        np.testing.assert_array_equal(
-            arrays["point00000/job_times"], lone.results[0].job_times
+        lone = SweepRunner(jobs=1).run(points, mode=mode)
+        expected = load_result_arrays(
+            save_result_npz(tmp_path / "library.npz", lone.results)
         )
-        np.testing.assert_array_equal(
-            arrays["point00001/job_times"], lone.results[1].job_times
-        )
+        assert sorted(arrays) == sorted(expected)
+        for key, value in expected.items():
+            np.testing.assert_array_equal(arrays[key], value)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"points": [dict(_POINT, num_job=50)], "mode": "monte-carlo"},
+            {"grid": GRID, "overides": {"num_jobs": 50}},
+            {"points": [dict(_POINT, num_jobs=400.9)], "mode": "monte-carlo"},
+            {"points": [_OPEN_POINT_WIDTH_2_9], "mode": "open-system"},
+            {
+                "points": [
+                    dict(
+                        _POINT,
+                        owner={
+                            "demand": 10,
+                            "utilization": 0.5,
+                            "request_probability": 0.001,
+                        },
+                    )
+                ],
+                "mode": "monte-carlo",
+            },
+        ],
+        ids=[
+            "point-key-typo",
+            "spec-key-typo",
+            "fractional-num-jobs",
+            "fractional-width",
+            "inconsistent-owner",
+        ],
+    )
+    def test_malformed_submission_is_refused(self, live, payload):
+        # None may be reinterpreted: an ignored typo runs the defaults, a
+        # truncated int runs another point, and a U/P pair that disagrees
+        # under Eq. 8 is simulated at one value and reported at the other.
+        service, client = live
+        with pytest.raises(ServiceError) as refused:
+            client._request_json("/jobs", payload)
+        assert refused.value.status == 400
+        assert len(service.store) == 0
 
     def test_health_and_job_listing(self, live):
         _, client = live
