@@ -505,7 +505,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 # Shard the traced grid (one span per shard, one per point).
                 # Sharding is bitwise-free: every point's seed lives in its
                 # config, so the results equal an unsharded, untraced run.
-                results, progress = ShardScheduler(runner).execute(
+                results, _, progress = ShardScheduler(runner).execute(
                     configs,
                     mode,
                     executor="vectorized" if args.vectorized else "sweep",

@@ -18,13 +18,20 @@ fingerprint covers every field that influences the simulation output
 they would produce bitwise-identical results.  Confidence intervals are *not*
 serialized; backends recompute them from the cached samples on load, which is
 deterministic and keeps the cache format independent of the stats layer.
+
+:func:`encode_entry` is the only place a point is deflated; a sweep's pool
+worker runs it.  The cache writes and reads back those bytes unchanged, and
+a job payload copies its deflated members out of them
+(:func:`repro.service.save_result_npz`).
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
+import re
 import tempfile
 import zipfile
 from dataclasses import replace
@@ -41,7 +48,10 @@ from ..backends import (
 from ..obs import REGISTRY
 from .codec import to_json
 
-__all__ = ["CACHE_VERSION", "SCHEMA_HISTORY", "config_fingerprint", "ResultCache"]
+__all__ = [
+    "CACHE_VERSION", "SCHEMA_HISTORY", "config_fingerprint", "encode_entry",
+    "ResultCache",
+]
 
 # Cache observability: counted in whichever process performs the cache I/O —
 # the sweep parent (and therefore the service process), since SweepRunner
@@ -187,6 +197,35 @@ def config_fingerprint(config: SimulationConfig, mode: str) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+def encode_entry(result: SimulationResult | OpenSystemResult) -> bytes:
+    """The compressed NPZ cache entry of one result, as bytes.
+
+    Holds exactly the arrays the result's backend serializes, deflated by
+    ``np.savez_compressed`` — the only place a point is deflated.
+    """
+    buffer = io.BytesIO()
+    np.savez_compressed(buffer, **get_backend(result.mode).serialize_result(result))
+    return buffer.getvalue()
+
+
+#: A store's temp-file name, ``<stem>.<writer pid>.<random>.tmp``.
+_TMP_NAME = re.compile(r"\.([1-9][0-9]{0,8})\.[^.]+\.tmp$")
+
+
+def _writer_is_live(tmp_name: str) -> bool:
+    """Whether a temp file's name holds the pid of a running process."""
+    match = _TMP_NAME.search(tmp_name)
+    if match is None:
+        return False
+    try:
+        os.kill(int(match.group(1)), 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:  # alive, but another user's process
+        pass
+    return True
+
+
 class ResultCache:
     """Directory-backed store of completed simulation points.
 
@@ -208,13 +247,14 @@ class ResultCache:
         into place; a writer killed between the two leaks the temp file,
         which ``glob("*.npz")`` never sees — so without this sweep a shared
         cache directory accumulates invisible garbage across service
-        restarts.  A concurrently *live* writer's temp file can be swept
-        too; that writer's :meth:`store` is then skipped, its sweep still
-        returns the point, and the point is resimulated the next time it is
-        requested — the cache never serves a torn entry either way.
+        restarts.  A temp file whose name holds the pid of a running
+        process belongs to a live writer and is left alone, so opening a
+        second cache on a shared directory never fails a store in flight.
         """
         removed = 0
         for leftover in self.root.glob("*.tmp"):
+            if _writer_is_live(leftover.name):
+                continue
             try:
                 leftover.unlink()
                 removed += 1
@@ -229,14 +269,16 @@ class ResultCache:
     def contains(self, config: SimulationConfig, mode: str) -> bool:
         return self.path_for(config, mode).exists()
 
-    def load(
+    def load_entry(
         self, config: SimulationConfig, mode: str
-    ) -> SimulationResult | OpenSystemResult | None:
-        """Return the cached result for a point, or ``None`` on a miss.
+    ) -> tuple[SimulationResult | OpenSystemResult, bytes] | None:
+        """Return a cached point and its entry bytes, or ``None`` on a miss.
 
-        A corrupt or unreadable entry is treated as a miss (the point is
-        simply resimulated and rewritten) and the corrupt file is deleted so
-        it cannot shadow the rewrite.  ``np.load`` surfaces a truncated or
+        The file is read once; the result is inflated from those bytes, which
+        are returned beside it exactly as they were validated.  A corrupt or
+        unreadable entry is treated as a miss (the point is simply
+        resimulated and rewritten) and the corrupt file is deleted so it
+        cannot shadow the rewrite.  ``np.load`` surfaces a truncated or
         garbled archive as ``zipfile.BadZipFile`` / ``EOFError``, not only as
         ``OSError``, so both are part of the miss contract.  The stored
         arrays are handed to the backend's ``deserialize_result`` hook, which
@@ -250,7 +292,8 @@ class ResultCache:
             _CACHE_MISSES.inc()
             return None
         try:
-            with np.load(path, allow_pickle=False) as data:
+            entry = path.read_bytes()
+            with np.load(io.BytesIO(entry), allow_pickle=False) as data:
                 arrays = {key: np.asarray(data[key]) for key in data.files}
             result = backend.deserialize_result(config, arrays)
         except (OSError, KeyError, ValueError, EOFError, zipfile.BadZipFile):
@@ -262,31 +305,42 @@ class ResultCache:
             _CACHE_MISSES.inc()
             return None
         _CACHE_HITS.inc()
-        return result
+        return result, entry
+
+    def load(
+        self, config: SimulationConfig, mode: str
+    ) -> SimulationResult | OpenSystemResult | None:
+        """Return the cached result for a point, or ``None`` on a miss."""
+        hit = self.load_entry(config, mode)
+        return None if hit is None else hit[0]
 
     def store(
         self,
         config: SimulationConfig,
         mode: str,
         result: SimulationResult | OpenSystemResult,
+        entry: bytes | None = None,
     ) -> Path | None:
         """Persist one completed point; returns its cache file path.
 
+        ``entry``, the result's :func:`encode_entry` bytes if the caller
+        has them, is written unchanged; without it the result is encoded.
+
         A store is an optimisation, never a condition of the sweep: an
         ``OSError`` while writing or renaming the temp file (a full disk,
-        or another process sweeping this directory's ``*.tmp`` files
-        mid-write) skips it — the temp file is removed, the skip is counted
-        in ``repro_cache_store_failures_total`` and ``None`` is returned
+        say) skips it — the temp file is removed, the skip is counted in
+        ``repro_cache_store_failures_total`` and ``None`` is returned
         instead of a path.
         """
-        arrays = get_backend(mode).serialize_result(result)
+        if entry is None:
+            entry = encode_entry(result)
         path = self.path_for(config, mode)
         fd, tmp_name = tempfile.mkstemp(
-            dir=self.root, prefix=path.stem, suffix=".tmp"
+            dir=self.root, prefix=f"{path.stem}.{os.getpid()}.", suffix=".tmp"
         )
         try:
             with os.fdopen(fd, "wb") as handle:
-                np.savez_compressed(handle, **arrays)
+                handle.write(entry)
             os.replace(tmp_name, path)
         except BaseException as exc:
             try:
@@ -298,17 +352,14 @@ class ResultCache:
             _CACHE_STORE_FAILURES.inc()
             return None
         _CACHE_STORES.inc()
-        try:
-            _CACHE_STORE_BYTES.inc(path.stat().st_size)
-        except OSError:  # pragma: no cover - racing deletion only
-            pass
+        _CACHE_STORE_BYTES.inc(len(entry))
         return path
 
     def clear(self) -> int:
         """Delete every cached point; returns how many entries were removed.
 
         Stale ``*.tmp`` leftovers are swept as well (not counted — they were
-        never entries), so a cleared directory is genuinely empty.
+        never entries); a live writer's temp file is left to its rename.
         """
         removed = 0
         for entry in self.root.glob("*.npz"):

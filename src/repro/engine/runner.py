@@ -51,7 +51,7 @@ from ..obs import REGISTRY, active_trace_path, configure_tracing, trace_span
 
 #: Either flavour of completed simulation point (closed or open system).
 PointResult = SimulationResult | OpenSystemResult
-from .cache import ResultCache
+from .cache import ResultCache, encode_entry
 
 __all__ = [
     "SweepOutcome",
@@ -131,18 +131,23 @@ def _simulate_point(item: tuple[SimulationConfig, str]) -> PointResult:
     return get_backend(mode)(config).run()
 
 
-#: One unit of sweep work: ``(config, mode, profile?, trace file or None)``.
-_PointTask = tuple[SimulationConfig, str, bool, str | None]
+#: One unit of sweep work: ``(config, mode, profile?, trace file, encode?)``.
+_PointTask = tuple[SimulationConfig, str, bool, str | None, bool]
 
 
-def _execute_point(task: _PointTask) -> tuple[PointResult, float, dict | None]:
+def _execute_point(
+    task: _PointTask,
+) -> tuple[PointResult, bytes | None, float, dict | None]:
     """Top-level worker entry point (must be picklable for the process pool).
 
-    Returns ``(result, elapsed_seconds, profile stats dict or None)`` — the
-    elapsed wall time is measured here, in the worker, so the parent can
-    observe true per-point latencies into the histogram even when points run
-    remotely.  With a trace path in the task, the worker adopts the parent's
-    trace file and emits this point's span itself (pid/tid identify it).
+    Returns ``(result, entry, elapsed_seconds, profile stats or None)``;
+    ``entry`` is the result's :func:`~repro.engine.cache.encode_entry` bytes
+    if the task asks for them, so the deflate runs in the pool, not in the
+    parent.  The elapsed wall time (of the simulation alone) is measured
+    here, in the worker, so the parent can observe true per-point latencies
+    into the histogram even when points run remotely.  With a trace path in
+    the task, the worker adopts the parent's trace file and emits this
+    point's span itself (pid/tid identify it).
 
     Caveat on the merged profile output: points whose policy throws
     interrupts into suspended generators (``gen.throw`` unwinds frames the C
@@ -151,7 +156,7 @@ def _execute_point(task: _PointTask) -> tuple[PointResult, float, dict | None]:
     rows themselves (desim stepping, resource churn) keep correct counts and
     cumulative times, which is what the report is for.
     """
-    config, mode, profile, trace_path = task
+    config, mode, profile, trace_path, encode = task
     if trace_path is not None:
         configure_tracing(trace_path)
     stats: dict | None = None
@@ -170,7 +175,8 @@ def _execute_point(task: _PointTask) -> tuple[PointResult, float, dict | None]:
             stats = profiler.stats
         else:
             result = _simulate_point((config, mode))
-    return result, time.perf_counter() - started, stats
+    elapsed = time.perf_counter() - started
+    return result, encode_entry(result) if encode else None, elapsed, stats
 
 
 class _ProfileCarrier:
@@ -232,7 +238,11 @@ class SweepOutcome:
 
     ``results`` is ordered like the input grid, and each result's own
     ``mode`` names the backend that produced it; ``mode`` here is the one
-    the sweep requested.  ``simulated`` counts points actually executed this
+    the sweep requested.  ``entries`` holds, in the same order, the
+    compressed cache entry each result was loaded from or encoded to
+    (:func:`~repro.engine.cache.encode_entry` bytes), or ``None`` for a
+    point without one: a sampled (``vectorized``) point, or any point of a
+    run without a cache.  ``simulated`` counts points actually executed this
     run; ``cache_hits`` counts points replayed from the cache
     (``simulated + cache_hits == len(results)``).  ``vectorized_groups``
     counts the shared-shape groups a ``vectorized`` sweep drew in single
@@ -240,6 +250,7 @@ class SweepOutcome:
     """
 
     results: list[PointResult]
+    entries: list[bytes | None]
     mode: str
     jobs: int
     simulated: int = 0
@@ -353,9 +364,10 @@ class SweepRunner:
         ):
             if sampled:
                 results, groups, profiles = _sample_groups(configs, profile)
+                entries: list[bytes | None] = [None] * len(results)
                 cache_hits = 0
             else:
-                results, cache_hits, profiles = self._run_points(
+                results, entries, cache_hits, profiles = self._run_points(
                     configs, mode, profile
                 )
                 groups = 0
@@ -368,6 +380,7 @@ class SweepRunner:
             _POINTS.labels(path="sampler-batched").inc(simulated)
         return SweepOutcome(
             results=results,
+            entries=entries,
             mode=mode,
             jobs=self.jobs,
             simulated=simulated,
@@ -379,33 +392,41 @@ class SweepRunner:
 
     def _run_points(
         self, configs: list[SimulationConfig], mode: str, profile: bool
-    ) -> tuple[list[PointResult], int, list[dict]]:
-        """The per-point path; returns ``(results, cache hits, profiles)``."""
+    ) -> tuple[list[PointResult], list[bytes | None], int, list[dict]]:
+        """The per-point path; returns ``(results, entries, hits, profiles)``.
+
+        Only a run with a cache has workers encode the entries it stores.
+        """
         executors = [_executor(config, mode) for config in configs]
         results: list[Any] = [None] * len(configs)
+        entries: list[bytes | None] = [None] * len(configs)
         pending: list[int] = []
         for index, (config, executor) in enumerate(zip(configs, executors)):
-            cached = None if self.cache is None else self.cache.load(config, executor)
-            if cached is None:
+            hit = (
+                None if self.cache is None else self.cache.load_entry(config, executor)
+            )
+            if hit is None:
                 pending.append(index)
             else:
-                results[index] = cached
+                results[index], entries[index] = hit
 
         trace_path = active_trace_path()
+        encode = self.cache is not None
         executed = parallel_map(
             _execute_point,
-            [(configs[i], executors[i], profile, trace_path) for i in pending],
+            [(configs[i], executors[i], profile, trace_path, encode) for i in pending],
             jobs=self.jobs,
         )
         profiles: list[dict] = []
-        for index, (result, elapsed, stats) in zip(pending, executed):
+        for index, (result, entry, elapsed, stats) in zip(pending, executed):
             results[index] = result
+            entries[index] = entry
             _POINT_SECONDS.observe(elapsed)
             if stats:
                 profiles.append(stats)
             if self.cache is not None:
-                self.cache.store(configs[index], executors[index], result)
-        return results, len(configs) - len(pending), profiles
+                self.cache.store(configs[index], executors[index], result, entry)
+        return results, entries, len(configs) - len(pending), profiles
 
     def run_experiment(self, name: str, **overrides: Any) -> SweepOutcome:
         """Execute a named sweep grid from :mod:`repro.engine.grids`.

@@ -17,6 +17,7 @@ to rewrite on every shard boundary for streaming progress.
 from __future__ import annotations
 
 import json
+import logging
 import os
 import re
 import tempfile
@@ -25,9 +26,17 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterator, Mapping
 
+from ..obs import REGISTRY
 from .specs import SweepJobSpec, spec_digest
 
 __all__ = ["JOB_STATUSES", "JobRecord", "JobStore"]
+
+_LOG = logging.getLogger(__name__)
+
+_CORRUPT_RECORDS = REGISTRY.counter(
+    "repro_service_corrupt_records_total",
+    "Unreadable job records renamed to *.corrupt and skipped",
+)
 
 #: Lifecycle of a job.  ``queued`` → ``running`` → ``done`` | ``failed``;
 #: a restart moves interrupted ``running`` jobs back to ``queued``.
@@ -144,6 +153,10 @@ class JobStore:
     submission, so identical work resubmitted is visibly identical in a
     listing.  The counter resumes from the files on disk, so a restarted
     service never reuses an id.
+
+    A record that cannot be parsed is quarantined where it is read (renamed
+    to ``<name>.corrupt``, counted and logged), so one bad file cannot stop
+    the service from starting; its id still counts towards the next one.
     """
 
     def __init__(self, root: str | Path) -> None:
@@ -155,11 +168,25 @@ class JobStore:
 
     def _next_index(self) -> int:
         highest = 0
-        for entry in self.root.glob("job-*.json"):
-            match = _JOB_ID_RE.match(entry.stem)
+        for entry in self.root.glob("job-*.json*"):  # quarantined ids too
+            match = _JOB_ID_RE.match(entry.name.split(".")[0])
             if match:
                 highest = max(highest, int(match.group(1)))
         return highest + 1
+
+    def _read(self, path: Path) -> JobRecord | None:
+        """Parse one record file; quarantine it and return ``None`` if bad."""
+        try:
+            with path.open(encoding="utf-8") as handle:
+                return JobRecord.from_json(json.load(handle))
+        except (ValueError, KeyError, TypeError) as exc:
+            try:
+                path.replace(path.with_name(path.name + ".corrupt"))
+            except FileNotFoundError:  # another reader quarantined it first
+                return None
+            _CORRUPT_RECORDS.inc()
+            _LOG.warning("quarantined unreadable job record %s: %s", path, exc)
+            return None
 
     def create(self, spec: SweepJobSpec) -> JobRecord:
         """Mint and persist a fresh ``queued`` record for a submission."""
@@ -191,14 +218,14 @@ class JobStore:
         path = self._path(job_id)
         if not path.exists():
             return None
-        with path.open(encoding="utf-8") as handle:
-            return JobRecord.from_json(json.load(handle))
+        return self._read(path)
 
     def __iter__(self) -> Iterator[JobRecord]:
-        """All records, in submission (= id) order."""
+        """All readable records, in submission (= id) order."""
         for entry in sorted(self.root.glob("job-*.json")):
-            with entry.open(encoding="utf-8") as handle:
-                yield JobRecord.from_json(json.load(handle))
+            record = self._read(entry)
+            if record is not None:
+                yield record
 
     def __len__(self) -> int:
         return sum(1 for _ in self.root.glob("job-*.json"))

@@ -13,18 +13,30 @@ its zip members with a fixed 1980 timestamp and the arrays themselves are
 deterministic under the bitwise contract, so the end-to-end pin in the test
 suite asserts equality of the serialized files, not merely of their
 contents.
+
+A payload deflates nothing again: :func:`save_result_npz` copies each
+point's deflated members out of its cache entry
+(:func:`~repro.engine.cache.encode_entry` bytes) and adds only the small
+``__mode__`` member and the zip headers.  Both files deflate the same
+``.npy`` bytes the same way, so the bytes equal those of
+``np.savez_compressed(**outcome_arrays(results))``.
 """
 
 from __future__ import annotations
 
+import io
 import os
+import struct
 import tempfile
+import zipfile
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import IO, Mapping, Sequence
 
 import numpy as np
 
 from ..backends import OpenSystemResult, SimulationResult, get_backend
+from ..engine.cache import encode_entry
+from ..obs import REGISTRY
 
 __all__ = [
     "outcome_arrays",
@@ -32,6 +44,13 @@ __all__ = [
     "load_result_arrays",
     "split_point_arrays",
 ]
+
+_PAYLOAD_POINTS = REGISTRY.counter(
+    "repro_payload_points_total",
+    "Points written into job payloads, by where their deflated arrays came "
+    "from (a cache entry, or encoded for the payload)",
+    ("source",),
+)
 
 #: Zero-padded namespace prefix: supports grids up to 100k points while
 #: keeping lexicographic order equal to grid order.
@@ -53,20 +72,67 @@ def outcome_arrays(
     return arrays
 
 
+def _copy_members(
+    archive: zipfile.ZipFile, handle: IO[bytes], entry: bytes, prefix: str
+) -> None:
+    """Append an NPZ entry's deflated members, renamed under ``prefix``, to
+    ``archive`` (which writes to ``handle``), each under a zip64 local
+    header as ``np.savez_compressed`` writes them."""
+    with zipfile.ZipFile(io.BytesIO(entry)) as source:
+        members = source.infolist()
+    for member in members:
+        # a local header: 30 bytes, name, extra field (lengths at offset 26)
+        offset = member.header_offset
+        name_len, extra_len = struct.unpack_from("<HH", entry, offset + 26)
+        start = offset + 30 + name_len + extra_len
+        info = zipfile.ZipInfo(prefix + member.filename, member.date_time)
+        info.compress_type = member.compress_type
+        info.flag_bits = member.flag_bits
+        info.external_attr = member.external_attr
+        info.CRC = member.CRC
+        info.compress_size = member.compress_size
+        info.file_size = member.file_size
+        # zipfile has no public call that adds an already-deflated member.
+        # Writing it at the archive's append offset and registering it in
+        # the member list lets close() write the central directory (and any
+        # zip64 end records) by the same code as for numpy's own members.
+        info.header_offset = archive.start_dir
+        handle.write(info.FileHeader(zip64=True))
+        handle.write(entry[start : start + member.compress_size])
+        archive.start_dir = handle.tell()
+        archive.filelist.append(info)
+        archive.NameToInfo[info.filename] = info
+
+
 def save_result_npz(
     path: str | Path,
     results: Sequence[SimulationResult | OpenSystemResult],
+    entries: Sequence[bytes | None] | None = None,
 ) -> Path:
-    """Write a job's result payload atomically; returns the final path."""
+    """Write a job's result payload atomically; returns the final path.
+
+    ``entries[i]`` is point ``i``'s cache entry (see
+    :attr:`~repro.engine.SweepOutcome.entries`), or ``None`` to encode it.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    arrays = outcome_arrays(results)
+    if entries is None:
+        entries = [None] * len(results)
     fd, tmp_name = tempfile.mkstemp(
         dir=path.parent, prefix=path.stem, suffix=".tmp"
     )
     try:
-        with os.fdopen(fd, "wb") as handle:
-            np.savez_compressed(handle, **arrays)
+        with os.fdopen(fd, "wb") as handle, zipfile.ZipFile(
+            handle, "w", zipfile.ZIP_DEFLATED
+        ) as archive:
+            for index, (result, entry) in enumerate(zip(results, entries, strict=True)):
+                prefix = _POINT_KEY.format(index=index, key="")
+                name = f"{prefix}__mode__.npy"
+                with archive.open(name, "w", force_zip64=True) as member:
+                    np.lib.format.write_array(member, np.array(result.mode))
+                if entry is None:
+                    entry = encode_entry(result)
+                _copy_members(archive, handle, entry, prefix)
         os.replace(tmp_name, path)
     except BaseException:
         try:
@@ -74,6 +140,9 @@ def save_result_npz(
         except OSError:
             pass
         raise
+    encoded = sum(entry is None for entry in entries)
+    _PAYLOAD_POINTS.labels(source="encoded").inc(encoded)
+    _PAYLOAD_POINTS.labels(source="entry").inc(len(results) - encoded)
     return path
 
 

@@ -118,12 +118,14 @@ class ShardScheduler:
         mode: str,
         executor: str = "sweep",
         on_shard: Callable[[ShardProgress], None] | None = None,
-    ) -> tuple[list, ShardProgress]:
-        """Run every shard; returns ``(results in grid order, progress)``.
+    ) -> tuple[list, list[bytes | None], ShardProgress]:
+        """Run every shard; returns ``(results, entries, progress)``.
 
-        ``on_shard`` fires after each shard with the running
-        :class:`ShardProgress` totals — the service persists the job record
-        there.  ``executor="vectorized"`` opts the shards' Monte-Carlo
+        ``results`` and their cache ``entries`` (see
+        :attr:`~repro.engine.SweepOutcome.entries`) are concatenated shard
+        by shard, in grid order.  ``on_shard`` fires after each shard with
+        the running :class:`ShardProgress` totals — the service persists the
+        job record there.  ``executor="vectorized"`` opts the shards' Monte-Carlo
         points into group sampling (see :meth:`SweepRunner.run`).
         """
         shards = self.shards(configs)
@@ -132,6 +134,7 @@ class ShardScheduler:
             shards_total=len(shards),
         )
         results: list = []
+        entries: list[bytes | None] = []
         for number, shard in enumerate(shards, start=1):
             started = time.perf_counter()
             with trace_span(
@@ -148,9 +151,10 @@ class ShardScheduler:
                 time.perf_counter() - started
             )
             results.extend(outcome.results)
+            entries.extend(outcome.entries)
             progress.merge(outcome)
             _ETA_SECONDS.set(progress.eta_seconds or 0.0)
             if on_shard is not None:
                 on_shard(progress)
         _ETA_SECONDS.set(0.0)
-        return results, progress
+        return results, entries, progress

@@ -111,8 +111,10 @@ class SweepService:
             record.total_points = len(configs)
             record.shards_total = len(self.scheduler.shards(configs))
             self.store.save(record)
+            # under the lock: the worker takes jobs under it too, so its own
+            # count at a job's start always lands after this one
+            _QUEUE_DEPTH.set(len(self.store.pending()))
         _JOBS_SUBMITTED.inc()
-        _QUEUE_DEPTH.set(len(self.store.pending()))
         self._wake.set()
         return record
 
@@ -166,14 +168,15 @@ class SweepService:
                 points=record.total_points,
             ):
                 configs, mode = record.spec.resolve()
-                results, progress = self.scheduler.execute(
+                results, entries, progress = self.scheduler.execute(
                     configs,
                     mode,
                     executor=record.spec.executor,
                     on_shard=persist,
                 )
                 result_file = f"{record.job_id}.npz"
-                save_result_npz(self.results_dir / result_file, results)
+                with trace_span("payload", cat="service", points=len(results)):
+                    save_result_npz(self.results_dir / result_file, results, entries)
                 persist(progress)
             record.result_file = result_file
             record.status = "done"

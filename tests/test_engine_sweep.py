@@ -3,6 +3,11 @@
 from __future__ import annotations
 
 import errno
+import gc
+import os
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -156,6 +161,35 @@ class TestResultCache:
         assert list(root.glob("*.tmp")) == []
         assert len(cache) == 0
 
+    def test_truncated_entry_leaks_no_file_handle(self, tmp_path, paper_owner):
+        cache = ResultCache(tmp_path)
+        config = SimulationConfig(
+            workstations=2, task_demand=40, owner=paper_owner, num_jobs=60, num_batches=4
+        )
+        path = cache.store(config, "monte-carlo", run_simulation(config, "monte-carlo"))
+        payload = path.read_bytes()
+        path.write_bytes(payload[: len(payload) // 2])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cache.load(config, "monte-carlo") is None
+            gc.collect()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+    def test_only_a_dead_writers_tmp_file_is_swept(self, tmp_path):
+        root = tmp_path / "cache"
+        root.mkdir()
+        live = root / f"{'ab' * 32}.{os.getpid()}.k2j4h6g8.tmp"
+        child = subprocess.Popen([sys.executable, "-c", ""])
+        child.wait()  # reaped: its pid names no process any more
+        dead = root / f"{'cd' * 32}.{child.pid}.p1o3i5u7.tmp"
+        live.write_bytes(b"a store in flight")
+        dead.write_bytes(b"a crashed writer's leftovers")
+        cache = ResultCache(root)
+        assert live.exists() and not dead.exists()
+        dead.write_bytes(b"a crashed writer's leftovers")
+        assert cache.clear() == 0
+        assert live.exists() and not dead.exists()
+
     @pytest.mark.parametrize("failure", ["second-opener-sweeps-tmp", "disk-full"])
     def test_failed_store_is_skipped_and_the_sweep_succeeds(
         self, tmp_path, paper_owner, monkeypatch, failure
@@ -165,17 +199,17 @@ class TestResultCache:
         config = SimulationConfig(
             workstations=2, task_demand=40, owner=paper_owner, num_jobs=60, num_batches=4
         )
-        write = np.savez_compressed
+        rename = os.replace
 
-        def failing_write(handle, **arrays):
+        def injected_rename(source, target):
             if failure == "disk-full":
                 raise OSError(errno.ENOSPC, "No space left on device")
-            write(handle, **arrays)
-            # another process opening the shared directory mid-write sweeps
-            # this writer's live temp file, so the rename finds nothing
+            # another process opens the shared directory between this
+            # writer's write and its rename; the live writer's temp survives
             ResultCache(root)
+            rename(source, target)
 
-        monkeypatch.setattr(np, "savez_compressed", failing_write)
+        monkeypatch.setattr(os, "replace", injected_rename)
         failures = REGISTRY.get("repro_cache_store_failures_total")
         before = failures.value
         outcome = runner.run([config])
@@ -183,9 +217,15 @@ class TestResultCache:
         np.testing.assert_array_equal(
             outcome[0].job_times, run_simulation(config, "monte-carlo").job_times
         )
-        assert not runner.cache.contains(config, "monte-carlo")
-        assert list(root.iterdir()) == []
-        assert failures.value - before == 1
+        if failure == "disk-full":
+            assert not runner.cache.contains(config, "monte-carlo")
+            assert list(root.iterdir()) == []
+            assert failures.value - before == 1
+        else:
+            entry = runner.cache.path_for(config, "monte-carlo")
+            assert list(root.iterdir()) == [entry]
+            assert entry.read_bytes() == outcome.entries[0]
+            assert failures.value == before
 
     def test_clear(self, tmp_path, paper_owner):
         cache = ResultCache(tmp_path)

@@ -80,7 +80,7 @@ class TestObserverPurity:
         jsonl = tmp_path / "sweep.trace.jsonl"
         configure_tracing(jsonl)
         try:
-            results, progress = ShardScheduler(
+            results, _, progress = ShardScheduler(
                 SweepRunner(jobs=1), shard_size=2
             ).execute(grid, mode)
         finally:

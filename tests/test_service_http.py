@@ -22,6 +22,7 @@ from repro.backends import SimulationConfig
 from repro.cli import main
 from repro.core import ScenarioSpec
 from repro.engine import SweepRunner, build_grid, grid_mode
+from repro.obs import REGISTRY
 from repro.service import (
     ServiceClient,
     ServiceError,
@@ -78,16 +79,24 @@ _OPEN_POINT_WIDTH_2_9 = config_to_json(build_grid("admission-sweep", num_jobs=40
 _OPEN_POINT_WIDTH_2_9["scenario"]["arrivals"]["job_classes"][0]["width"] = 2.9
 
 
-def library_payload_bytes(tmp_path):
+def library_payload_bytes(tmp_path, overrides=OVERRIDES, vectorized=False):
     """What SweepRunner.run of the same grid serializes to."""
     overrides = {
         key: tuple(value) if isinstance(value, list) else value
-        for key, value in OVERRIDES.items()
+        for key, value in overrides.items()
     }
     outcome = SweepRunner(jobs=1).run(
-        build_grid(GRID, **overrides), mode=grid_mode(GRID)
+        build_grid(GRID, **overrides), mode=grid_mode(GRID), vectorized=vectorized
     )
     return save_result_npz(tmp_path / "library.npz", outcome.results).read_bytes()
+
+
+def payload_points() -> dict[str, float]:
+    counter = REGISTRY.get("repro_payload_points_total")
+    return {
+        source: counter.labels(source=source).value
+        for source in ("entry", "encoded")
+    }
 
 
 @pytest.fixture
@@ -153,6 +162,58 @@ class TestServiceCore:
         second.stop()
 
 
+    def test_queue_depth_is_not_left_stale_by_a_racing_submit(
+        self, service, monkeypatch
+    ):
+        # The worker takes the job just after submit counted the queue; the
+        # count submit publishes must not land after the worker's own.
+        count_pending = service.store.pending
+        worker = threading.Thread(target=service.process_once)
+
+        def count_then_race():
+            counted = count_pending()
+            if worker.ident is None:  # race on submit's count only
+                worker.start()
+                worker.join(timeout=0.5)
+            return counted
+
+        monkeypatch.setattr(service.store, "pending", count_then_race)
+        service.submit_grid(GRID, OVERRIDES)
+        worker.join(timeout=30)
+        assert not worker.is_alive()
+        assert REGISTRY.get("repro_service_queue_depth").value == 0
+
+    def test_truncated_record_is_quarantined_and_the_service_starts(
+        self, tmp_path
+    ):
+        root = tmp_path / "service"
+        first = SweepService(root, jobs=1, shard_size=2)
+        interrupted, kept, truncated = (
+            first.submit_grid(GRID, dict(OVERRIDES, num_jobs=num_jobs))
+            for num_jobs in (40, 60, 80)
+        )
+        interrupted.status = "running"
+        first.store.save(interrupted)
+        record_file = root / "jobs" / f"{truncated.job_id}.json"
+        record_file.write_bytes(record_file.read_bytes()[:50])
+        corrupt = REGISTRY.get("repro_service_corrupt_records_total")
+        before = corrupt.value
+
+        second = SweepService(root, jobs=1, shard_size=2)
+        assert [r.job_id for r in second.recovered] == [interrupted.job_id]
+        assert [r.job_id for r in second.list_jobs()] == [
+            interrupted.job_id,
+            kept.job_id,
+        ]
+        assert not record_file.exists()
+        assert record_file.with_name(record_file.name + ".corrupt").exists()
+        assert corrupt.value - before == 1
+        assert second.status(truncated.job_id) is None
+        resubmitted = second.submit_grid(GRID, OVERRIDES)
+        assert resubmitted.job_id.split("-")[1] == "000004"
+        second.stop()
+
+
 class TestHTTPEndToEnd:
     def test_bitwise_pin_and_warm_cache_replay(self, live, tmp_path):
         service, client = live
@@ -181,6 +242,29 @@ class TestHTTPEndToEnd:
         assert client.result_bytes(second.job_id) == client.result_bytes(
             first.job_id
         )
+
+    def test_vectorized_job_is_not_served_the_per_point_entries(
+        self, live, tmp_path
+    ):
+        # One W=2 sampler group in one 2-point shard, so the service and a
+        # library call form the same group.  The per-point job leaves cache
+        # entries for the same configs under the same mode label; serving
+        # them to the vectorized job would be a different sample.
+        _, client = live
+        overrides = dict(OVERRIDES, workstation_counts=[2])
+        before = payload_points()
+        per_point = client.wait(client.submit_grid(GRID, overrides).job_id)
+        sampled = client.wait(
+            client.submit_grid(GRID, overrides, executor="vectorized").job_id
+        )
+        assert per_point.status == sampled.status == "done"
+        assert per_point.simulated == 2 and sampled.vectorized_groups == 1
+        after = payload_points()
+        assert after["entry"] - before["entry"] == 2
+        assert after["encoded"] - before["encoded"] == 2
+        served = client.result_bytes(sampled.job_id)
+        assert served == library_payload_bytes(tmp_path, overrides, vectorized=True)
+        assert served != client.result_bytes(per_point.job_id)
 
     @pytest.mark.parametrize("batch", sorted(POINT_BATCHES))
     def test_points_submission_round_trip(self, live, tmp_path, batch):

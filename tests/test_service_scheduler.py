@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import io
+
 import numpy as np
 import pytest
 
+from repro.backends import SimulationConfig, get_backend
+from repro.core import ScenarioSpec
 from repro.engine import ResultCache, SweepRunner, build_grid, grid_mode
+from repro.engine.cache import encode_entry
 from repro.service import (
     ShardScheduler,
     load_result_arrays,
@@ -13,6 +18,43 @@ from repro.service import (
     save_result_npz,
     split_point_arrays,
 )
+from repro.workload import OwnerActivityTrace
+
+
+def savez_bytes(arrays) -> bytes:
+    """The reference encoding: ``np.savez_compressed`` of a flat mapping."""
+    buffer = io.BytesIO()
+    np.savez_compressed(buffer, **arrays)
+    return buffer.getvalue()
+
+
+def _trace_owner_points() -> list[SimulationConfig]:
+    traces = [
+        OwnerActivityTrace(horizon=300.0, busy_intervals=((10.0, 22.5),)),
+        OwnerActivityTrace(horizon=300.0, busy_intervals=((60.0, 75.0),)),
+    ]
+    scenario = ScenarioSpec.from_traces(traces)
+    return [
+        SimulationConfig.from_scenario(
+            scenario, task_demand=40.0, num_jobs=40, num_batches=4, seed=seed
+        )
+        for seed in (11, 12)
+    ]
+
+
+#: Two points of each result flavour: closed Monte-Carlo, open space-shared
+#: admission (the open layout) and trace-replaying owners on the kernel.
+PAYLOAD_POINTS = {
+    "closed": lambda: (
+        build_grid("fig01", num_jobs=40, workstation_counts=(2, 5))[:2],
+        "monte-carlo",
+    ),
+    "open-admission": lambda: (
+        build_grid("admission-sweep", num_jobs=40)[:2],
+        "open-system",
+    ),
+    "trace-owner": lambda: (_trace_owner_points(), "event-driven"),
+}
 
 
 @pytest.fixture
@@ -42,7 +84,7 @@ class TestShardScheduler:
         # so slicing the grid into shards must not perturb a single sample.
         mode = grid_mode("fig01")
         whole = SweepRunner(jobs=1).run(small_grid, mode=mode)
-        sharded, progress = ShardScheduler(
+        sharded, _, progress = ShardScheduler(
             SweepRunner(jobs=1), shard_size=3
         ).execute(small_grid, mode)
         assert progress.points_completed == len(small_grid)
@@ -96,6 +138,45 @@ class TestResultPayloads:
         path_a = save_result_npz(tmp_path / "a.npz", a.results)
         path_b = save_result_npz(tmp_path / "b.npz", b.results)
         assert path_a.read_bytes() == path_b.read_bytes()
+
+    @pytest.mark.parametrize("kind", sorted(PAYLOAD_POINTS))
+    def test_entry_is_savez_of_the_serialized_arrays(self, kind, tmp_path):
+        # The entry bytes are the schema-7 cache files: pinning them to the
+        # backend's arrays keeps existing caches replaying.
+        configs, mode = PAYLOAD_POINTS[kind]()
+        cache = ResultCache(tmp_path)
+        outcome = SweepRunner(jobs=1, cache=cache).run(configs, mode=mode)
+        for config, result, entry in zip(configs, outcome, outcome.entries):
+            arrays = get_backend(result.mode).serialize_result(result)
+            assert entry == encode_entry(result) == savez_bytes(arrays)
+            assert cache.path_for(config, result.mode).read_bytes() == entry
+
+    @pytest.mark.parametrize("kind", sorted(PAYLOAD_POINTS))
+    def test_payload_is_savez_of_outcome_arrays_for_every_entry_source(
+        self, kind, tmp_path
+    ):
+        configs, mode = PAYLOAD_POINTS[kind]()
+        cache = ResultCache(tmp_path / "cache")
+        pooled = SweepRunner(jobs=2, cache=cache).run(configs, mode=mode)
+        loaded = SweepRunner(jobs=1, cache=cache).run(configs, mode=mode)
+        assert pooled.simulated == loaded.cache_hits == len(configs) == 2
+        reference = savez_bytes(outcome_arrays(pooled.results))
+        sources = {
+            "pool-worker": pooled.entries,
+            "load": loaded.entries,
+            "none": [None, None],
+            "mixed": [loaded.entries[0], None],
+        }
+        for name, entries in sources.items():
+            for results in (pooled.results, loaded.results):
+                path = save_result_npz(tmp_path / f"{name}.npz", results, entries)
+                assert path.read_bytes() == reference, name
+
+    def test_entries_must_match_the_results(self, small_grid, tmp_path):
+        outcome = SweepRunner(jobs=1).run(small_grid[:2], mode=grid_mode("fig01"))
+        with pytest.raises(ValueError):
+            save_result_npz(tmp_path / "payload.npz", outcome.results, [None])
+        assert list(tmp_path.iterdir()) == []
 
     def test_split_rejects_foreign_keys(self):
         with pytest.raises(ValueError, match="unrecognized"):
