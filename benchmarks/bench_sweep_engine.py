@@ -157,13 +157,11 @@ def _bitwise_equal(oracle_result, kernel_result) -> bool:
             and np.array_equal(oracle_result.start_times, kernel_result.start_times)
             and np.array_equal(oracle_result.end_times, kernel_result.end_times)
             and np.array_equal(oracle_result.demands, kernel_result.demands)
-            # Space-shared bookkeeping (the job_* properties fold the
-            # classless defaults, so the same check covers every stream).
-            and np.array_equal(oracle_result.job_widths, kernel_result.job_widths)
-            and np.array_equal(
-                oracle_result.job_class_ids, kernel_result.job_class_ids
-            )
-            and np.array_equal(oracle_result.job_restarts, kernel_result.job_restarts)
+            # Space-shared bookkeeping (the constructor fills the classless
+            # defaults, so the same check covers every stream).
+            and np.array_equal(oracle_result.widths, kernel_result.widths)
+            and np.array_equal(oracle_result.class_ids, kernel_result.class_ids)
+            and np.array_equal(oracle_result.restarts, kernel_result.restarts)
         )
     return (
         np.array_equal(oracle_result.job_times, kernel_result.job_times)

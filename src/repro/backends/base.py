@@ -12,10 +12,11 @@ a backend without knowing which one it is:
     :mod:`repro.backends.open_system`).
 
 :class:`SimulationBackend`
-    The abstract base every backend subclasses: a registry ``name``, a
-    ``run()`` method, and the NPZ serialize/deserialize hooks the result
-    cache calls so each backend owns its on-disk layout (no mode
-    special-cases anywhere else).
+    The abstract base every backend subclasses: a registry ``name`` and a
+    ``run()`` method returning one of the two result classes.  The result
+    dataclass fields are the on-disk layout
+    (:func:`repro.engine.cache.result_arrays`), so a backend writes no
+    serialization code.
 
 :func:`register_backend` / :func:`get_backend` / :func:`backend_names`
     The backend registry.  Every layer — :func:`run_simulation`, the
@@ -28,7 +29,8 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import ClassVar, Mapping, Sequence
+from functools import cached_property
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -38,6 +40,7 @@ from ..core.params import (
     ModelInputs,
     OwnerSpec,
     ScenarioSpec,
+    StationSpec,
     request_probability_to_utilization,
 )
 from ..desim import StreamRegistry
@@ -136,7 +139,15 @@ class SimulationConfig:
             )
         if not 0.0 <= self.imbalance < 1.0:
             raise ValueError(f"imbalance must be in [0, 1), got {self.imbalance!r}")
-        if self.scenario is not None:
+        if self.scenario is None:
+            # the station every workstation of the homogeneous scenario
+            # copies; building it checks the owner demand distribution
+            StationSpec(
+                self.owner,
+                self.owner_demand_kind,
+                tuple(self.owner_demand_kwargs.items()),
+            )
+        else:
             if self.scenario.workstations != self.workstations:
                 raise ValueError(
                     f"scenario has {self.scenario.workstations} stations but "
@@ -250,14 +261,25 @@ class SimulationConfig:
 
 @dataclass(frozen=True)
 class SimulationResult:
-    """Estimates produced by one closed-system simulation run."""
+    """Estimates produced by one closed-system simulation run.
+
+    The fields after ``config`` and ``mode`` are the point's raw samples,
+    and also its cache entry, in declaration order; every estimate is
+    derived from them.
+    """
 
     config: SimulationConfig
     mode: str
     job_times: np.ndarray
     task_times: np.ndarray
-    job_time_interval: BatchMeansResult
     measured_owner_utilization: float | None = None
+
+    @cached_property
+    def job_time_interval(self) -> BatchMeansResult:
+        """Batch-means CI over the job times (the paper's 20 x 1000 scheme)."""
+        return batch_means_interval(
+            self.job_times, self.config.num_batches, self.config.confidence
+        )
 
     @property
     def mean_job_time(self) -> float:
@@ -380,10 +402,8 @@ class SimulationBackend(abc.ABC):
     """Abstract base of every simulation backend.
 
     Subclasses set :attr:`name` (the registry key, also exposed as ``mode``
-    for backwards compatibility), implement :meth:`run` — which refuses,
-    with a ``ValueError``, any config the backend cannot simulate — and may
-    override the NPZ hooks when their result flavour stores different
-    arrays than the closed-system default.
+    for backwards compatibility) and implement :meth:`run`, which refuses,
+    with a ``ValueError``, any config the backend cannot simulate.
     """
 
     #: Registry key; ``mode`` is kept as an alias because results and years
@@ -414,59 +434,6 @@ class SimulationBackend(abc.ABC):
         """
         raise NotImplementedError(
             f"backend {cls.name!r} has no batched run_batch"
-        )
-
-    # -- NPZ cache hooks ---------------------------------------------------
-    #
-    # Each backend owns its on-disk layout: the result cache stores exactly
-    # the mapping returned by serialize_result and rebuilds the result by
-    # handing the loaded arrays back to deserialize_result.  The default
-    # implementation covers the closed-system SimulationResult; backends
-    # with a different result flavour override both hooks.
-
-    @classmethod
-    def serialize_result(cls, result: SimulationResult) -> dict[str, np.ndarray]:
-        """Flatten a result into the arrays persisted in its NPZ cache entry."""
-        measured = (
-            np.nan
-            if result.measured_owner_utilization is None
-            else float(result.measured_owner_utilization)
-        )
-        return {
-            "job_times": np.asarray(result.job_times, dtype=np.float64),
-            "task_times": np.asarray(result.task_times, dtype=np.float64),
-            "measured_owner_utilization": np.float64(measured),
-        }
-
-    @classmethod
-    def deserialize_result(
-        cls, config: SimulationConfig, arrays: Mapping[str, np.ndarray]
-    ) -> SimulationResult:
-        """Rebuild a result from its cached arrays.
-
-        Raises ``KeyError``/``ValueError`` on a layout mismatch (a missing
-        array, or a sample count that contradicts the config), which the
-        cache treats as a miss.  Confidence intervals are recomputed from the
-        cached job times, keeping the on-disk format independent of the
-        stats layer.
-        """
-        job_times = np.asarray(arrays["job_times"], dtype=np.float64)
-        task_times = np.asarray(arrays["task_times"], dtype=np.float64)
-        if job_times.size != config.num_jobs:
-            raise ValueError(
-                f"cached entry holds {job_times.size} jobs but the config "
-                f"expects {config.num_jobs}"
-            )
-        measured = float(arrays["measured_owner_utilization"])
-        return SimulationResult(
-            config=config,
-            mode=cls.name,
-            job_times=job_times,
-            task_times=task_times,
-            job_time_interval=batch_means_interval(
-                job_times, config.num_batches, config.confidence
-            ),
-            measured_owner_utilization=None if np.isnan(measured) else measured,
         )
 
 

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..stats import batch_means_interval
 from .base import (
     SimulationBackend,
     SimulationResult,
@@ -72,7 +71,4 @@ class DiscreteTimeSimulator(SimulationBackend):
             mode=self.name,
             job_times=job_times,
             task_times=task_times.ravel(),
-            job_time_interval=batch_means_interval(
-                job_times, cfg.num_batches, cfg.confidence
-            ),
         )

@@ -19,7 +19,6 @@ from ..cluster.workstation import Workstation
 from ..core.params import ScenarioSpec, StationSpec
 from ..desim import Environment
 from ..obs import get_sim_tap
-from ..stats import batch_means_interval
 from .base import (
     SimulationBackend,
     SimulationResult,
@@ -122,8 +121,5 @@ class EventDrivenClusterSimulator(SimulationBackend):
             mode=self.name,
             job_times=job_times,
             task_times=np.asarray(task_times, dtype=np.float64),
-            job_time_interval=batch_means_interval(
-                job_times, cfg.num_batches, cfg.confidence
-            ),
             measured_owner_utilization=measured_util,
         )

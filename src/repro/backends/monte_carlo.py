@@ -19,7 +19,6 @@ import numpy as np
 from scipy import stats as _scipy_stats
 
 from ..desim import StreamRegistry
-from ..stats import batch_means_interval
 from .base import (
     SimulationBackend,
     SimulationConfig,
@@ -84,9 +83,6 @@ class MonteCarloSampler(SimulationBackend):
             mode=self.name,
             job_times=job_times,
             task_times=task_times.ravel().astype(np.float64),
-            job_time_interval=batch_means_interval(
-                job_times, cfg.num_batches, cfg.confidence
-            ),
         )
 
     @classmethod
@@ -186,9 +182,6 @@ class MonteCarloSampler(SimulationBackend):
                     mode=cls.name,
                     job_times=job_times,
                     task_times=task_times,
-                    job_time_interval=batch_means_interval(
-                        job_times, cfg.num_batches, cfg.confidence
-                    ),
                 )
             )
         return results

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
 
 import numpy as np
 
@@ -34,16 +33,16 @@ __all__ = ["OpenSystemResult", "OpenSystemSimulator"]
 class OpenSystemResult:
     """Steady-state queueing estimates of one open-system (job-stream) run.
 
-    The raw per-job records are kept as parallel arrays in *arrival order*
-    (so the result round-trips through the NPZ cache); every queueing metric
-    is derived, with response times taken in *completion* order and the
-    warmup prefix truncated per the arrival spec before steady-state
+    The raw per-job records are kept as parallel arrays in *arrival order*;
+    they are the point's cache entry, in declaration order.  Every queueing
+    metric is derived, with response times taken in *completion* order and
+    the warmup prefix truncated per the arrival spec before steady-state
     statistics are formed.
 
-    Space-shared (job-class) streams additionally carry per-job ``widths``,
-    ``class_ids`` and ``restarts`` arrays; classless streams leave them
-    ``None``, meaning every job spanned the whole cluster as class 0 with no
-    admission preemptions.
+    ``widths``, ``class_ids`` and ``restarts`` hold each job's station
+    width, job class and admission-preemption count.  A classless stream
+    may leave them ``None``, and the constructor fills in its defaults:
+    every job spans the whole cluster as class 0 and is never restarted.
     """
 
     config: SimulationConfig
@@ -52,10 +51,20 @@ class OpenSystemResult:
     start_times: np.ndarray
     end_times: np.ndarray
     demands: np.ndarray
+    widths: np.ndarray = None  # type: ignore[assignment]
+    class_ids: np.ndarray = None  # type: ignore[assignment]
+    restarts: np.ndarray = None  # type: ignore[assignment]
     measured_owner_utilization: float | None = None
-    widths: np.ndarray | None = None
-    class_ids: np.ndarray | None = None
-    restarts: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        jobs = self.num_jobs
+        if self.widths is None:
+            width = float(self.config.workstations)
+            object.__setattr__(self, "widths", np.full(jobs, width))
+        if self.class_ids is None:
+            object.__setattr__(self, "class_ids", np.zeros(jobs))
+        if self.restarts is None:
+            object.__setattr__(self, "restarts", np.zeros(jobs))
 
     @property
     def arrival_spec(self) -> JobArrivalSpec:
@@ -66,27 +75,6 @@ class OpenSystemResult:
     @property
     def num_jobs(self) -> int:
         return int(self.arrival_times.size)
-
-    @cached_property
-    def job_widths(self) -> np.ndarray:
-        """Per-job station widths (whole cluster for classless streams)."""
-        if self.widths is not None:
-            return self.widths
-        return np.full(self.num_jobs, float(self.config.workstations))
-
-    @cached_property
-    def job_class_ids(self) -> np.ndarray:
-        """Per-job class indices (all zero for classless streams)."""
-        if self.class_ids is not None:
-            return self.class_ids
-        return np.zeros(self.num_jobs, dtype=np.float64)
-
-    @cached_property
-    def job_restarts(self) -> np.ndarray:
-        """Per-job admission-preemption counts (zero for classless streams)."""
-        if self.restarts is not None:
-            return self.restarts
-        return np.zeros(self.num_jobs, dtype=np.float64)
 
     @cached_property
     def completion_order(self) -> np.ndarray:
@@ -121,7 +109,7 @@ class OpenSystemResult:
         queueing delay nor owner interference.
         """
         order = self.completion_order
-        ideal = (self.demands / self.job_widths)[order]
+        ideal = (self.demands / self.widths)[order]
         return (self.end_times - self.arrival_times)[order] / ideal
 
     @cached_property
@@ -174,7 +162,7 @@ class OpenSystemResult:
     def total_admission_preemptions(self) -> float:
         """Total kill-and-requeue evictions across the run (0 unless the
         priority admission policy runs preemptively)."""
-        return float(np.sum(self.job_restarts))
+        return float(np.sum(self.restarts))
 
     @property
     def mean_wait_time(self) -> float:
@@ -241,7 +229,7 @@ class OpenSystemResult:
             return {}
         order = self.completion_order
         steady = slice(self.warmup_jobs, None)
-        ids = self.job_class_ids[order][steady]
+        ids = self.class_ids[order][steady]
         responses = self.response_times[steady]
         waits = self.wait_times[steady]
         slowdowns = self.slowdowns[steady]
@@ -324,61 +312,6 @@ class OpenSystemSimulator(EventDrivenClusterSimulator):
     """
 
     name = "open-system"
-
-    # -- NPZ cache hooks ---------------------------------------------------
-
-    @classmethod
-    def serialize_result(cls, result: OpenSystemResult) -> dict[str, np.ndarray]:  # type: ignore[override]
-        """Open-system layout: per-job arrival/start/end/demand arrays.
-
-        Width/class/restart arrays are materialized from their classless
-        defaults so every entry carries the full layout.
-        """
-        measured = (
-            np.nan
-            if result.measured_owner_utilization is None
-            else float(result.measured_owner_utilization)
-        )
-        return {
-            "arrival_times": np.asarray(result.arrival_times, dtype=np.float64),
-            "start_times": np.asarray(result.start_times, dtype=np.float64),
-            "end_times": np.asarray(result.end_times, dtype=np.float64),
-            "demands": np.asarray(result.demands, dtype=np.float64),
-            "widths": np.asarray(result.job_widths, dtype=np.float64),
-            "class_ids": np.asarray(result.job_class_ids, dtype=np.float64),
-            "restarts": np.asarray(result.job_restarts, dtype=np.float64),
-            "measured_owner_utilization": np.float64(measured),
-        }
-
-    @classmethod
-    def deserialize_result(
-        cls, config: SimulationConfig, arrays: Mapping[str, np.ndarray]
-    ) -> OpenSystemResult:  # type: ignore[override]
-        """Rebuild an open-system result; queueing metrics re-derive on access."""
-        loaded = {
-            key: np.asarray(arrays[key], dtype=np.float64)
-            for key in (
-                "arrival_times",
-                "start_times",
-                "end_times",
-                "demands",
-                "widths",
-                "class_ids",
-                "restarts",
-            )
-        }
-        if loaded["arrival_times"].size != config.num_jobs:
-            raise ValueError(
-                f"cached entry holds {loaded['arrival_times'].size} jobs but "
-                f"the config expects {config.num_jobs}"
-            )
-        measured = float(arrays["measured_owner_utilization"])
-        return OpenSystemResult(
-            config=config,
-            mode=cls.name,
-            measured_owner_utilization=None if np.isnan(measured) else measured,
-            **loaded,
-        )
 
     def run(self) -> OpenSystemResult:  # type: ignore[override]
         """Simulate ``num_jobs`` arrivals and return the queueing estimates."""
@@ -639,10 +572,10 @@ class OpenSystemSimulator(EventDrivenClusterSimulator):
             start_times=np.array([r.start_time for r in records], dtype=np.float64),
             end_times=np.array([r.end_time for r in records], dtype=np.float64),
             demands=np.array([r.demand for r in records], dtype=np.float64),
-            measured_owner_utilization=measured_util,
             widths=np.array([r.width for r in records], dtype=np.float64),
             class_ids=np.array([r.class_id for r in records], dtype=np.float64),
             restarts=np.array(
                 [r.admission_preemptions for r in records], dtype=np.float64
             ),
+            measured_owner_utilization=measured_util,
         )

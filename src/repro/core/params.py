@@ -33,6 +33,8 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
+from ..desim import make_variate
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (workload uses core)
     from ..workload import OwnerActivityTrace
 
@@ -331,6 +333,11 @@ class StationSpec:
                 "a trace only applies to demand_kind='trace', got "
                 f"demand_kind={self.demand_kind!r}"
             )
+        else:
+            # the factory both executors build the owner demand with
+            make_variate(
+                self.demand_kind, self.owner.demand, **dict(self.demand_kwargs)
+            )
 
     @classmethod
     def from_trace(
@@ -416,7 +423,8 @@ class JobClassSpec:
         repeats — the interactive-user model of queueing theory.
     think_time:
         Mean think time of the closed-loop sources (required iff
-        ``population > 0``; ``0`` submits back to back).
+        ``population > 0``).  ``0`` with the ``"deterministic"`` kind
+        submits back to back; the other kinds need a positive mean.
     think_time_kind:
         Distribution family of the think time (``"exponential"``,
         ``"deterministic"``, ...), resolved by
@@ -467,6 +475,10 @@ class JobClassSpec:
         object.__setattr__(
             self, "think_time_kwargs", _freeze_kwargs(self.think_time_kwargs)
         )
+        if self.think_time is not None:  # a closed-loop class
+            make_variate(
+                self.think_time_kind, self.think_time, **dict(self.think_time_kwargs)
+            )
 
     @property
     def is_closed(self) -> bool:
@@ -606,6 +618,8 @@ class JobArrivalSpec:
         if not self.demand_kind:
             raise ValueError("demand_kind must be a non-empty name")
         object.__setattr__(self, "demand_kwargs", _freeze_kwargs(self.demand_kwargs))
+        # the real mean is the config's job demand, which is always positive
+        make_variate(self.demand_kind, 1.0, **dict(self.demand_kwargs))
         if self.max_concurrent_jobs < 1:
             raise ValueError(
                 f"max_concurrent_jobs must be >= 1, got {self.max_concurrent_jobs!r}"

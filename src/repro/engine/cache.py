@@ -9,14 +9,16 @@ replaying a sweep loads the raw samples instead of resimulating — the
 raw→cache→report pipeline used by the figure-reproduction repos this engine
 is modelled on.
 
-The cache itself is backend-agnostic: each registered backend owns its NPZ
-layout through the ``serialize_result`` / ``deserialize_result`` hooks of
-:class:`~repro.backends.base.SimulationBackend`, and the cache simply stores
-whatever arrays the backend hands it and hands them back on load.  The
-fingerprint covers every field that influences the simulation output
-(including the seed and the backend mode), so two configs collide only when
-they would produce bitwise-identical results.  Confidence intervals are *not*
-serialized; backends recompute them from the cached samples on load, which is
+The cache itself is backend-agnostic: an entry's layout is its result
+dataclass.  :func:`result_arrays` stores every sample field of a
+:class:`~repro.backends.SimulationResult` or
+:class:`~repro.backends.OpenSystemResult` under its field name, and
+:meth:`ResultCache.load_entry` rebuilds the result from the same names, so
+no backend writes serialization code.  The fingerprint covers every field
+that influences the simulation output (including the seed and the backend
+mode), so two configs collide only when they would produce
+bitwise-identical results.  Confidence intervals are *not* stored; the
+result classes derive them from the samples on first access, which is
 deterministic and keeps the cache format independent of the stats layer.
 
 :func:`encode_entry` is the only place a point is deflated; a sweep's pool
@@ -34,8 +36,9 @@ import os
 import re
 import tempfile
 import zipfile
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
+from typing import Any, Mapping
 
 import numpy as np
 
@@ -50,7 +53,7 @@ from .codec import to_json
 
 __all__ = [
     "CACHE_VERSION", "SCHEMA_HISTORY", "config_fingerprint", "encode_entry",
-    "ResultCache",
+    "result_arrays", "ResultCache",
 ]
 
 # Cache observability: counted in whichever process performs the cache I/O —
@@ -197,14 +200,62 @@ def config_fingerprint(config: SimulationConfig, mode: str) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+#: Result fields that name the point rather than hold its samples.
+_POINT_FIELDS = ("config", "mode")
+
+
+def result_arrays(result: SimulationResult | OpenSystemResult) -> dict[str, np.ndarray]:
+    """The arrays of one result's cache entry, keyed by field name.
+
+    Every field except ``config`` and ``mode``, in declaration order, as
+    float64; a ``None`` scalar is stored as NaN.
+    """
+    arrays: dict[str, np.ndarray] = {}
+    for f in fields(result):
+        if f.name not in _POINT_FIELDS:
+            value = getattr(result, f.name)
+            arrays[f.name] = np.asarray(
+                np.nan if value is None else value, dtype=np.float64
+            )
+    return arrays
+
+
+def _result_from_arrays(
+    config: SimulationConfig, mode: str, arrays: Mapping[str, np.ndarray]
+) -> SimulationResult | OpenSystemResult:
+    """Rebuild a result from its :func:`result_arrays`.
+
+    A missing array raises ``KeyError``, and a first array that does not
+    hold ``config.num_jobs`` samples raises ``ValueError``.
+    """
+    cls: type[SimulationResult] | type[OpenSystemResult] = (
+        OpenSystemResult if config.effective_scenario.is_open else SimulationResult
+    )
+    samples: dict[str, Any] = {}
+    for f in fields(cls):
+        if f.name in _POINT_FIELDS:
+            continue
+        value = np.asarray(arrays[f.name], dtype=np.float64)
+        if not samples and value.shape != (config.num_jobs,):
+            raise ValueError(
+                f"cached entry holds {value.size} jobs but the config expects "
+                f"{config.num_jobs}"
+            )
+        if value.ndim == 0:  # a scalar field, NaN standing for None
+            samples[f.name] = None if np.isnan(value) else float(value)
+        else:
+            samples[f.name] = value
+    return cls(config=config, mode=mode, **samples)
+
+
 def encode_entry(result: SimulationResult | OpenSystemResult) -> bytes:
     """The compressed NPZ cache entry of one result, as bytes.
 
-    Holds exactly the arrays the result's backend serializes, deflated by
+    Holds the result's :func:`result_arrays`, deflated by
     ``np.savez_compressed`` — the only place a point is deflated.
     """
     buffer = io.BytesIO()
-    np.savez_compressed(buffer, **get_backend(result.mode).serialize_result(result))
+    np.savez_compressed(buffer, **result_arrays(result))
     return buffer.getvalue()
 
 
@@ -229,8 +280,8 @@ def _writer_is_live(tmp_name: str) -> bool:
 class ResultCache:
     """Directory-backed store of completed simulation points.
 
-    One NPZ file per point, named after its fingerprint, holding exactly the
-    arrays the point's backend serialized.  Writes are atomic (temp file +
+    One NPZ file per point, named after its fingerprint, holding the
+    point's :func:`result_arrays`.  Writes are atomic (temp file +
     ``os.replace``) so concurrent sweep workers sharing a cache directory
     never observe torn files.
     """
@@ -280,13 +331,14 @@ class ResultCache:
         resimulated and rewritten) and the corrupt file is deleted so it
         cannot shadow the rewrite.  ``np.load`` surfaces a truncated or
         garbled archive as ``zipfile.BadZipFile`` / ``EOFError``, not only as
-        ``OSError``, so both are part of the miss contract.  The stored
-        arrays are handed to the backend's ``deserialize_result`` hook, which
-        owns the layout and raises on any mismatch — a missing array, or a
-        sample count that contradicts the config — turning the entry into a
-        miss as well.
+        ``OSError``, so both are part of the miss contract.  The result is
+        rebuilt from the fields of its class (:class:`OpenSystemResult` for
+        an open scenario), labelled with the requested ``mode``; a missing
+        array, or a sample count that contradicts the config, turns the
+        entry into a miss as well.  An unregistered ``mode`` raises
+        ``ValueError``.
         """
-        backend = get_backend(mode)
+        get_backend(mode)  # fail fast on an unregistered mode
         path = self.path_for(config, mode)
         if not path.exists():
             _CACHE_MISSES.inc()
@@ -294,8 +346,7 @@ class ResultCache:
         try:
             entry = path.read_bytes()
             with np.load(io.BytesIO(entry), allow_pickle=False) as data:
-                arrays = {key: np.asarray(data[key]) for key in data.files}
-            result = backend.deserialize_result(config, arrays)
+                result = _result_from_arrays(config, mode, data)
         except (OSError, KeyError, ValueError, EOFError, zipfile.BadZipFile):
             try:
                 path.unlink()

@@ -7,7 +7,10 @@ result flavours: closed scenarios produce the ``event-driven`` backend's
 ``open-system`` backend's :class:`OpenSystemResult` — in both cases
 bitwise-identical to what the generator-based oracle computes for the same
 config, just labelled ``mode="event-kernel"`` for provenance.  The sweep
-runner executes every point requested under either oracle mode here.
+runner executes every point requested under either oracle mode here.  The
+results share the oracles' cache entries too: both layouts are the result
+dataclasses' fields, and the fingerprint maps ``event-kernel`` to the
+oracle mode it replaces.
 
 ``run_batch`` is the cross-point batching entry: back-to-back grid points
 share one :class:`EventKernel` instance (one reusable agenda heap), while
@@ -22,21 +25,16 @@ admission) run through :meth:`EventKernel.run_space_shared`.
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import Sequence
 
 from ..backends.base import (
     SimulationBackend,
     SimulationConfig,
     SimulationResult,
-    get_backend,
     register_backend,
 )
 from ..backends.open_system import OpenSystemResult
 from ..obs import get_sim_tap
-from ..stats import batch_means_interval
 from .machine import EventKernel
 
 __all__ = ["EventKernelBackend"]
@@ -60,30 +58,13 @@ class EventKernelBackend(SimulationBackend):
             kernel.tap = tap.record
         cfg = self.config
         scenario = cfg.effective_scenario
+        # run_closed and run_space_shared return the result's sample fields
+        # in declaration order; a classless stream has no widths or classes
         if scenario.is_open:
             spec = scenario.arrivals
             if spec is not None and spec.is_space_shared:
-                (
-                    arrivals,
-                    starts,
-                    ends,
-                    demands,
-                    widths,
-                    class_ids,
-                    restarts,
-                    measured,
-                ) = kernel.run_space_shared(cfg, self._streams)
                 return OpenSystemResult(
-                    config=cfg,
-                    mode=self.name,
-                    arrival_times=arrivals,
-                    start_times=starts,
-                    end_times=ends,
-                    demands=demands,
-                    measured_owner_utilization=measured,
-                    widths=widths,
-                    class_ids=class_ids,
-                    restarts=restarts,
+                    cfg, self.name, *kernel.run_space_shared(cfg, self._streams)
                 )
             arrivals, starts, ends, demands, measured = kernel.run_open(
                 cfg, self._streams
@@ -97,17 +78,7 @@ class EventKernelBackend(SimulationBackend):
                 demands=demands,
                 measured_owner_utilization=measured,
             )
-        job_times, task_times, measured = kernel.run_closed(cfg, self._streams)
-        return SimulationResult(
-            config=cfg,
-            mode=self.name,
-            job_times=job_times,
-            task_times=task_times,
-            job_time_interval=batch_means_interval(
-                job_times, cfg.num_batches, cfg.confidence
-            ),
-            measured_owner_utilization=measured,
-        )
+        return SimulationResult(cfg, self.name, *kernel.run_closed(cfg, self._streams))
 
     @classmethod
     def run_batch(
@@ -123,22 +94,3 @@ class EventKernelBackend(SimulationBackend):
         """
         kernel = EventKernel()
         return [cls(config)._run_with(kernel) for config in configs]
-
-    # -- NPZ cache hooks: delegate to the oracle backends' layouts ----------
-    #
-    # The kernel's results are bitwise-identical to the oracles', so sharing
-    # their on-disk layouts (and, with cache schema >= 6, their fingerprint
-    # digests) lets a sweep cached under either executor replay on the other.
-
-    @classmethod
-    def serialize_result(cls, result) -> dict[str, np.ndarray]:
-        if isinstance(result, OpenSystemResult):
-            return get_backend("open-system").serialize_result(result)
-        return super().serialize_result(result)
-
-    @classmethod
-    def deserialize_result(cls, config: SimulationConfig, arrays: Mapping[str, np.ndarray]):
-        if config.effective_scenario.is_open:
-            result = get_backend("open-system").deserialize_result(config, arrays)
-            return replace(result, mode=cls.name)
-        return super().deserialize_result(config, arrays)

@@ -8,14 +8,16 @@ tests and comments:
 SL001     determinism: randomness flows through ``StreamRegistry``
 SL003     interrupt safety: process generators cannot swallow Interrupts
 SL004     registry bypass: backend dispatch only via ``get_backend``
-SL005     NPZ symmetry: serialize/deserialize cache layouts round-trip
 SL006     kernel layering: the array kernel imports only desim's rng layer
 SL007     telemetry layering: pinned hot loops never touch ``obs`` or clocks
 ========  ============================================================
 
-SL002 (fingerprint coverage) is retired: the cache key is now the config's
-one JSON encoding, walked off the spec dataclasses, so every field enters it
-by construction.  Its id is not reused.
+Two ids are retired and never reused.  SL002 (fingerprint coverage): the
+cache key is now the config's one JSON encoding, walked off the spec
+dataclasses, so every field enters it by construction.  SL005 (NPZ
+symmetry): a cache entry's layout is now its result dataclass's fields
+(:func:`repro.engine.cache.result_arrays`), so no hand-written
+serialize/deserialize pair is left to keep in step.
 
 Run it as ``repro-experiments lint <paths>`` (or
 ``python -m repro.cli lint``); configure it in the ``[tool.simlint]`` table

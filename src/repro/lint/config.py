@@ -46,8 +46,6 @@ class LintConfig:
     registry_internal_names:
         Private registry-dict names whose use outside the registry package is
         always a bypass.
-    serialize_method / deserialize_method:
-        The NPZ hook names whose key sets SL005 compares.
     kernel_packages:
         Path fragments of the array-kernel package SL006 guards.
     kernel_allowed_desim_modules:
@@ -77,9 +75,6 @@ class LintConfig:
     registry_internal_names: tuple[str, ...] = ("_REGISTRY", "_BACKENDS")
     registry_base_class: str = "SimulationBackend"
     registry_decorator: str = "register_backend"
-    # SL005
-    serialize_method: str = "serialize_result"
-    deserialize_method: str = "deserialize_result"
     # SL006
     kernel_packages: tuple[str, ...] = ("src/repro/kernel",)
     kernel_allowed_desim_modules: tuple[str, ...] = ("desim.rng",)

@@ -218,7 +218,7 @@ class LintRule:
 
     ``check_project``
         Called once with *every* source file — for rules whose invariant
-        spans files (SL004 registry bypass, SL005 NPZ symmetry).
+        spans files (SL004 registry bypass).
 
     Both default to reporting nothing, so a rule implements only the scope it
     needs.  Suppression pragmas are applied by the runner, not the rules.

@@ -10,7 +10,6 @@ simulation backends use.
 from .determinism import DeterminismRule
 from .interrupts import InterruptSafetyRule
 from .registry_bypass import RegistryBypassRule
-from .npz_symmetry import NpzSymmetryRule
 from .layering import KernelLayeringRule
 from .telemetry import TelemetryLayeringRule
 
@@ -18,7 +17,6 @@ __all__ = [
     "DeterminismRule",
     "InterruptSafetyRule",
     "KernelLayeringRule",
-    "NpzSymmetryRule",
     "RegistryBypassRule",
     "TelemetryLayeringRule",
 ]

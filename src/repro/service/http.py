@@ -14,7 +14,8 @@ exposing the service over five routes:
 
 Submissions are validated synchronously: a bad grid name, override, or
 config is a ``400`` with the error text, never a job that later flips to
-``failed``.  The result route answers ``409`` while the job is still
+``failed``.  A body longer than :data:`MAX_BODY_BYTES` is a ``413``, refused
+unread.  The result route answers ``409`` while the job is still
 queued/running/failed — poll ``/jobs/<id>`` until ``status == "done"``.
 
 The server is a ``ThreadingHTTPServer`` so status polls answer while a
@@ -33,7 +34,11 @@ from ..obs import REGISTRY, render_prometheus
 from .service import SweepService
 from .specs import SweepJobSpec
 
-__all__ = ["make_server", "serve_forever"]
+__all__ = ["MAX_BODY_BYTES", "make_server", "serve_forever"]
+
+#: Longest ``POST /jobs`` body read.  A grid submission is a few hundred
+#: bytes; this leaves room for thousands of explicit points.
+MAX_BODY_BYTES = 16 * 1024 * 1024
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -128,6 +133,15 @@ class _Handler(BaseHTTPRequestHandler):
             self.close_connection = True
             self._send_error_json(
                 400, "bad submission: Content-Length must be a non-negative integer"
+            )
+            return
+        if length > MAX_BODY_BYTES:
+            # reading it would buffer the whole body: refuse it unread too
+            self.close_connection = True
+            self._send_error_json(
+                413,
+                f"bad submission: a body of {length} bytes exceeds the "
+                f"{MAX_BODY_BYTES}-byte limit",
             )
             return
         try:

@@ -1,12 +1,12 @@
 """NPZ result payloads for completed sweep jobs.
 
 A finished job's deliverable is one compressed NPZ file holding every
-point's serialized arrays, namespaced as ``point00000/<key>`` in grid
-order, plus a per-point backend-mode marker so the file is self-describing.
-The arrays come from each point's backend ``serialize_result`` hook — the
-same layout the result cache stores — so a payload built from a service run
-and one built from a library :meth:`SweepRunner.run` of the same grid are
-comparable array by array.
+point's arrays, namespaced as ``point00000/<key>`` in grid order, plus a
+per-point backend-mode marker so the file is self-describing.  The arrays
+are each point's :func:`~repro.engine.cache.result_arrays` — the same
+layout the result cache stores, one array per result field — so a payload
+built from a service run and one built from a library
+:meth:`SweepRunner.run` of the same grid are comparable array by array.
 
 They are in fact comparable *byte for byte*: ``np.savez_compressed`` writes
 its zip members with a fixed 1980 timestamp and the arrays themselves are
@@ -34,8 +34,8 @@ from typing import IO, Mapping, Sequence
 
 import numpy as np
 
-from ..backends import OpenSystemResult, SimulationResult, get_backend
-from ..engine.cache import encode_entry
+from ..backends import OpenSystemResult, SimulationResult
+from ..engine.cache import encode_entry, result_arrays
 from ..obs import REGISTRY
 
 __all__ = [
@@ -63,12 +63,11 @@ def outcome_arrays(
     """Flatten a sweep's results into one namespaced array mapping."""
     arrays: dict[str, np.ndarray] = {}
     for index, result in enumerate(results):
-        backend = get_backend(result.mode)
         arrays[_POINT_KEY.format(index=index, key="__mode__")] = np.array(
             result.mode
         )
-        for key, value in backend.serialize_result(result).items():
-            arrays[_POINT_KEY.format(index=index, key=key)] = np.asarray(value)
+        for key, value in result_arrays(result).items():
+            arrays[_POINT_KEY.format(index=index, key=key)] = value
     return arrays
 
 
@@ -158,8 +157,8 @@ def split_point_arrays(
     """Regroup a flat payload into per-point ``(mode, arrays)`` entries.
 
     The inverse of :func:`outcome_arrays` up to the namespacing: entry ``i``
-    holds point ``i``'s backend mode and its un-prefixed arrays, ready for
-    that backend's ``deserialize_result`` hook.
+    holds point ``i``'s backend mode and its un-prefixed arrays, keyed by
+    the field names of its result class.
     """
     grouped: dict[int, dict[str, np.ndarray]] = {}
     for full_key, value in arrays.items():

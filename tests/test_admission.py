@@ -240,9 +240,9 @@ class TestFullWidthFCFSReduction:
         np.testing.assert_array_equal(a.demands, b.demands)
         assert a.measured_owner_utilization == b.measured_owner_utilization
         # The classed result also reports the space-sharing arrays.
-        np.testing.assert_array_equal(b.job_widths, 4.0)
-        np.testing.assert_array_equal(b.job_class_ids, 0.0)
-        np.testing.assert_array_equal(b.job_restarts, 0.0)
+        np.testing.assert_array_equal(b.widths, 4.0)
+        np.testing.assert_array_equal(b.class_ids, 0.0)
+        np.testing.assert_array_equal(b.restarts, 0.0)
 
     @pytest.mark.parametrize("kind", ["deterministic", "trace"])
     def test_bitwise_on_deterministic_and_trace_arrivals(self, kind):
@@ -293,7 +293,7 @@ class TestSpaceSharing:
             "open-system",
         )
         np.testing.assert_allclose(result.start_times, 0.0)
-        np.testing.assert_array_equal(result.job_widths, 2.0)
+        np.testing.assert_array_equal(result.widths, 2.0)
 
     def test_controller_log_disjoint_stations(self):
         config = _classed_config(
@@ -367,7 +367,7 @@ class TestSpaceSharing:
         easy = run("easy-backfill")
         # Same arrivals and demands, same class draws (same seed).
         np.testing.assert_array_equal(fcfs.demands, easy.demands)
-        np.testing.assert_array_equal(fcfs.job_class_ids, easy.job_class_ids)
+        np.testing.assert_array_equal(fcfs.class_ids, easy.class_ids)
         # Backfilling can only start jobs earlier, never later, on a
         # dedicated cluster burst; and it must strictly help someone here.
         assert np.all(easy.start_times <= fcfs.start_times + 1e-9)
@@ -395,7 +395,7 @@ class TestSpaceSharing:
         # The first arrival is admitted before the rest of the burst exists;
         # every *queued* vip must start before every queued standard job.
         queued = np.arange(result.num_jobs) != 0
-        ids = result.job_class_ids
+        ids = result.class_ids
         vip = result.start_times[(ids == 1.0) & queued]
         std = result.start_times[(ids == 0.0) & queued]
         assert vip.size and std.size
@@ -475,7 +475,7 @@ class TestSpaceSharing:
         a = run_simulation(config, "open-system")
         b = run_simulation(config, "open-system")
         np.testing.assert_array_equal(a.end_times, b.end_times)
-        np.testing.assert_array_equal(a.job_restarts, b.job_restarts)
+        np.testing.assert_array_equal(a.restarts, b.restarts)
 
     @pytest.mark.parametrize("policy", POLICY_NAMES)
     def test_scheduling_policies_compose_with_space_sharing(self, policy):
@@ -557,7 +557,7 @@ class TestClosedLoopSources:
         )
         config = _classed_config(classes, rate=0.002, num_jobs=60)
         result = run_simulation(config, "open-system")
-        ids = result.job_class_ids
+        ids = result.class_ids
         assert result.num_jobs == 60
         assert np.sum(ids == 0.0) > 0 and np.sum(ids == 1.0) > 0
         per_class = result.class_metrics()
@@ -685,11 +685,11 @@ class TestSchemaFourCache:
         loaded = cache.load(config, "open-system")
         assert isinstance(loaded, OpenSystemResult)
         np.testing.assert_array_equal(loaded.end_times, result.end_times)
-        np.testing.assert_array_equal(loaded.job_widths, result.job_widths)
+        np.testing.assert_array_equal(loaded.widths, result.widths)
         np.testing.assert_array_equal(
-            loaded.job_class_ids, result.job_class_ids
+            loaded.class_ids, result.class_ids
         )
-        np.testing.assert_array_equal(loaded.job_restarts, result.job_restarts)
+        np.testing.assert_array_equal(loaded.restarts, result.restarts)
         assert loaded.class_metrics() == result.class_metrics()
         assert loaded.metrics() == result.metrics()
 

@@ -2,9 +2,8 @@
 
 These tests pin the two contracts every layer relies on: registry dispatch
 reproduces direct backend
-construction **bitwise** for every mode, and every registered backend's NPZ
-serialize/deserialize hooks round-trip its result bitwise through
-:class:`~repro.engine.ResultCache`.
+construction **bitwise** for every mode, and every registered backend's
+result round-trips bitwise through :class:`~repro.engine.ResultCache`.
 """
 # simlint: ignore-file[SL004] - these tests exercise the registry internals themselves
 
@@ -30,6 +29,7 @@ from repro.backends import (
 )
 from repro.core import JobArrivalSpec, OwnerSpec, ScenarioSpec
 from repro.engine import ResultCache, SweepRunner
+from repro.engine.cache import result_arrays
 from repro.kernel.backend import EventKernelBackend
 
 ALL_MODES = (
@@ -107,17 +107,12 @@ class TestRegistry:
             name = "test-constant"
 
             def run(self):
-                from repro.stats import batch_means_interval
-
                 job_times = np.full(self.config.num_jobs, 7.0)
                 return SimulationResult(
                     config=self.config,
                     mode=self.name,
                     job_times=job_times,
                     task_times=job_times.copy(),
-                    job_time_interval=batch_means_interval(
-                        job_times, self.config.num_batches, self.config.confidence
-                    ),
                 )
 
         register_backend(ConstantBackend)
@@ -185,7 +180,7 @@ class TestRegistryDispatchBitwise:
 
 
 class TestCacheRoundTrip:
-    """Every backend's NPZ hooks must reproduce its result bitwise."""
+    """Every backend's cached result must reproduce it bitwise."""
 
     @pytest.mark.parametrize("mode", ALL_MODES)
     def test_round_trip_is_bitwise(self, mode, tmp_path, paper_owner):
@@ -202,9 +197,9 @@ class TestCacheRoundTrip:
                 "start_times",
                 "end_times",
                 "demands",
-                "job_widths",
-                "job_class_ids",
-                "job_restarts",
+                "widths",
+                "class_ids",
+                "restarts",
             ):
                 np.testing.assert_array_equal(
                     getattr(loaded, attr), getattr(result, attr)
@@ -225,15 +220,15 @@ class TestCacheRoundTrip:
 
     @pytest.mark.parametrize("mode", ALL_MODES)
     def test_serialize_hooks_produce_plain_float_arrays(self, mode, paper_owner):
-        """Backends may only serialize numeric arrays (NPZ without pickling)."""
+        """A cache entry holds only numeric arrays (NPZ without pickling)."""
         config = _config_for(mode, paper_owner)
-        arrays = get_backend(mode).serialize_result(run_simulation(config, mode))
+        arrays = result_arrays(run_simulation(config, mode))
         assert "measured_owner_utilization" in arrays
         for value in arrays.values():
             assert np.asarray(value).dtype == np.float64
 
     def test_wrong_job_count_is_a_miss(self, tmp_path, paper_owner):
-        """A deserialize hook rejecting stale arrays turns the entry into a miss."""
+        """An entry whose sample count contradicts the config is a miss."""
         from dataclasses import replace
 
         config = _config_for("monte-carlo", paper_owner)

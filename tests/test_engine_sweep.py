@@ -28,6 +28,7 @@ from repro.engine import (
     parallel_map,
     resolve_jobs,
 )
+from repro.engine.cache import result_arrays
 from repro.experiments import run_simulation_validation
 from repro.obs import REGISTRY
 from repro.service import JobRecord, SweepJobSpec
@@ -110,6 +111,31 @@ class TestResultCache:
         assert cache.load(config, "monte-carlo") is None
         # the corrupt file is deleted so the rewrite is never shadowed
         assert not cache.path_for(config, "monte-carlo").exists()
+
+    def test_entry_missing_a_field_is_a_miss(self, tmp_path, paper_owner):
+        cache = ResultCache(tmp_path)
+        config = SimulationConfig(
+            workstations=2, task_demand=40, owner=paper_owner, num_jobs=60, num_batches=4
+        )
+        arrays = result_arrays(run_simulation(config, "monte-carlo"))
+        del arrays["measured_owner_utilization"]
+        path = cache.path_for(config, "monte-carlo")
+        np.savez_compressed(path, **arrays)
+        assert cache.load(config, "monte-carlo") is None
+        assert not path.exists()
+
+    def test_load_labels_the_requested_mode(self, tmp_path, paper_owner):
+        # the kernel shares the oracle's entry, and each load carries the
+        # mode it was asked for
+        cache = ResultCache(tmp_path)
+        config = SimulationConfig(
+            workstations=2, task_demand=40, owner=paper_owner, num_jobs=60, num_batches=4
+        )
+        cache.store(config, "event-driven", run_simulation(config, "event-driven"))
+        assert cache.load(config, "event-kernel").mode == "event-kernel"
+        assert cache.load(config, "event-driven").mode == "event-driven"
+        with pytest.raises(ValueError, match="unknown simulation mode"):
+            cache.load(config, "no-such-mode")
 
     def test_truncated_entry_is_a_miss(self, tmp_path, paper_owner):
         """A writer killed mid-write leaves a torn NPZ; np.load raises
@@ -397,7 +423,7 @@ class TestVectorizedHeterogeneous:
         assert outcome[0].mode == "event-kernel"
         oracle = run_simulation(space_shared, "open-system")
         np.testing.assert_array_equal(outcome[0].end_times, oracle.end_times)
-        np.testing.assert_array_equal(outcome[0].job_widths, oracle.job_widths)
+        np.testing.assert_array_equal(outcome[0].widths, oracle.widths)
 
     def test_every_registered_grid_family_is_fallback_free(self):
         # no point of any registered grid family runs on a generator oracle:
@@ -497,8 +523,8 @@ class TestKernelRoute:
         oracle = get_backend(mode)
         for config, result in zip(grid, outcome):
             assert result.mode == "event-kernel"
-            expected = oracle.serialize_result(oracle(config).run())
-            actual = get_backend(result.mode).serialize_result(result)
+            expected = result_arrays(oracle(config).run())
+            actual = result_arrays(result)
             assert expected.keys() == actual.keys()
             for key, value in expected.items():
                 np.testing.assert_array_equal(actual[key], value, err_msg=key)

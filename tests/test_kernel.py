@@ -132,11 +132,11 @@ def _assert_bitwise(oracle, kernel):
         np.testing.assert_array_equal(oracle.end_times, kernel.end_times)
         np.testing.assert_array_equal(oracle.demands, kernel.demands)
         # Per-job class bookkeeping, restart counters and the derived class /
-        # tail metrics must pin too (the job_* properties fold the classless
+        # tail metrics must pin too (the constructor fills the classless
         # defaults, so one comparison covers both stream shapes).
-        np.testing.assert_array_equal(oracle.job_widths, kernel.job_widths)
-        np.testing.assert_array_equal(oracle.job_class_ids, kernel.job_class_ids)
-        np.testing.assert_array_equal(oracle.job_restarts, kernel.job_restarts)
+        np.testing.assert_array_equal(oracle.widths, kernel.widths)
+        np.testing.assert_array_equal(oracle.class_ids, kernel.class_ids)
+        np.testing.assert_array_equal(oracle.restarts, kernel.restarts)
         assert (
             oracle.total_admission_preemptions
             == kernel.total_admission_preemptions

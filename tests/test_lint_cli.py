@@ -198,13 +198,13 @@ class TestConfigLoading:
         (tmp_path / "pyproject.toml").write_text(
             "[tool.simlint]\n"
             'rng-allowed = ["lib/seeds.py"]\n'
-            'ignore = ["SL005"]\n'
+            'ignore = ["SL006"]\n'
         )
         config = load_config(tmp_path / "lib")
         assert config.rng_allowed == ("lib/seeds.py",)
-        assert config.ignore == ("SL005",)
+        assert config.ignore == ("SL006",)
         # untouched keys keep their defaults
-        assert config.serialize_method == "serialize_result"
+        assert config.registry_base_class == "SimulationBackend"
 
     def test_unknown_key_rejected(self, tmp_path):
         (tmp_path / "pyproject.toml").write_text(

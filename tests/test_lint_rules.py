@@ -17,7 +17,6 @@ from repro.lint.core import Finding, LintRule, SourceFile
 from repro.lint.rules.determinism import DeterminismRule
 from repro.lint.rules.interrupts import InterruptSafetyRule
 from repro.lint.rules.layering import KernelLayeringRule
-from repro.lint.rules.npz_symmetry import NpzSymmetryRule
 from repro.lint.rules.registry_bypass import RegistryBypassRule
 from repro.lint.rules.telemetry import TelemetryLayeringRule
 
@@ -44,7 +43,7 @@ def _project_findings(rule_cls, *sources, config=None):
 class TestRuleRegistry:
     def test_builtin_rules_registered_in_order(self):
         assert rule_names() == (
-            "SL001", "SL003", "SL004", "SL005", "SL006", "SL007",
+            "SL001", "SL003", "SL004", "SL006", "SL007",
         )
         assert [rule.rule_id for rule in all_rules()] == list(rule_names())
 
@@ -531,113 +530,6 @@ def _self_test(config):
 
 
 # ---------------------------------------------------------------------------
-# SL005 NPZ symmetry
-# ---------------------------------------------------------------------------
-
-
-class TestNpzSymmetry:
-    def test_key_written_but_never_read_flagged(self):
-        source = _source(
-            """
-            class Backend:
-                @classmethod
-                def serialize_result(cls, result):
-                    return {"job_times": result.job_times, "extra": result.extra}
-
-                @classmethod
-                def deserialize_result(cls, config, arrays):
-                    return Result(job_times=arrays["job_times"])
-            """
-        )
-        findings = _project_findings(NpzSymmetryRule, source)
-        assert len(findings) == 1
-        assert "'extra'" in findings[0].message
-        assert "round-trip" in findings[0].message
-
-    def test_key_read_but_never_written_flagged(self):
-        source = _source(
-            """
-            class Backend:
-                @classmethod
-                def serialize_result(cls, result):
-                    return {"job_times": result.job_times}
-
-                @classmethod
-                def deserialize_result(cls, config, arrays):
-                    return Result(
-                        job_times=arrays["job_times"],
-                        widths=arrays["widths"],
-                    )
-            """
-        )
-        findings = _project_findings(NpzSymmetryRule, source)
-        assert len(findings) == 1
-        assert "'widths'" in findings[0].message
-        assert "resimulation" in findings[0].message
-
-    def test_matching_layout_clean(self):
-        source = _source(
-            """
-            class Backend:
-                @classmethod
-                def serialize_result(cls, result):
-                    return {"a": result.a, "b": result.b}
-
-                @classmethod
-                def deserialize_result(cls, config, arrays):
-                    return Result(a=arrays["a"], b=arrays["b"])
-            """
-        )
-        assert _project_findings(NpzSymmetryRule, source) == []
-
-    def test_tuple_loading_idiom_counts_as_read(self):
-        source = _source(
-            """
-            class Backend:
-                @classmethod
-                def serialize_result(cls, result):
-                    return {"a": result.a, "b": result.b}
-
-                @classmethod
-                def deserialize_result(cls, config, arrays):
-                    data = {key: arrays[key] for key in ("a", "b")}
-                    return Result(**data)
-            """
-        )
-        assert _project_findings(NpzSymmetryRule, source) == []
-
-    def test_single_overridden_hook_flagged(self):
-        source = _source(
-            """
-            class Backend:
-                @classmethod
-                def serialize_result(cls, result):
-                    return {"a": result.a}
-            """
-        )
-        findings = _project_findings(NpzSymmetryRule, source)
-        assert len(findings) == 1
-        assert "pair" in findings[0].message
-
-    def test_class_without_hooks_ignored(self):
-        source = _source(
-            """
-            class Plain:
-                def run(self):
-                    return 1
-            """
-        )
-        assert _project_findings(NpzSymmetryRule, source) == []
-
-    def test_real_backends_round_trip(self):
-        sources = [
-            SourceFile("src/repro/backends/base.py"),
-            SourceFile("src/repro/backends/open_system.py"),
-        ]
-        assert _project_findings(NpzSymmetryRule, *sources) == []
-
-
-# ---------------------------------------------------------------------------
 # SL006 kernel layering
 # ---------------------------------------------------------------------------
 
@@ -828,7 +720,7 @@ class TestSourceFileCore:
         assert not source.is_suppressed("SL004", 2)
         assert source.is_suppressed("SL003", 3)
         # a bare ignore mutes every rule on its line
-        assert source.is_suppressed("SL005", 4)
+        assert source.is_suppressed("SL006", 4)
         assert not source.is_suppressed("SL001", 5)
 
     def test_file_pragma_requires_rule_list(self):

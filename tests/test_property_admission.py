@@ -175,7 +175,7 @@ class TestAdmissionInvariants:
         assert np.all(result.end_times > result.start_times)
         # Widths reported per job match the class widths.
         classes = case[0]
-        for class_id, width in zip(result.job_class_ids, result.job_widths):
+        for class_id, width in zip(result.class_ids, result.widths):
             assert width == float(classes[int(class_id)].width)
 
     @settings(max_examples=25, deadline=None)
@@ -207,6 +207,6 @@ class TestAdmissionInvariants:
                 seed, num_jobs)
         result, controller, _ = _run_case(case)
         preempts = [e for e in controller.log if e.kind == "preempt"]
-        restarts = float(np.sum(result.job_restarts))
+        restarts = float(np.sum(result.restarts))
         assert restarts == float(len(preempts))
         assert np.all(np.isfinite(result.end_times))

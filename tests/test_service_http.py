@@ -75,8 +75,22 @@ POINT_BATCHES = {
 }
 
 _POINT = config_to_json(build_grid(GRID, num_jobs=40)[0])
-_OPEN_POINT_WIDTH_2_9 = config_to_json(build_grid("admission-sweep", num_jobs=40)[0])
-_OPEN_POINT_WIDTH_2_9["scenario"]["arrivals"]["job_classes"][0]["width"] = 2.9
+
+
+def _open_point_with(*path, **updates) -> dict:
+    """The first admission-sweep point on the wire, with the object at
+    ``path`` updated."""
+    point = config_to_json(build_grid("admission-sweep", num_jobs=40)[0])
+    node = point
+    for step in path:
+        node = node[step]
+    node.update(updates)
+    return point
+
+
+_OPEN_POINT_WIDTH_2_9 = _open_point_with(
+    "scenario", "arrivals", "job_classes", 0, width=2.9
+)
 
 
 def library_payload_bytes(tmp_path, overrides=OVERRIDES, vectorized=False):
@@ -301,6 +315,39 @@ class TestHTTPEndToEnd:
                 ],
                 "mode": "monte-carlo",
             },
+            {
+                "points": [
+                    _open_point_with(
+                        "scenario", "stations", 0,
+                        demand_kind="hyperexponential",
+                        demand_kwargs=[["squared_cv", 1.0]],
+                    )
+                ],
+                "mode": "open-system",
+            },
+            {
+                "points": [
+                    _open_point_with(
+                        "scenario", "arrivals", "job_classes", 1,
+                        population=1, think_time=0.0,
+                    )
+                ],
+                "mode": "open-system",
+            },
+            {
+                "points": [
+                    _open_point_with("scenario", "stations", 0, demand_kind="gamma")
+                ],
+                "mode": "open-system",
+            },
+            {
+                "points": [_open_point_with("scenario", "arrivals", demand_kind="gamma")],
+                "mode": "open-system",
+            },
+            {
+                "points": [dict(_POINT, owner_demand_kind="gamma")],
+                "mode": "monte-carlo",
+            },
         ],
         ids=[
             "point-key-typo",
@@ -308,12 +355,19 @@ class TestHTTPEndToEnd:
             "fractional-num-jobs",
             "fractional-width",
             "inconsistent-owner",
+            "hyperexponential-cv-1",
+            "zero-exponential-think-time",
+            "unknown-station-kind",
+            "unknown-arrival-demand-kind",
+            "unknown-owner-demand-kind",
         ],
     )
     def test_malformed_submission_is_refused(self, live, payload):
         # None may be reinterpreted: an ignored typo runs the defaults, a
         # truncated int runs another point, and a U/P pair that disagrees
         # under Eq. 8 is simulated at one value and reported at the other.
+        # Nor may a distribution every backend refuses become a job that
+        # fails once it runs.
         service, client = live
         with pytest.raises(ServiceError) as refused:
             client._request_json("/jobs", payload)
@@ -345,21 +399,36 @@ class TestHTTPEndToEnd:
             client._request_json("/nonsense")
         assert no_route.value.status == 404
 
-    def test_negative_content_length_is_refused_unread(self, live):
-        # rfile.read(-1) reads to EOF: the handler used to block until the
-        # client hung up, then submit whatever body had arrived by then
-        service, client = live
+    @staticmethod
+    def _post_headers_only(client, content_length: str) -> bytes:
+        """Send ``POST /jobs`` headers with no body; the server's answer."""
         port = int(client.base_url.rsplit(":", 1)[1])
         with socket.create_connection(("127.0.0.1", port), timeout=5.0) as sock:
             sock.sendall(
                 b"POST /jobs HTTP/1.1\r\nHost: 127.0.0.1\r\n"
-                b"Content-Length: -1\r\n\r\n"
+                b"Content-Length: " + content_length.encode() + b"\r\n\r\n"
             )
             answer = b""
             while chunk := sock.recv(4096):  # the server closes after answering
                 answer += chunk
+        return answer
+
+    def test_negative_content_length_is_refused_unread(self, live):
+        # rfile.read(-1) reads to EOF: the handler used to block until the
+        # client hung up, then submit whatever body had arrived by then
+        service, client = live
+        answer = self._post_headers_only(client, "-1")
         assert answer.startswith(b"HTTP/1.1 400 ")
         assert b"Content-Length must be a non-negative integer" in answer
+        assert len(service.store) == 0
+        assert client.health()["status"] == "ok"
+
+    def test_oversized_content_length_is_refused_unread(self, live):
+        # rfile.read(1 TiB) would raise MemoryError before any answer
+        service, client = live
+        answer = self._post_headers_only(client, str(2**40))
+        assert answer.startswith(b"HTTP/1.1 413 ")
+        assert b"exceeds the" in answer
         assert len(service.store) == 0
         assert client.health()["status"] == "ok"
 

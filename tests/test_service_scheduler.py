@@ -2,15 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 
 import numpy as np
 import pytest
 
-from repro.backends import SimulationConfig, get_backend
+from repro.backends import SimulationConfig
 from repro.core import ScenarioSpec
 from repro.engine import ResultCache, SweepRunner, build_grid, grid_mode
-from repro.engine.cache import encode_entry
+from repro.engine.cache import encode_entry, result_arrays
 from repro.service import (
     ShardScheduler,
     load_result_arrays,
@@ -43,7 +44,8 @@ def _trace_owner_points() -> list[SimulationConfig]:
 
 
 #: Two points of each result flavour: closed Monte-Carlo, open space-shared
-#: admission (the open layout) and trace-replaying owners on the kernel.
+#: admission, an open classless stream (whose widths, classes and restarts
+#: the result constructor fills in) and trace-replaying owners on the kernel.
 PAYLOAD_POINTS = {
     "closed": lambda: (
         build_grid("fig01", num_jobs=40, workstation_counts=(2, 5))[:2],
@@ -53,7 +55,19 @@ PAYLOAD_POINTS = {
         build_grid("admission-sweep", num_jobs=40)[:2],
         "open-system",
     ),
+    "open-classless": lambda: (
+        build_grid("arrival-sweep", num_jobs=40)[:2],
+        "open-system",
+    ),
     "trace-owner": lambda: (_trace_owner_points(), "event-driven"),
+}
+
+#: sha256 of ``encode_entry`` for point 0 of three kinds, computed when each
+#: backend still wrote its entry by hand: the entry bytes of cache schema 7.
+ENTRY_SHA256 = {
+    "closed": "f91f1cf8ee9fdcdece7b39d3194c6f95882467a15c005fee455b007822d19d56",
+    "open-admission": "6c353d691c1a7e1a8c3ffd8be7ac00a800222a0d79805d5b490414cb65cffcb4",
+    "open-classless": "953e57a9ee22b499a48870ecb04d46dafc927e93f06305c911cd31abd5785de2",
 }
 
 
@@ -142,14 +156,21 @@ class TestResultPayloads:
     @pytest.mark.parametrize("kind", sorted(PAYLOAD_POINTS))
     def test_entry_is_savez_of_the_serialized_arrays(self, kind, tmp_path):
         # The entry bytes are the schema-7 cache files: pinning them to the
-        # backend's arrays keeps existing caches replaying.
+        # result's arrays keeps existing caches replaying.
         configs, mode = PAYLOAD_POINTS[kind]()
         cache = ResultCache(tmp_path)
         outcome = SweepRunner(jobs=1, cache=cache).run(configs, mode=mode)
         for config, result, entry in zip(configs, outcome, outcome.entries):
-            arrays = get_backend(result.mode).serialize_result(result)
+            arrays = result_arrays(result)
             assert entry == encode_entry(result) == savez_bytes(arrays)
             assert cache.path_for(config, result.mode).read_bytes() == entry
+
+    @pytest.mark.parametrize("kind", sorted(ENTRY_SHA256))
+    def test_entry_bytes_are_pinned(self, kind):
+        configs, mode = PAYLOAD_POINTS[kind]()
+        (result,) = SweepRunner(jobs=1).run(configs[:1], mode=mode)
+        digest = hashlib.sha256(encode_entry(result)).hexdigest()
+        assert digest == ENTRY_SHA256[kind]
 
     @pytest.mark.parametrize("kind", sorted(PAYLOAD_POINTS))
     def test_payload_is_savez_of_outcome_arrays_for_every_entry_source(
