@@ -34,6 +34,8 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
+from ..cluster.admission import make_admission_policy
+from ..cluster.policies import make_policy
 from ..core.analytical import evaluate_inputs
 from ..core.params import (
     STATIC_POLICY,
@@ -161,6 +163,13 @@ class SimulationConfig:
                         f"scenario says {self.scenario.imbalance!r}"
                     )
                 object.__setattr__(self, "imbalance", self.scenario.imbalance)
+            # built by the factories every executor calls: refused here, not mid-run
+            make_policy(self.scenario.policy, **dict(self.scenario.policy_kwargs))
+            arrivals = self.scenario.arrivals
+            if arrivals is not None:
+                make_admission_policy(
+                    arrivals.admission_policy, **dict(arrivals.admission_kwargs)
+                )
 
     @classmethod
     def from_scenario(

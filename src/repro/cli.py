@@ -73,7 +73,7 @@ from typing import Sequence
 
 from .backends import backend_names
 from .core import JobSpec, OwnerSpec, SystemSpec, TaskRounding, assess_feasibility
-from .engine import GRID_NAMES, SweepRunner, build_grid, grid_mode
+from .engine import GRID_AXES, GRID_NAMES, SweepRunner, build_grid, grid_mode
 from .experiments import (
     FigureResult,
     ValidationPoint,
@@ -97,53 +97,8 @@ def _add_grid_override_args(parser: argparse.ArgumentParser) -> None:
         "--num-jobs", type=int, default=None,
         help="job completions sampled per point (default: the grid's setting)",
     )
-    parser.add_argument(
-        "--workstations", default=None,
-        help="comma-separated workstation counts overriding the grid's W axis",
-    )
-    parser.add_argument(
-        "--utilizations", default=None,
-        help=(
-            "comma-separated owner utilizations overriding the grid's curves "
-            "(cluster-average utilizations for hetero-concentration)"
-        ),
-    )
-    parser.add_argument(
-        "--concentrations", default=None,
-        help=(
-            "comma-separated load-concentration levels in [0, 1] "
-            "(hetero-concentration grid only)"
-        ),
-    )
-    parser.add_argument(
-        "--policies", default=None,
-        help=(
-            "comma-separated scheduling policies "
-            "(policy-compare grid only; see repro.cluster.POLICY_NAMES)"
-        ),
-    )
-    parser.add_argument(
-        "--arrival-rates", default=None,
-        help=(
-            "comma-separated normalized job-arrival rates in (0, 1) — "
-            "fractions of each point's saturation throughput "
-            "(arrival-sweep and admission-sweep grids)"
-        ),
-    )
-    parser.add_argument(
-        "--job-widths", default=None,
-        help=(
-            "comma-separated moldable-job widths for the narrow class "
-            "(admission-sweep grid only)"
-        ),
-    )
-    parser.add_argument(
-        "--admission-policies", default=None,
-        help=(
-            "comma-separated admission policies "
-            "(admission-sweep grid only; see repro.cluster.ADMISSION_POLICY_NAMES)"
-        ),
-    )
+    for axis in GRID_AXES:
+        parser.add_argument(axis.flag, dest=axis.key, default=None, help=axis.help)
     parser.add_argument(
         "--seed", type=int, default=0,
         help="base seed from which every point's seed is derived (default 0)",
@@ -159,28 +114,10 @@ def _grid_overrides(args: argparse.Namespace) -> dict:
     overrides: dict = {"seed": args.seed}
     if args.num_jobs is not None:
         overrides["num_jobs"] = args.num_jobs
-    if args.workstations:
-        overrides["workstation_counts"] = tuple(
-            int(w) for w in args.workstations.split(",")
-        )
-    if args.utilizations:
-        overrides["utilizations"] = tuple(
-            float(u) for u in args.utilizations.split(",")
-        )
-    if args.concentrations:
-        overrides["concentration_levels"] = tuple(
-            float(c) for c in args.concentrations.split(",")
-        )
-    if args.policies:
-        overrides["policies"] = tuple(args.policies.split(","))
-    if args.arrival_rates:
-        overrides["arrival_rates"] = tuple(
-            float(r) for r in args.arrival_rates.split(",")
-        )
-    if args.job_widths:
-        overrides["job_widths"] = tuple(int(w) for w in args.job_widths.split(","))
-    if args.admission_policies:
-        overrides["admission_policies"] = tuple(args.admission_policies.split(","))
+    for axis in GRID_AXES:
+        text = getattr(args, axis.key)
+        if text:
+            overrides[axis.key] = axis.cast(text.split(","))
     return overrides
 
 

@@ -15,7 +15,14 @@ results regardless of worker count because every point owns its seed.
 """
 
 from .cache import CACHE_VERSION, SCHEMA_HISTORY, ResultCache, config_fingerprint
-from .grids import GRID_NAMES, build_grid, grid_from_product, grid_mode, saturation_rate
+from .grids import (
+    GRID_AXES,
+    GRID_NAMES,
+    MAX_GRID_POINTS,
+    build_grid,
+    grid_mode,
+    saturation_rate,
+)
 from .runner import (
     SweepOutcome,
     SweepRunner,
@@ -29,10 +36,11 @@ __all__ = [
     "SCHEMA_HISTORY",
     "ResultCache",
     "config_fingerprint",
+    "GRID_AXES",
     "GRID_NAMES",
+    "MAX_GRID_POINTS",
     "build_grid",
     "saturation_rate",
-    "grid_from_product",
     "grid_mode",
     "SweepOutcome",
     "SweepRunner",

@@ -11,7 +11,7 @@ yet the whole sweep reproduces from a single integer.
 Figures 1–6 share the fixed-job-size grid (``J`` constant, ``W`` swept, one
 curve per owner utilization); Figure 9 uses the scaled-workload grid (constant
 per-node demand ``T``); ``validation`` is the Section-2.2 grid at the paper's
-20 × 1000 sampling effort.  Three scenario-parameterized families go beyond
+20 × 1000 sampling effort.  Four scenario-parameterized families go beyond
 the paper: ``hetero-concentration`` skews a fixed average owner load across
 the cluster (the heterogeneous extension of :mod:`repro.core.heterogeneous`),
 ``policy-compare`` runs the same cluster under each task-scheduling policy of
@@ -20,11 +20,18 @@ opens the system — a Poisson stream of competing parallel jobs at normalized
 arrival rates — to measure steady-state queueing metrics on the open-system
 backend, and ``admission-sweep`` space-shares it: mixes of moldable job
 widths admitted by each policy of :mod:`repro.cluster.admission`.
+
+Each overridable axis is declared once, in :data:`GRID_AXES`, and each
+family once, in ``_FAMILIES``; :func:`build_grid`, the CLI override flags
+and the service's JSON overrides all derive from these two tables.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+import itertools
+import math
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, Iterable
 
 from ..backends import SimulationConfig, get_backend
 from ..cluster.admission import ADMISSION_POLICY_NAMES
@@ -41,12 +48,18 @@ from ..core.params import (
 from ..desim import StreamRegistry
 
 __all__ = [
+    "GRID_AXES",
     "GRID_NAMES",
+    "GridAxis",
+    "MAX_GRID_POINTS",
     "build_grid",
     "grid_mode",
-    "grid_from_product",
     "saturation_rate",
 ]
+
+#: Most points one grid may have: the five-digit ``point%05d`` namespace of
+#: a job payload (:mod:`repro.service.results`).
+MAX_GRID_POINTS = 100_000
 
 
 def saturation_rate(utilization: float, task_demand: float) -> float:
@@ -59,41 +72,191 @@ def saturation_rate(utilization: float, task_demand: float) -> float:
     """
     return (1.0 - float(utilization)) / float(task_demand)
 
+
+@dataclass(frozen=True)
+class GridAxis:
+    """One overridable grid axis, declared once for every layer.
+
+    ``key`` is the :func:`build_grid` keyword and the JSON override key of a
+    service submission; ``flag`` is the CLI flag taking a comma-separated
+    list; every value is cast to ``type``; ``label`` keys the axis in a
+    point's seed label, and ``noun`` names it in the error for a grid that
+    lacks it.
+    """
+
+    key: str
+    flag: str
+    type: Callable[[Any], Any]
+    label: str
+    noun: str
+    help: str
+
+    def cast(self, values: Iterable[Any]) -> tuple[Any, ...]:
+        """``values`` as a tuple of the axis type."""
+        return tuple(self.type(value) for value in values)
+
+
+GRID_AXES: tuple[GridAxis, ...] = (
+    GridAxis(
+        "workstation_counts", "--workstations", int, "W", "workstation",
+        "comma-separated workstation counts overriding the grid's W axis",
+    ),
+    GridAxis(
+        "utilizations", "--utilizations", float, "U", "utilization",
+        "comma-separated owner utilizations overriding the grid's curves "
+        "(cluster-average utilizations for hetero-concentration)",
+    ),
+    GridAxis(
+        "concentration_levels", "--concentrations", float, "c", "concentration",
+        "comma-separated load-concentration levels in [0, 1] "
+        "(hetero-concentration grid only)",
+    ),
+    GridAxis(
+        "policies", "--policies", str, "policy", "policy",
+        "comma-separated scheduling policies "
+        "(policy-compare grid only; see repro.cluster.POLICY_NAMES)",
+    ),
+    GridAxis(
+        "arrival_rates", "--arrival-rates", float, "rate", "arrival-rate",
+        "comma-separated normalized job-arrival rates in (0, 1) — "
+        "fractions of each point's saturation throughput "
+        "(arrival-sweep and admission-sweep grids)",
+    ),
+    GridAxis(
+        "job_widths", "--job-widths", int, "w", "job-width",
+        "comma-separated moldable-job widths for the narrow class "
+        "(admission-sweep grid only)",
+    ),
+    GridAxis(
+        "admission_policies", "--admission-policies", str, "adm",
+        "admission-policy",
+        "comma-separated admission policies "
+        "(admission-sweep grid only; see repro.cluster.ADMISSION_POLICY_NAMES)",
+    ),
+)
+
+_AXES: dict[str, GridAxis] = {axis.key: axis for axis in GRID_AXES}
+
+
+@dataclass(frozen=True)
+class _Family:
+    """One grid family.
+
+    ``point(owner, W, T, *coords)`` builds the point at one tuple of the
+    family's own ``axes`` (key -> default values, in walk order): the
+    scenario of an explicit-scenario point, the owner of a paper point (its
+    config keeps ``scenario=None``), or ``None`` where the coordinates name
+    no point.  A ``scaled`` family reads its grids' demand as the per-node
+    ``T`` instead of the job size ``J``.
+    """
+
+    workstations: tuple[int, ...]
+    utilizations: tuple[float, ...]
+    point: Callable[..., ScenarioSpec | OwnerSpec | None]
+    axes: dict[str, tuple[Any, ...]] = field(default_factory=dict)
+    scaled: bool = False
+
+
+def _paper_point(owner: OwnerSpec, workstations: int, task_demand: float) -> OwnerSpec:
+    return owner
+
+
+def _concentration_point(
+    owner: OwnerSpec, workstations: int, task_demand: float, level: float
+) -> ScenarioSpec:
+    """The owner's utilization as a cluster average, skewed by ``level``."""
+    assert owner.utilization is not None
+    loads = concentrated_utilizations(workstations, owner.utilization, level)
+    return ScenarioSpec.from_utilizations(loads, owner_demand=owner.demand)
+
+
+def _policy_point(
+    owner: OwnerSpec, workstations: int, task_demand: float, policy: str
+) -> ScenarioSpec:
+    return ScenarioSpec.homogeneous(workstations, owner, policy=policy)
+
+
+def _poisson(
+    rate: float, owner: OwnerSpec, task_demand: float, **classes: Any
+) -> JobArrivalSpec:
+    """A Poisson stream at ``rate`` times the point's saturation throughput,
+    so the same rates load every ``(W, U)`` cell alike (and stably, below 1).
+    """
+    if not 0.0 < rate < 1.0:
+        raise ValueError(
+            "normalized arrival rates must lie in (0, 1) so the queue is "
+            f"stable, got {rate!r}"
+        )
+    assert owner.utilization is not None
+    return JobArrivalSpec.poisson(
+        rate=rate * saturation_rate(owner.utilization, task_demand),
+        demand_kind="deterministic",
+        **classes,
+    )
+
+
+def _arrival_point(
+    owner: OwnerSpec, workstations: int, task_demand: float, rate: float
+) -> ScenarioSpec:
+    arrivals = _poisson(rate, owner, task_demand)
+    return ScenarioSpec.homogeneous(workstations, owner, arrivals=arrivals)
+
+
+def _admission_point(
+    owner: OwnerSpec, workstations: int, task_demand: float,
+    width: int, policy: str, rate: float,
+) -> ScenarioSpec | None:
+    """A narrow class at ``width`` (75% of arrivals) beside a full-width,
+    higher-priority class, admitted by ``policy``; none if ``width`` does
+    not fit.  Packing losses put the true saturation below the normalizing
+    one, so keep the rates modest.
+    """
+    if not 1 <= width <= workstations:
+        return None
+    classes = (
+        JobClassSpec("narrow", width=width, weight=0.75, priority=0),
+        JobClassSpec("wide", width=workstations, weight=0.25, priority=1),
+    )
+    arrivals = _poisson(
+        rate, owner, task_demand, job_classes=classes, admission_policy=policy
+    )
+    return ScenarioSpec.homogeneous(workstations, owner, arrivals=arrivals)
+
+
 #: Owner utilizations plotted in the paper's Figures 1-9.
 _PAPER_UTILIZATIONS: tuple[float, ...] = (0.01, 0.05, 0.10, 0.20)
 
-#: Default workstation counts: the Section-2.2 validation x-axis.
-_DEFAULT_WORKSTATIONS: tuple[int, ...] = (1, 5, 10, 20, 40, 60, 80, 100)
+#: The paper's fixed-job-size family; its W axis is the Section-2.2
+#: validation x-axis.
+_PAPER = _Family((1, 5, 10, 20, 40, 60, 80, 100), _PAPER_UTILIZATIONS, _paper_point)
 
-#: Concentration levels of the heterogeneous grid (0 = homogeneous,
-#: 1 = half the machines doubly loaded, half idle).
-_DEFAULT_CONCENTRATIONS: tuple[float, ...] = (0.0, 0.5, 1.0)
+#: Family name -> family.  The scenario families keep their clusters modest:
+#: the policy family walks every preemption on the event-driven backend and
+#: the open families queue jobs over a longer horizon.  Concentration level
+#: 0 is homogeneous, 1 loads half the machines doubly and idles the rest.
+_FAMILIES: dict[str, _Family] = {
+    "fixed": _PAPER,
+    "scaled": replace(_PAPER, scaled=True),
+    "concentration": _Family(
+        (8, 16, 32), (0.10,), _concentration_point,
+        {"concentration_levels": (0.0, 0.5, 1.0)},
+    ),
+    "policy": _Family(
+        (8, 16, 32), _PAPER_UTILIZATIONS, _policy_point, {"policies": POLICY_NAMES}
+    ),
+    "arrival": _Family(
+        (4, 8, 16), _PAPER_UTILIZATIONS, _arrival_point,
+        {"arrival_rates": (0.25, 0.5, 0.75)},
+    ),
+    "admission": _Family(
+        (8, 16), _PAPER_UTILIZATIONS, _admission_point,
+        {"job_widths": (2, 4), "admission_policies": ADMISSION_POLICY_NAMES,
+         "arrival_rates": (0.5,)},
+    ),
+}
 
-#: Workstation counts for the scenario families (kept modest: the policy
-#: grid runs on the event-driven backend, which walks every preemption).
-_SCENARIO_WORKSTATIONS: tuple[int, ...] = (8, 16, 32)
-
-#: Normalized arrival rates of the open-system family: fractions of each
-#: point's saturation throughput ``W * (1 - U) / J`` (so every point is a
-#: stable queue regardless of its ``W`` and ``U``).
-_DEFAULT_ARRIVAL_RATES: tuple[float, ...] = (0.25, 0.5, 0.75)
-
-#: Workstation counts for the arrival family (open-system runs queue jobs,
-#: so each point simulates a longer horizon than a closed run).
-_ARRIVAL_WORKSTATIONS: tuple[int, ...] = (4, 8, 16)
-
-#: Defaults of the admission (space-sharing) family: each point mixes a
-#: narrow class (width swept below) with a full-width class and races the
-#: admission policies on the same stream.
-_ADMISSION_WORKSTATIONS: tuple[int, ...] = (8, 16)
-_DEFAULT_JOB_WIDTHS: tuple[int, ...] = (2, 4)
-_DEFAULT_ADMISSION_POLICIES: tuple[str, ...] = ADMISSION_POLICY_NAMES
-_DEFAULT_ADMISSION_RATES: tuple[float, ...] = (0.5,)
-
-#: name -> (kind, demand, default num_jobs, backend mode); ``fixed`` reads
-#: demand as the total job size ``J``, ``scaled`` as the constant per-node
-#: demand ``T``; ``concentration`` and ``policy`` are ``fixed``-demand
-#: scenario families.
+#: name -> (family, demand, default num_jobs, backend mode); the demand is
+#: the job size ``J`` unless the family is ``scaled``.
 _GRIDS: dict[str, tuple[str, float, int, str]] = {
     "fig01": ("fixed", 1000.0, 2000, "monte-carlo"),
     "fig02": ("fixed", 1000.0, 2000, "monte-carlo"),
@@ -112,6 +275,20 @@ _GRIDS: dict[str, tuple[str, float, int, str]] = {
 GRID_NAMES: tuple[str, ...] = tuple(_GRIDS)
 
 
+def _coordinate(key: str, value: Any) -> str:
+    """One ``/key=value`` step of a seed label (floats print as ``:g``)."""
+    return f"/{key}={value:g}" if isinstance(value, float) else f"/{key}={value}"
+
+
+def _grid(name: str) -> tuple[str, float, int, str]:
+    try:
+        return _GRIDS[name]
+    except KeyError:
+        raise KeyError(
+            f"unknown sweep grid {name!r}; known grids: {sorted(_GRIDS)}"
+        ) from None
+
+
 def grid_mode(name: str) -> str:
     """Simulation backend for a named grid.
 
@@ -119,469 +296,100 @@ def grid_mode(name: str) -> str:
     against an unregistered backend fails loudly here instead of deep inside
     a sweep.
     """
-    if name not in _GRIDS:
-        raise KeyError(f"unknown sweep grid {name!r}; known grids: {sorted(_GRIDS)}")
-    mode = _GRIDS[name][3]
+    mode = _grid(name)[3]
     get_backend(mode)
     return mode
-
-
-def grid_from_product(
-    name: str,
-    task_demands: Sequence[float],
-    workstation_counts: Sequence[int],
-    utilizations: Sequence[float],
-    *,
-    owner_demand: float = 10.0,
-    num_jobs: int = 2000,
-    num_batches: int = 20,
-    confidence: float = 0.90,
-    seed: int = 0,
-) -> list[SimulationConfig]:
-    """Cross a ``(T, W)`` sequence with owner utilizations into config points.
-
-    ``task_demands`` and ``workstation_counts`` are paired element-wise (one
-    ``(T, W)`` cell per index); utilizations form the outer product.  Each
-    point receives an independent seed derived from ``seed`` and the point's
-    coordinates, so reordering or subsetting the grid never changes any
-    point's samples.
-    """
-    if len(task_demands) != len(workstation_counts):
-        raise ValueError(
-            f"task_demands ({len(task_demands)}) and workstation_counts "
-            f"({len(workstation_counts)}) must pair up element-wise"
-        )
-    streams = StreamRegistry(seed)
-    configs: list[SimulationConfig] = []
-    for utilization in utilizations:
-        owner = OwnerSpec(demand=owner_demand, utilization=float(utilization))
-        for task_demand, workstations in zip(task_demands, workstation_counts):
-            point_seed = streams.derive_seed(
-                f"{name}/U={float(utilization):g}/W={int(workstations)}"
-                f"/T={float(task_demand):g}"
-            )
-            configs.append(
-                SimulationConfig(
-                    workstations=int(workstations),
-                    task_demand=float(task_demand),
-                    owner=owner,
-                    num_jobs=num_jobs,
-                    num_batches=num_batches,
-                    confidence=confidence,
-                    seed=point_seed,
-                )
-            )
-    return configs
-
-
-def _concentration_grid(
-    name: str,
-    job_demand: float,
-    workstation_counts: Sequence[int],
-    mean_utilizations: Sequence[float],
-    concentration_levels: Sequence[float],
-    *,
-    owner_demand: float,
-    num_jobs: int,
-    num_batches: int,
-    confidence: float,
-    seed: int,
-) -> list[SimulationConfig]:
-    """Heterogeneous family: same average owner load, increasingly skewed.
-
-    One point per ``(mean U, W, concentration level)``; every point is a
-    static-policy scenario whose per-station utilizations come from
-    :func:`~repro.core.heterogeneous.concentrated_utilizations`, so the
-    Monte-Carlo backend samples the non-identically distributed task times
-    the product-CDF closed form describes.
-    """
-    streams = StreamRegistry(seed)
-    configs: list[SimulationConfig] = []
-    for utilization in mean_utilizations:
-        for workstations in workstation_counts:
-            task_demand = split_job_demand(
-                job_demand, int(workstations), TaskRounding.ROUND
-            )
-            for level in concentration_levels:
-                scenario = ScenarioSpec.from_utilizations(
-                    concentrated_utilizations(
-                        int(workstations), float(utilization), float(level)
-                    ),
-                    owner_demand=owner_demand,
-                )
-                point_seed = streams.derive_seed(
-                    f"{name}/U={float(utilization):g}/W={int(workstations)}"
-                    f"/T={float(task_demand):g}/c={float(level):g}"
-                )
-                configs.append(
-                    SimulationConfig.from_scenario(
-                        scenario,
-                        task_demand=task_demand,
-                        num_jobs=num_jobs,
-                        num_batches=num_batches,
-                        confidence=confidence,
-                        seed=point_seed,
-                    )
-                )
-    return configs
-
-
-def _policy_grid(
-    name: str,
-    job_demand: float,
-    workstation_counts: Sequence[int],
-    utilizations: Sequence[float],
-    policies: Sequence[str],
-    *,
-    owner_demand: float,
-    num_jobs: int,
-    num_batches: int,
-    confidence: float,
-    seed: int,
-) -> list[SimulationConfig]:
-    """Policy family: the same homogeneous cluster under each dispatch policy."""
-    for policy in policies:
-        if policy not in POLICY_NAMES:
-            raise ValueError(
-                f"unknown scheduling policy {policy!r}; "
-                f"known policies: {sorted(POLICY_NAMES)}"
-            )
-    streams = StreamRegistry(seed)
-    configs: list[SimulationConfig] = []
-    for utilization in utilizations:
-        owner = OwnerSpec(demand=owner_demand, utilization=float(utilization))
-        for workstations in workstation_counts:
-            task_demand = split_job_demand(
-                job_demand, int(workstations), TaskRounding.ROUND
-            )
-            for policy in policies:
-                scenario = ScenarioSpec.homogeneous(
-                    int(workstations), owner, policy=str(policy)
-                )
-                point_seed = streams.derive_seed(
-                    f"{name}/U={float(utilization):g}/W={int(workstations)}"
-                    f"/T={float(task_demand):g}/policy={policy}"
-                )
-                configs.append(
-                    SimulationConfig.from_scenario(
-                        scenario,
-                        task_demand=task_demand,
-                        num_jobs=num_jobs,
-                        num_batches=num_batches,
-                        confidence=confidence,
-                        seed=point_seed,
-                    )
-                )
-    return configs
-
-
-def _arrival_grid(
-    name: str,
-    job_demand: float,
-    workstation_counts: Sequence[int],
-    utilizations: Sequence[float],
-    arrival_rates: Sequence[float],
-    *,
-    owner_demand: float,
-    num_jobs: int,
-    num_batches: int,
-    confidence: float,
-    seed: int,
-) -> list[SimulationConfig]:
-    """Open-system family: a Poisson job stream on the non-dedicated cluster.
-
-    ``arrival_rates`` are *normalized*: each value is the fraction of the
-    point's saturation throughput ``mu = W * (1 - U) / J`` (the best-case
-    service rate of a perfectly balanced job on ``W`` stations whose owners
-    absorb a fraction ``U`` of the capacity), so the same rate vector yields
-    comparably loaded — and stable, for rates < 1 — queues across every
-    ``(W, U)`` cell.
-    """
-    streams = StreamRegistry(seed)
-    configs: list[SimulationConfig] = []
-    for utilization in utilizations:
-        owner = OwnerSpec(demand=owner_demand, utilization=float(utilization))
-        for workstations in workstation_counts:
-            task_demand = split_job_demand(
-                job_demand, int(workstations), TaskRounding.ROUND
-            )
-            saturation = saturation_rate(utilization, task_demand)
-            for rate in arrival_rates:
-                if not 0.0 < float(rate) < 1.0:
-                    raise ValueError(
-                        "normalized arrival rates must lie in (0, 1) so the "
-                        f"queue is stable, got {rate!r}"
-                    )
-                arrivals = JobArrivalSpec.poisson(
-                    rate=float(rate) * saturation, demand_kind="deterministic"
-                )
-                scenario = ScenarioSpec.homogeneous(
-                    int(workstations), owner, arrivals=arrivals
-                )
-                point_seed = streams.derive_seed(
-                    f"{name}/U={float(utilization):g}/W={int(workstations)}"
-                    f"/T={float(task_demand):g}/rate={float(rate):g}"
-                )
-                configs.append(
-                    SimulationConfig.from_scenario(
-                        scenario,
-                        task_demand=task_demand,
-                        num_jobs=num_jobs,
-                        num_batches=num_batches,
-                        confidence=confidence,
-                        seed=point_seed,
-                    )
-                )
-    return configs
-
-
-def _admission_grid(
-    name: str,
-    job_demand: float,
-    workstation_counts: Sequence[int],
-    utilizations: Sequence[float],
-    widths: Sequence[int],
-    admission_policies: Sequence[str],
-    arrival_rates: Sequence[float],
-    *,
-    owner_demand: float,
-    num_jobs: int,
-    num_batches: int,
-    confidence: float,
-    seed: int,
-) -> list[SimulationConfig]:
-    """Space-sharing family: moldable widths × admission policies.
-
-    Every point streams a Poisson mix of two moldable classes — a ``narrow``
-    class at the swept width (75% of arrivals) and a full-width ``wide``
-    class at higher priority (25%) — through one admission policy, so the
-    grid answers the space-sharing question head on: how much response time
-    does each discipline recover from head-of-line blocking?  Rates are
-    normalized to the full-cluster saturation throughput ``W * (1 - U) / J``
-    (packing losses make the true saturation lower, so keep them modest).
-    Width/``W`` combinations where the narrow width does not fit are skipped.
-    """
-    for policy in admission_policies:
-        if policy not in ADMISSION_POLICY_NAMES:
-            raise ValueError(
-                f"unknown admission policy {policy!r}; "
-                f"known policies: {sorted(ADMISSION_POLICY_NAMES)}"
-            )
-    streams = StreamRegistry(seed)
-    configs: list[SimulationConfig] = []
-    for utilization in utilizations:
-        owner = OwnerSpec(demand=owner_demand, utilization=float(utilization))
-        for workstations in workstation_counts:
-            task_demand = split_job_demand(
-                job_demand, int(workstations), TaskRounding.ROUND
-            )
-            saturation = saturation_rate(utilization, task_demand)
-            for width in widths:
-                if not 1 <= int(width) <= int(workstations):
-                    continue
-                classes = (
-                    JobClassSpec(
-                        "narrow", width=int(width), weight=0.75, priority=0
-                    ),
-                    JobClassSpec(
-                        "wide", width=int(workstations), weight=0.25, priority=1
-                    ),
-                )
-                for policy in admission_policies:
-                    for rate in arrival_rates:
-                        if not 0.0 < float(rate) < 1.0:
-                            raise ValueError(
-                                "normalized arrival rates must lie in (0, 1) "
-                                f"so the queue is stable, got {rate!r}"
-                            )
-                        arrivals = JobArrivalSpec.poisson(
-                            rate=float(rate) * saturation,
-                            demand_kind="deterministic",
-                            job_classes=classes,
-                            admission_policy=str(policy),
-                        )
-                        scenario = ScenarioSpec.homogeneous(
-                            int(workstations), owner, arrivals=arrivals
-                        )
-                        point_seed = streams.derive_seed(
-                            f"{name}/U={float(utilization):g}"
-                            f"/W={int(workstations)}/T={float(task_demand):g}"
-                            f"/w={int(width)}/adm={policy}"
-                            f"/rate={float(rate):g}"
-                        )
-                        configs.append(
-                            SimulationConfig.from_scenario(
-                                scenario,
-                                task_demand=task_demand,
-                                num_jobs=num_jobs,
-                                num_batches=num_batches,
-                                confidence=confidence,
-                                seed=point_seed,
-                            )
-                        )
-    if not configs:
-        raise ValueError(
-            f"admission grid is empty: no width in {tuple(widths)!r} fits any "
-            f"workstation count in {tuple(workstation_counts)!r}"
-        )
-    return configs
 
 
 def build_grid(
     name: str,
     *,
-    workstation_counts: Sequence[int] | None = None,
-    utilizations: Sequence[float] | None = None,
     num_jobs: int | None = None,
     owner_demand: float = 10.0,
     num_batches: int = 20,
     confidence: float = 0.90,
     seed: int = 0,
-    concentration_levels: Sequence[float] | None = None,
-    policies: Sequence[str] | None = None,
-    arrival_rates: Sequence[float] | None = None,
-    job_widths: Sequence[int] | None = None,
-    admission_policies: Sequence[str] | None = None,
+    **axes: Iterable[Any] | None,
 ) -> list[SimulationConfig]:
-    """Build the config list of a named grid (dimensions overridable).
+    """Build the config list of a named grid (any axis overridable).
 
-    ``concentration_levels`` applies only to the ``hetero-concentration``
-    family (where ``utilizations`` are the *cluster-average* utilizations),
-    ``policies`` only to ``policy-compare``, ``arrival_rates`` (normalized to
-    each point's saturation throughput, in ``(0, 1)``) to ``arrival-sweep``
-    and ``admission-sweep``, and ``job_widths`` / ``admission_policies`` only
-    to ``admission-sweep``; passing one for a grid that has no such axis
-    raises ``ValueError``.
+    ``axes`` overrides any of the grid's :data:`GRID_AXES` by key (``None``
+    keeps the default); ``utilizations`` are cluster averages on
+    ``hetero-concentration``, and ``arrival_rates`` are fractions of each
+    point's saturation throughput, in ``(0, 1)``.  The walk runs over
+    ``U``, then ``W``, then the family's own axes in order; each point's
+    seed derives from its coordinates, so reordering or subsetting a grid
+    never changes any point's samples.  An unknown key, an axis the grid
+    lacks, or more than :data:`MAX_GRID_POINTS` points raises
+    ``ValueError``.
     """
-    try:
-        kind, demand, default_jobs, _ = _GRIDS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown sweep grid {name!r}; known grids: {sorted(_GRIDS)}"
-        ) from None
-    if concentration_levels is not None and kind != "concentration":
+    kind, demand, default_jobs, _ = _grid(name)
+    family = _FAMILIES[kind]
+    values: dict[str, tuple[Any, ...]] = {
+        "workstation_counts": family.workstations,
+        "utilizations": family.utilizations,
+        **family.axes,
+    }
+    for key, given in axes.items():
+        if key not in _AXES:
+            raise ValueError(
+                f"unknown grid override {key!r}; the grid axes are {list(_AXES)}"
+            )
+        if given is None:
+            continue
+        if key not in values:
+            owners = [
+                grid for grid, entry in _GRIDS.items()
+                if key in _FAMILIES[entry[0]].axes
+            ]
+            raise ValueError(
+                f"grid {name!r} has no {_AXES[key].noun} axis "
+                f"(only {' and '.join(owners)} {'does' if len(owners) == 1 else 'do'})"
+            )
+        values[key] = _AXES[key].cast(given)
+    size = math.prod(map(len, values.values()))
+    if size > MAX_GRID_POINTS:
         raise ValueError(
-            f"grid {name!r} has no concentration axis (only hetero-concentration does)"
+            f"grid {name!r} would have {size} points; "
+            f"a grid may have at most {MAX_GRID_POINTS}"
         )
-    if policies is not None and kind != "policy":
+    settings: dict[str, Any] = {
+        "num_jobs": default_jobs if num_jobs is None else num_jobs,
+        "num_batches": num_batches,
+        "confidence": confidence,
+    }
+    labels = [_AXES[key].label for key in family.axes]
+    streams = StreamRegistry(seed)
+    configs: list[SimulationConfig] = []
+    skipped = 0
+    for utilization in values["utilizations"]:
+        owner = OwnerSpec(demand=owner_demand, utilization=utilization)
+        for workstations in values["workstation_counts"]:
+            task_demand = (
+                demand
+                if family.scaled
+                else split_job_demand(demand, workstations, TaskRounding.ROUND)
+            )
+            prefix = f"{name}/U={utilization:g}/W={workstations}/T={task_demand:g}"
+            for coords in itertools.product(*(values[key] for key in family.axes)):
+                point = family.point(owner, workstations, task_demand, *coords)
+                if point is None:
+                    skipped += 1
+                    continue
+                label = prefix + "".join(map(_coordinate, labels, coords))
+                point_seed = streams.derive_seed(label)
+                configs.append(
+                    SimulationConfig.from_scenario(
+                        point, task_demand, seed=point_seed, **settings
+                    )
+                    if isinstance(point, ScenarioSpec)
+                    else SimulationConfig(
+                        workstations, task_demand, point, seed=point_seed, **settings
+                    )
+                )
+    if skipped and not configs:
         raise ValueError(
-            f"grid {name!r} has no policy axis (only policy-compare does)"
+            f"grid {name!r} is empty: all {skipped} of its points were skipped "
+            "(a job width must fit the workstation count)"
         )
-    if arrival_rates is not None and kind not in ("arrival", "admission"):
-        raise ValueError(
-            f"grid {name!r} has no arrival-rate axis "
-            "(only arrival-sweep and admission-sweep do)"
-        )
-    if job_widths is not None and kind != "admission":
-        raise ValueError(
-            f"grid {name!r} has no job-width axis (only admission-sweep does)"
-        )
-    if admission_policies is not None and kind != "admission":
-        raise ValueError(
-            f"grid {name!r} has no admission-policy axis (only admission-sweep does)"
-        )
-    if utilizations is None:
-        utilizations = _PAPER_UTILIZATIONS if kind != "concentration" else (0.10,)
-    utils = tuple(float(u) for u in utilizations)
-    jobs = num_jobs if num_jobs is not None else default_jobs
-    common = dict(
-        owner_demand=owner_demand,
-        num_jobs=jobs,
-        num_batches=num_batches,
-        confidence=confidence,
-        seed=seed,
-    )
-    if kind == "concentration":
-        counts = tuple(
-            int(w)
-            for w in (
-                workstation_counts
-                if workstation_counts is not None
-                else _SCENARIO_WORKSTATIONS
-            )
-        )
-        levels = tuple(
-            float(c)
-            for c in (
-                concentration_levels
-                if concentration_levels is not None
-                else _DEFAULT_CONCENTRATIONS
-            )
-        )
-        return _concentration_grid(name, demand, counts, utils, levels, **common)
-    if kind == "policy":
-        counts = tuple(
-            int(w)
-            for w in (
-                workstation_counts
-                if workstation_counts is not None
-                else _SCENARIO_WORKSTATIONS
-            )
-        )
-        chosen = tuple(
-            str(p) for p in (policies if policies is not None else POLICY_NAMES)
-        )
-        return _policy_grid(name, demand, counts, utils, chosen, **common)
-    if kind == "arrival":
-        counts = tuple(
-            int(w)
-            for w in (
-                workstation_counts
-                if workstation_counts is not None
-                else _ARRIVAL_WORKSTATIONS
-            )
-        )
-        rates = tuple(
-            float(r)
-            for r in (
-                arrival_rates if arrival_rates is not None else _DEFAULT_ARRIVAL_RATES
-            )
-        )
-        return _arrival_grid(name, demand, counts, utils, rates, **common)
-    if kind == "admission":
-        counts = tuple(
-            int(w)
-            for w in (
-                workstation_counts
-                if workstation_counts is not None
-                else _ADMISSION_WORKSTATIONS
-            )
-        )
-        widths = tuple(
-            int(w)
-            for w in (job_widths if job_widths is not None else _DEFAULT_JOB_WIDTHS)
-        )
-        chosen = tuple(
-            str(p)
-            for p in (
-                admission_policies
-                if admission_policies is not None
-                else _DEFAULT_ADMISSION_POLICIES
-            )
-        )
-        rates = tuple(
-            float(r)
-            for r in (
-                arrival_rates
-                if arrival_rates is not None
-                else _DEFAULT_ADMISSION_RATES
-            )
-        )
-        return _admission_grid(
-            name, demand, counts, utils, widths, chosen, rates, **common
-        )
-    counts = tuple(
-        int(w)
-        for w in (
-            workstation_counts
-            if workstation_counts is not None
-            else _DEFAULT_WORKSTATIONS
-        )
-    )
-    if kind == "fixed":
-        task_demands = [
-            split_job_demand(demand, w, TaskRounding.ROUND) for w in counts
-        ]
-    else:
-        task_demands = [demand] * len(counts)
-    return grid_from_product(name, task_demands, counts, utils, **common)
+    return configs

@@ -121,9 +121,9 @@ def open_system_experiment(
     """
     configs = build_grid(
         "arrival-sweep",
-        workstation_counts=tuple(workstation_counts),
-        utilizations=tuple(utilizations),
-        arrival_rates=tuple(arrival_rates),
+        workstation_counts=workstation_counts,
+        utilizations=utilizations,
+        arrival_rates=arrival_rates,
         num_jobs=num_jobs,
         num_batches=num_batches,
         seed=seed,
@@ -157,13 +157,11 @@ def admission_experiment(
     """
     configs = build_grid(
         "admission-sweep",
-        workstation_counts=tuple(workstation_counts),
-        utilizations=tuple(utilizations),
-        job_widths=tuple(job_widths),
-        admission_policies=(
-            None if admission_policies is None else tuple(admission_policies)
-        ),
-        arrival_rates=tuple(arrival_rates),
+        workstation_counts=workstation_counts,
+        utilizations=utilizations,
+        job_widths=job_widths,
+        admission_policies=admission_policies,
+        arrival_rates=arrival_rates,
         num_jobs=num_jobs,
         num_batches=num_batches,
         seed=seed,
@@ -214,13 +212,11 @@ def admission_width_curves(
 
     configs = build_grid(
         "admission-sweep",
-        workstation_counts=(int(workstations),),
-        utilizations=(float(utilization),),
-        job_widths=tuple(int(width) for width in job_widths),
-        admission_policies=(
-            None if admission_policies is None else tuple(admission_policies)
-        ),
-        arrival_rates=(float(arrival_rate),),
+        workstation_counts=(workstations,),
+        utilizations=(utilization,),
+        job_widths=job_widths,
+        admission_policies=admission_policies,
+        arrival_rates=(arrival_rate,),
         num_jobs=num_jobs,
         num_batches=num_batches,
         seed=seed,

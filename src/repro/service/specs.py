@@ -39,22 +39,6 @@ __all__ = ["EXECUTORS", "SweepJobSpec", "spec_digest"]
 EXECUTORS: tuple[str, ...] = ("sweep", "vectorized")
 
 
-#: Grid-override keys forwarded to :func:`~repro.engine.grids.build_grid`
-#: whose JSON lists must become tuples (`build_grid` accepts sequences, but
-#: tuples keep the resolved overrides hashable and repr-stable).
-_SEQUENCE_OVERRIDES = frozenset(
-    {
-        "workstation_counts",
-        "utilizations",
-        "concentration_levels",
-        "policies",
-        "arrival_rates",
-        "job_widths",
-        "admission_policies",
-    }
-)
-
-
 @dataclass(frozen=True)
 class SweepJobSpec:
     """One submission: what to simulate and how to execute it.
@@ -155,11 +139,7 @@ class SweepJobSpec:
         """
         if self.kind == "grid":
             assert self.grid is not None
-            overrides = {
-                key: tuple(value) if key in _SEQUENCE_OVERRIDES else value
-                for key, value in self.overrides.items()
-            }
-            return build_grid(self.grid, **overrides), grid_mode(self.grid)
+            return build_grid(self.grid, **self.overrides), grid_mode(self.grid)
         assert self.mode is not None
         return list(self.points), self.mode
 

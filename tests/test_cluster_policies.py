@@ -146,6 +146,5 @@ class TestDiscreteBackendsRejectPolicies:
 
     def test_unknown_policy_fails_in_event_driven(self, paper_owner):
         scenario = ScenarioSpec.homogeneous(2, paper_owner, policy="mystery")
-        config = _policy_config(scenario, num_jobs=4)
         with pytest.raises(ValueError, match="unknown scheduling policy"):
-            run_simulation(config, "event-driven")
+            run_simulation(_policy_config(scenario, num_jobs=4), "event-driven")

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import errno
 import gc
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -13,22 +15,24 @@ import numpy as np
 import pytest
 
 from repro.backends import get_backend
-from repro.cli import main
+from repro.cli import _grid_overrides, build_parser, main
 from repro.cluster import MonteCarloSampler, SimulationConfig, run_simulation
 from repro.core import OwnerSpec
 from repro.desim import StreamRegistry
 from repro.engine import (
+    GRID_AXES,
     GRID_NAMES,
+    MAX_GRID_POINTS,
     ResultCache,
     SweepRunner,
     build_grid,
     config_fingerprint,
-    grid_from_product,
     grid_mode,
     parallel_map,
     resolve_jobs,
 )
 from repro.engine.cache import result_arrays
+from repro.engine.codec import config_to_json
 from repro.experiments import run_simulation_validation
 from repro.obs import REGISTRY
 from repro.service import JobRecord, SweepJobSpec
@@ -601,13 +605,84 @@ class TestGrids:
         b = build_grid("fig01", workstation_counts=(5,), utilizations=(0.1,), seed=1)
         assert a[0].seed != b[0].seed
 
-    def test_product_requires_paired_axes(self):
-        with pytest.raises(ValueError):
-            grid_from_product("x", [10.0], [5, 10], [0.1])
-
     def test_explicit_empty_axes_give_empty_grid(self):
         assert build_grid("fig01", workstation_counts=()) == []
         assert build_grid("fig01", utilizations=()) == []
+
+    def test_configs_are_pinned(self):
+        # one sha256 over every config of these builds, in order: it pins
+        # every seed, the walk order, every field and the scenario=None
+        # form of the paper grids
+        digest = hashlib.sha256()
+        count = 0
+        for name, overrides in PINNED_GRIDS:
+            for config in build_grid(name, **overrides):
+                blob = json.dumps(
+                    config_to_json(config), sort_keys=True, separators=(",", ":")
+                )
+                digest.update(blob.encode())
+                count += 1
+        assert count == 513
+        assert digest.hexdigest() == PINNED_GRIDS_SHA256
+
+    def test_none_keeps_the_default_axis(self):
+        assert build_grid("fig01", policies=None) == build_grid("fig01")
+        assert build_grid(
+            "admission-sweep", admission_policies=None
+        ) == build_grid("admission-sweep")
+
+    def test_unknown_override_is_refused(self):
+        with pytest.raises(ValueError, match="unknown grid override 'widths'"):
+            build_grid("admission-sweep", widths=(2,))
+
+    def test_grid_over_the_point_cap_is_refused(self):
+        # 400 x 300 = 120 000 points: refused before any config is built
+        with pytest.raises(ValueError, match=f"at most {MAX_GRID_POINTS}"):
+            build_grid(
+                "fig01",
+                workstation_counts=range(1, 401),
+                utilizations=[i / 1000 for i in range(1, 301)],
+            )
+
+
+#: Builds whose configs ``TestGrids.test_configs_are_pinned`` hashes: every
+#: registered grid at its defaults, then each axis and scalar overridden.
+PINNED_GRIDS: list[tuple[str, dict]] = [(name, {}) for name in GRID_NAMES] + [
+    (
+        "fig01",
+        {
+            "workstation_counts": (3, 7),
+            "utilizations": (0.1, 0.2),
+            "seed": 5,
+            "num_jobs": 100,
+        },
+    ),
+    ("fig01", {"owner_demand": 5.0, "num_batches": 10, "confidence": 0.95}),
+    ("fig09", {"workstation_counts": (10, 50)}),
+    (
+        "hetero-concentration",
+        {
+            "workstation_counts": (8, 16),
+            "utilizations": (0.05, 0.1),
+            "concentration_levels": (0.0, 0.25, 1.0),
+        },
+    ),
+    (
+        "policy-compare",
+        {"policies": ("static", "self-scheduling"), "workstation_counts": (8,)},
+    ),
+    ("arrival-sweep", {"arrival_rates": (0.1, 0.9), "workstation_counts": (2, 4)}),
+    (
+        "admission-sweep",
+        {
+            "workstation_counts": (4, 8),
+            "job_widths": (2, 6),
+            "admission_policies": ("fcfs", "priority"),
+            "arrival_rates": (0.3, 0.6),
+        },
+    ),
+]
+PINNED_GRIDS_SHA256 = "1abcc7fc5148f975bbaf7a7a6d4c8e141782cd9dd4c181fec1af725f04796cd3"
 
 
 class TestDeriveSeed:
@@ -678,6 +753,37 @@ class TestSweepCli:
         args = ["sweep", "fig01", "--no-cache", "--workstations", "5,x"]
         assert main(args) == 2
         assert "invalid literal" in capsys.readouterr().err
+
+    #: axis key -> (a grid with the axis, flag value, the parsed tuple)
+    AXIS_FLAGS = {
+        "workstation_counts": ("fig01", "2,4", (2, 4)),
+        "utilizations": ("fig01", "0.05,0.1", (0.05, 0.1)),
+        "concentration_levels": ("hetero-concentration", "0,0.5", (0.0, 0.5)),
+        "policies": (
+            "policy-compare", "static,self-scheduling", ("static", "self-scheduling")
+        ),
+        "arrival_rates": ("arrival-sweep", "0.25,0.5", (0.25, 0.5)),
+        "job_widths": ("admission-sweep", "2,4", (2, 4)),
+        "admission_policies": ("admission-sweep", "fcfs,priority", ("fcfs", "priority")),
+    }
+
+    @pytest.mark.parametrize("axis", GRID_AXES, ids=lambda axis: axis.key)
+    def test_override_flag_round_trip(self, axis):
+        grid, text, expected = self.AXIS_FLAGS[axis.key]
+        args = build_parser().parse_args(["sweep", grid, axis.flag, text])
+        overrides = _grid_overrides(args)
+        assert overrides[axis.key] == expected
+        assert all(type(value) is axis.type for value in overrides[axis.key])
+        assert build_grid(grid, **overrides)
+
+    def test_grid_over_the_point_cap_exits_2(self, capsys):
+        args = [
+            "sweep", "fig01", "--no-cache",
+            "--workstations", ",".join(str(w) for w in range(1, 401)),
+            "--utilizations", ",".join(str(i / 1000) for i in range(1, 301)),
+        ]
+        assert main(args) == 2
+        assert f"at most {MAX_GRID_POINTS}" in capsys.readouterr().err
 
     def test_vectorized_path(self, capsys):
         assert main(self.ARGS + ["--vectorized", "--no-cache"]) == 0

@@ -348,6 +348,35 @@ class TestHTTPEndToEnd:
                 "points": [dict(_POINT, owner_demand_kind="gamma")],
                 "mode": "monte-carlo",
             },
+            {
+                "points": [_open_point_with("scenario", policy="bogus")],
+                "mode": "open-system",
+            },
+            {
+                "points": [
+                    _open_point_with(
+                        "scenario", "arrivals", admission_policy="lottery"
+                    )
+                ],
+                "mode": "open-system",
+            },
+            {
+                "points": [
+                    _open_point_with(
+                        "scenario",
+                        policy="self-scheduling",
+                        policy_kwargs=[["bogus_kw", 1.0]],
+                    )
+                ],
+                "mode": "open-system",
+            },
+            {
+                "grid": "fig01",
+                "overrides": {
+                    "workstation_counts": list(range(1, 401)),
+                    "utilizations": [i / 1000 for i in range(1, 301)],
+                },
+            },
         ],
         ids=[
             "point-key-typo",
@@ -360,14 +389,18 @@ class TestHTTPEndToEnd:
             "unknown-station-kind",
             "unknown-arrival-demand-kind",
             "unknown-owner-demand-kind",
+            "unknown-scheduling-policy",
+            "unknown-admission-policy",
+            "unknown-policy-keyword",
+            "grid-over-point-cap",
         ],
     )
     def test_malformed_submission_is_refused(self, live, payload):
         # None may be reinterpreted: an ignored typo runs the defaults, a
         # truncated int runs another point, and a U/P pair that disagrees
         # under Eq. 8 is simulated at one value and reported at the other.
-        # Nor may a distribution every backend refuses become a job that
-        # fails once it runs.
+        # Nor may a distribution or policy every backend refuses become a
+        # job that fails once it runs, nor a 120 000-point grid be queued.
         service, client = live
         with pytest.raises(ServiceError) as refused:
             client._request_json("/jobs", payload)

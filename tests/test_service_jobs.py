@@ -179,6 +179,29 @@ class TestJobStore:
         store.save(record)
         assert store.load(record.job_id) == record
 
+    @pytest.mark.parametrize(
+        "scenario_update",
+        [
+            {"policy": "bogus"},
+            {"policy": "self-scheduling", "policy_kwargs": [["bogus_kw", 1.0]]},
+        ],
+        ids=["unknown-policy", "unknown-policy-keyword"],
+    )
+    def test_record_whose_points_no_longer_decode_is_quarantined(
+        self, tmp_path, scenario_update
+    ):
+        # a record stored before configs built their policy when constructed
+        store = JobStore(tmp_path)
+        point = build_grid("policy-compare", num_jobs=40)[0]
+        record = store.create(SweepJobSpec.for_points([point], "event-driven"))
+        path = tmp_path / f"{record.job_id}.json"
+        payload = json.loads(path.read_text())
+        payload["spec"]["points"][0]["scenario"].update(scenario_update)
+        path.write_text(json.dumps(payload))
+        assert store.load(record.job_id) is None
+        assert path.with_name(path.name + ".corrupt").exists()
+        assert list(store) == []
+
     def test_unknown_status_rejected(self):
         payload = JobRecord(
             job_id="job-000001-00000000", spec=SweepJobSpec.for_grid("fig01")
