@@ -128,6 +128,8 @@ class SimulationConfig:
             raise ValueError(f"num_jobs must be >= 1, got {self.num_jobs!r}")
         if self.num_batches < 2:
             raise ValueError(f"num_batches must be >= 2, got {self.num_batches!r}")
+        if not 0.0 < self.confidence < 1.0:
+            raise ValueError(f"confidence must be in (0, 1), got {self.confidence!r}")
         if self.num_jobs < self.num_batches and not (
             self.scenario is not None and self.scenario.is_open
         ):

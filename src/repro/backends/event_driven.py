@@ -16,7 +16,7 @@ from ..cluster.job import JobResult, balanced_tasks, imbalanced_tasks
 from ..cluster.owner import OwnerBehavior
 from ..cluster.policies import make_policy
 from ..cluster.workstation import Workstation
-from ..core.params import ScenarioSpec, StationSpec
+from ..core.params import ScenarioSpec
 from ..desim import Environment
 from ..obs import get_sim_tap
 from .base import (
@@ -47,16 +47,6 @@ def _split_demands(
     )
 
 
-def _station_behavior(spec: StationSpec) -> OwnerBehavior:
-    """Owner behaviour of one station: fitted distributions, or a trace replay."""
-    if spec.demand_kind == "trace":
-        assert spec.trace is not None  # StationSpec validation guarantees it
-        return OwnerBehavior.from_trace(spec.trace)
-    return OwnerBehavior.from_spec(
-        spec.owner, spec.demand_kind, **dict(spec.demand_kwargs)
-    )
-
-
 @register_backend
 class EventDrivenClusterSimulator(SimulationBackend):
     """Full process-oriented simulation with explicit workstations and owners."""
@@ -69,7 +59,7 @@ class EventDrivenClusterSimulator(SimulationBackend):
         tap = get_sim_tap()
         stations = []
         for w, spec in enumerate(self.config.effective_scenario.stations):
-            behavior = _station_behavior(spec)
+            behavior = OwnerBehavior.from_station(spec)
             station = Workstation(
                 env, w, behavior, self._streams.stream(f"owner-{w}")
             )

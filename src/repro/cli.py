@@ -69,6 +69,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 from typing import Sequence
 
 from .backends import backend_names
@@ -108,8 +109,9 @@ def _add_grid_override_args(parser: argparse.ArgumentParser) -> None:
 def _grid_overrides(args: argparse.Namespace) -> dict:
     """Decode the shared override flags into ``build_grid`` kwargs.
 
-    Raises ``ValueError`` on an unparsable axis value; unknown-grid /
-    unsupported-override errors surface later from ``build_grid`` itself.
+    Each axis value is parsed with its axis type, so ``--workstations 2.9``
+    raises ``ValueError``; unknown-grid / unsupported-override errors
+    surface later from ``build_grid`` itself.
     """
     overrides: dict = {"seed": args.seed}
     if args.num_jobs is not None:
@@ -117,7 +119,7 @@ def _grid_overrides(args: argparse.Namespace) -> dict:
     for axis in GRID_AXES:
         text = getattr(args, axis.key)
         if text:
-            overrides[axis.key] = axis.cast(text.split(","))
+            overrides[axis.key] = tuple(map(axis.type, text.split(",")))
     return overrides
 
 
@@ -205,8 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument(
         "--trace", default=None, metavar="OUT.json",
         help=(
-            "record structured spans (one per shard and per point) and "
-            "write a Chrome/Perfetto trace-event JSON timeline; the raw "
+            "record structured spans (one per sweep and per simulated point) "
+            "and write a Chrome/Perfetto trace-event JSON timeline; the raw "
             "span log lands next to it as OUT.json.jsonl.  Spans are pure "
             "observers — results stay bitwise-identical to an untraced run"
         ),
@@ -265,11 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument(
         "--jobs", type=int, default=None,
         help="worker processes per shard (default: one per CPU)",
-    )
-    serve_parser.add_argument(
-        "--shard-size", type=int, default=16,
-        help="grid points per shard — the progress-streaming granularity "
-             "(default 16)",
     )
     serve_parser.add_argument(
         "--quiet", action="store_true", help="suppress per-request log lines"
@@ -411,13 +408,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "sweep":
         try:
             configs = build_grid(args.grid, **_grid_overrides(args))
-            if args.trace and args.profile is not None:
-                raise ValueError(
-                    "--trace cannot be combined with --profile: the traced "
-                    "path runs shard by shard (per-shard spans) and the "
-                    "shard scheduler does not thread profiling through; "
-                    "trace or profile, one at a time"
-                )
             mode = args.mode or grid_mode(args.grid)
             runner = SweepRunner(
                 jobs=args.jobs,
@@ -427,44 +417,19 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(exc.args[0], file=sys.stderr)
             return 2
         if args.trace:
-            import os as _os
-
             from .obs import configure_tracing, disable_tracing, export_chrome_trace
-            from .service.scheduler import ShardScheduler
 
-            jsonl_path = f"{args.trace}.jsonl"
-            try:
-                _os.unlink(jsonl_path)  # fresh span log per run
-            except FileNotFoundError:
-                pass
+            jsonl_path = Path(f"{args.trace}.jsonl")
+            jsonl_path.unlink(missing_ok=True)  # fresh span log per run
             configure_tracing(jsonl_path)
-            try:
-                # Shard the traced grid (one span per shard, one per point).
-                # Sharding is bitwise-free: every point's seed lives in its
-                # config, so the results equal an unsharded, untraced run.
-                results, _, progress = ShardScheduler(runner).execute(
-                    configs,
-                    mode,
-                    executor="vectorized" if args.vectorized else "sweep",
-                )
-            finally:
-                disable_tracing()
-            for result in results:
-                print(result.summary())
-            print(
-                f"sweep {args.grid}: {len(results)} points "
-                f"({progress.simulated} simulated, {progress.cache_hits} "
-                f"cached) across {progress.shards_total} shards"
-            )
-            if runner.cache is not None:
-                print(f"cache: {len(runner.cache)} entries in {runner.cache.root}")
-            count = export_chrome_trace(jsonl_path, args.trace)
-            print(f"trace: {count} events -> {args.trace} (raw spans: {jsonl_path})")
-            return 0
         profiling = args.profile is not None
-        outcome = runner.run(
-            configs, mode=mode, profile=profiling, vectorized=args.vectorized
-        )
+        try:
+            outcome = runner.run(
+                configs, mode=mode, profile=profiling, vectorized=args.vectorized
+            )
+        finally:
+            if args.trace:
+                disable_tracing()
         for result in outcome:
             print(result.summary())
         print(f"sweep {args.grid}: {outcome.summary()}")
@@ -472,6 +437,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(f"cache: {len(runner.cache)} entries in {runner.cache.root}")
         if profiling:
             sys.stdout.write(outcome.profile_report(top=args.profile))
+        if args.trace:
+            count = export_chrome_trace(jsonl_path, args.trace)
+            print(f"trace: {count} events -> {args.trace} (raw spans: {jsonl_path})")
         return 0
 
     if args.command == "lint":
@@ -525,9 +493,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         from .service import SweepService, serve_forever
 
         try:
-            service = SweepService(
-                args.root, jobs=args.jobs, shard_size=args.shard_size
-            )
+            service = SweepService(args.root, jobs=args.jobs)
         except (OSError, ValueError) as exc:
             print(str(exc), file=sys.stderr)
             return 2

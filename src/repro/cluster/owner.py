@@ -15,7 +15,7 @@ from typing import Callable, Generator, Optional
 
 import numpy as np
 
-from ..core.params import OwnerSpec
+from ..core.params import OwnerSpec, StationSpec
 from ..desim import (
     DeterministicVariate,
     Environment,
@@ -93,6 +93,15 @@ class OwnerBehavior:
             think = GeometricVariate(spec.request_probability)
         demand = make_variate(demand_kind, spec.demand, **demand_kwargs)
         return cls(think_time=think, demand=demand)
+
+    @classmethod
+    def from_station(cls, spec: StationSpec) -> "OwnerBehavior":
+        """Owner behaviour of one station: its fitted distributions, or the
+        replay of its recorded trace (``demand_kind="trace"``)."""
+        if spec.demand_kind == "trace":
+            assert spec.trace is not None  # StationSpec validation guarantees it
+            return cls.from_trace(spec.trace)
+        return cls.from_spec(spec.owner, spec.demand_kind, **dict(spec.demand_kwargs))
 
     @classmethod
     def from_trace(cls, trace) -> "OwnerBehavior":

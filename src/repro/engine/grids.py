@@ -46,6 +46,7 @@ from ..core.params import (
     split_job_demand,
 )
 from ..desim import StreamRegistry
+from .codec import _integer, _number, _string
 
 __all__ = [
     "GRID_AXES",
@@ -79,9 +80,9 @@ class GridAxis:
 
     ``key`` is the :func:`build_grid` keyword and the JSON override key of a
     service submission; ``flag`` is the CLI flag taking a comma-separated
-    list; every value is cast to ``type``; ``label`` keys the axis in a
-    point's seed label, and ``noun`` names it in the error for a grid that
-    lacks it.
+    list; every value must be of ``type`` (``int``, ``float`` or ``str``);
+    ``label`` keys the axis in a point's seed label, and ``noun`` names it
+    in the error for a grid that lacks it.
     """
 
     key: str
@@ -92,8 +93,17 @@ class GridAxis:
     help: str
 
     def cast(self, values: Iterable[Any]) -> tuple[Any, ...]:
-        """``values`` as a tuple of the axis type."""
-        return tuple(self.type(value) for value in values)
+        """``values`` as a tuple of the axis type; ``ValueError`` on a value
+        the config codec would refuse for a field of that type."""
+        check = _SCALAR_CHECKS[self.type]
+        return tuple(self.type(check(value, self.key)) for value in values)
+
+
+_SCALAR_CHECKS: dict[Callable[[Any], Any], Callable[[Any, str], Any]] = {
+    int: _integer,
+    float: _number,
+    str: _string,
+}
 
 
 GRID_AXES: tuple[GridAxis, ...] = (
@@ -320,10 +330,17 @@ def build_grid(
     ``U``, then ``W``, then the family's own axes in order; each point's
     seed derives from its coordinates, so reordering or subsetting a grid
     never changes any point's samples.  An unknown key, an axis the grid
-    lacks, or more than :data:`MAX_GRID_POINTS` points raises
-    ``ValueError``.
+    lacks, a value of the wrong type (``num_jobs=100.9``, ``seed=True``,
+    ``workstation_counts=[2.9]``), or more than :data:`MAX_GRID_POINTS`
+    points raises ``ValueError``.
     """
     kind, demand, default_jobs, _ = _grid(name)
+    seed = _integer(seed, "seed")
+    num_batches = _integer(num_batches, "num_batches")
+    if num_jobs is not None:
+        num_jobs = _integer(num_jobs, "num_jobs")
+    _number(owner_demand, "owner_demand")
+    _number(confidence, "confidence")
     family = _FAMILIES[kind]
     values: dict[str, tuple[Any, ...]] = {
         "workstation_counts": family.workstations,

@@ -77,7 +77,7 @@ from ..cluster.policies import (
     StaticPartition,
     make_policy,
 )
-from ..core.params import ScenarioSpec, StationSpec
+from ..core.params import ScenarioSpec
 from ..desim.rng import StreamRegistry, make_variate
 from .agenda import NORMAL, URGENT, EventAgenda
 
@@ -288,16 +288,6 @@ class _SSource:
         self.class_index = class_index
 
 
-def _station_behavior(spec: StationSpec) -> OwnerBehavior:
-    """Owner behaviour of one station (mirrors the event-driven backend)."""
-    if spec.demand_kind == "trace":
-        assert spec.trace is not None  # StationSpec validation guarantees it
-        return OwnerBehavior.from_trace(spec.trace)
-    return OwnerBehavior.from_spec(
-        spec.owner, spec.demand_kind, **dict(spec.demand_kwargs)
-    )
-
-
 def _policy_role(policy: SchedulingPolicy) -> tuple[int, int]:
     """Map a policy instance to its kernel transition table (+ chunk count)."""
     if isinstance(policy, StaticPartition):
@@ -401,7 +391,7 @@ class EventKernel:
 
         # Owner processes start in station order (oracle: _build_cluster loop).
         for w, spec in enumerate(scenario.stations):
-            behavior = _station_behavior(spec)
+            behavior = OwnerBehavior.from_station(spec)
             rng = streams.stream(f"owner-{w}")
             util[w] = behavior.utilization
             if behavior.is_idle:
@@ -975,7 +965,7 @@ class EventKernel:
         cpu_queue: list[deque] = [deque() for _ in range(workstations)]
 
         for w, sspec in enumerate(scenario.stations):
-            behavior = _station_behavior(sspec)
+            behavior = OwnerBehavior.from_station(sspec)
             rng = streams.stream(f"owner-{w}")
             util[w] = behavior.utilization
             if behavior.is_idle:

@@ -1,7 +1,7 @@
 """Zero-dependency metrics primitives: counters, gauges, histograms.
 
 The registry is the *write* side of the telemetry spine: instrumented code
-(the result cache, the sweep runner, the shard scheduler, the service worker)
+(the result cache, the sweep runner, the service worker and its shard loop)
 increments process-global metrics here, and the *read* side — the service's
 ``GET /metrics`` route and the ``repro-experiments metrics`` CLI — renders a
 snapshot as Prometheus exposition text (:mod:`repro.obs.prometheus`).

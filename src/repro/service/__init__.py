@@ -1,4 +1,4 @@
-"""Sweep service: durable job queue, shard scheduler, shared warm cache.
+"""Sweep service: durable job queue, run shard by shard, shared warm cache.
 
 The long-running counterpart to :class:`repro.engine.SweepRunner`: accept
 grid submissions over JSON, persist them as durable job records, execute
@@ -7,9 +7,9 @@ result cache, and stream per-job progress over a stdlib HTTP API.  Results
 are bitwise-identical to a library ``SweepRunner.run`` of the same grid —
 seeds derive from grid coordinates, never from service state.
 
-Layering: ``specs`` (JSON codec) → ``jobs`` (durable records) →
-``scheduler`` (sharded execution) / ``results`` (NPZ payloads) →
-``service`` (the queue worker) → ``http`` / ``client`` (the wire).
+Layering: ``specs`` (JSON codec) → ``jobs`` (durable records) /
+``results`` (NPZ payloads) → ``service`` (the queue worker, which runs each
+job's shards through the runner) → ``http`` / ``client`` (the wire).
 """
 
 from .client import ServiceClient, ServiceError
@@ -21,7 +21,6 @@ from .results import (
     save_result_npz,
     split_point_arrays,
 )
-from .scheduler import DEFAULT_SHARD_SIZE, ShardProgress, ShardScheduler
 from .service import SweepService
 from ..engine.codec import config_from_json, config_to_json
 from .specs import EXECUTORS, SweepJobSpec, spec_digest
@@ -29,13 +28,10 @@ from .specs import EXECUTORS, SweepJobSpec, spec_digest
 __all__ = [
     "EXECUTORS",
     "JOB_STATUSES",
-    "DEFAULT_SHARD_SIZE",
     "JobRecord",
     "JobStore",
     "ServiceClient",
     "ServiceError",
-    "ShardProgress",
-    "ShardScheduler",
     "SweepJobSpec",
     "SweepService",
     "config_from_json",

@@ -237,10 +237,11 @@ class JobStore:
     def recover(self) -> list[JobRecord]:
         """Re-queue jobs a dead process left ``running``.
 
-        Called once at service start.  The shard scheduler reruns the whole
-        job; shards finished before the crash were persisted to the shared
+        Called once at service start.  The service reruns the whole job;
+        shards finished before the crash were persisted to the shared
         result cache, so the rerun replays them as cache hits rather than
-        resimulating.
+        resimulating.  The counters restart at zero because the rerun adds
+        every shard's counts to them again.
         """
         recovered = []
         for record in self:

@@ -1,4 +1,4 @@
-"""The sweep service: durable queue + shard scheduler + shared warm cache.
+"""The sweep service: durable queue + shard loop + shared warm cache.
 
 :class:`SweepService` owns one root directory::
 
@@ -8,10 +8,11 @@
 
 Submissions are validated synchronously (the grid is resolved before a job
 id is minted), persisted as ``queued`` records, and executed by a single
-background worker thread that drains the queue in submission order — each
-job fanning its shards across the runner's *process* pool, so one worker
-thread is not a throughput bottleneck while keeping job execution strictly
-serialized (no two jobs race on the cache or the process pool).
+background worker thread that drains the queue in submission order, so no
+two jobs race on the cache or the process pool.  Each job runs in
+:data:`SHARD_SIZE`-point shards, one :meth:`SweepRunner.run` across the
+runner's *process* pool per shard; the record is saved after every shard,
+so progress streams to pollers and a crash loses at most one shard.
 
 Determinism contract: every point's seed lives in its config (derived from
 grid coordinates at submission time), never in service state — so a job's
@@ -23,6 +24,7 @@ cache: zero simulated points, every point a hit.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 import traceback
@@ -33,11 +35,25 @@ from ..engine import ResultCache, SweepRunner
 from ..obs import REGISTRY, trace_span
 from .jobs import JobRecord, JobStore
 from .results import save_result_npz
-from .scheduler import DEFAULT_SHARD_SIZE, ShardProgress, ShardScheduler
 from .specs import SweepJobSpec
 
-__all__ = ["SweepService"]
+__all__ = ["SHARD_SIZE", "SweepService"]
 
+#: Points per shard: small enough that progress streams and a crash costs
+#: little rework, large enough that the vectorized executor still sees
+#: whole sampler groups to batch in typical figure grids.
+SHARD_SIZE = 16
+
+_SHARD_SECONDS = REGISTRY.histogram(
+    "repro_shard_seconds",
+    "Wall-clock seconds per completed shard, by executor entry point",
+    ("executor",),
+)
+_ETA_SECONDS = REGISTRY.gauge(
+    "repro_job_eta_seconds",
+    "Estimated seconds until the currently running job completes "
+    "(mean completed-shard latency times shards remaining; 0 when idle)",
+)
 _JOBS_SUBMITTED = REGISTRY.counter(
     "repro_service_jobs_submitted_total", "Jobs accepted by this process"
 )
@@ -69,16 +85,9 @@ class SweepService:
         root resumes pending work.
     jobs:
         Worker processes per shard (the :class:`SweepRunner` pool size).
-    shard_size:
-        Grid points per shard — the granularity of streamed progress.
     """
 
-    def __init__(
-        self,
-        root: str | Path,
-        jobs: int | None = 1,
-        shard_size: int = DEFAULT_SHARD_SIZE,
-    ) -> None:
+    def __init__(self, root: str | Path, jobs: int | None = 1) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.store = JobStore(self.root / "jobs")
@@ -86,7 +95,6 @@ class SweepService:
         self.results_dir = self.root / "results"
         self.results_dir.mkdir(parents=True, exist_ok=True)
         self.runner = SweepRunner(jobs=jobs, cache=self.cache)
-        self.scheduler = ShardScheduler(self.runner, shard_size=shard_size)
         self._lock = threading.Lock()
         self._wake = threading.Event()
         self._stop = threading.Event()
@@ -109,7 +117,7 @@ class SweepService:
             record = self.store.create(spec)
             record.mode = mode
             record.total_points = len(configs)
-            record.shards_total = len(self.scheduler.shards(configs))
+            record.shards_total = math.ceil(len(configs) / SHARD_SIZE)
             self.store.save(record)
             # under the lock: the worker takes jobs under it too, so its own
             # count at a job's start always lands after this one
@@ -144,45 +152,63 @@ class SweepService:
     # -- execution ----------------------------------------------------------
 
     def _execute(self, record: JobRecord) -> None:
+        """Run one job shard by shard, adding each shard's counts to its record."""
         record.status = "running"
         record.started_at = time.time()
         self.store.save(record)
         _QUEUE_DEPTH.set(len(self.store.pending()))
-
-        def persist(progress: ShardProgress) -> None:
-            record.points_completed = progress.points_completed
-            record.shards_completed = progress.shards_completed
-            record.simulated = progress.simulated
-            record.cache_hits = progress.cache_hits
-            record.vectorized_groups = progress.vectorized_groups
-            record.eta_seconds = progress.eta_seconds
-            self.store.save(record)
-
+        executor = record.spec.executor
         started = time.perf_counter()
         try:
             with trace_span(
                 "job",
                 cat="service",
                 job_id=record.job_id,
-                executor=record.spec.executor,
+                executor=executor,
                 points=record.total_points,
             ):
                 configs, mode = record.spec.resolve()
-                results, entries, progress = self.scheduler.execute(
-                    configs,
-                    mode,
-                    executor=record.spec.executor,
-                    on_shard=persist,
-                )
+                starts = range(0, len(configs), SHARD_SIZE)
+                results: list = []
+                entries: list[bytes | None] = []
+                shard_seconds = 0.0
+                for number, start in enumerate(starts, start=1):
+                    shard = configs[start : start + SHARD_SIZE]
+                    shard_started = time.perf_counter()
+                    with trace_span(
+                        "shard",
+                        executor=executor,
+                        shard=number,
+                        shards_total=len(starts),
+                        points=len(shard),
+                    ):
+                        outcome = self.runner.run(
+                            shard, mode, vectorized=executor == "vectorized"
+                        )
+                    seconds = time.perf_counter() - shard_started
+                    _SHARD_SECONDS.labels(executor=executor).observe(seconds)
+                    shard_seconds += seconds
+                    record.shards_completed += 1
+                    record.points_completed += len(shard)
+                    record.simulated += outcome.simulated
+                    record.cache_hits += outcome.cache_hits
+                    record.vectorized_groups += outcome.vectorized_groups
+                    record.eta_seconds = (shard_seconds / number) * (
+                        len(starts) - number
+                    )
+                    _ETA_SECONDS.set(record.eta_seconds)
+                    self.store.save(record)
+                    results.extend(outcome.results)
+                    entries.extend(outcome.entries)
                 result_file = f"{record.job_id}.npz"
                 with trace_span("payload", cat="service", points=len(results)):
                     save_result_npz(self.results_dir / result_file, results, entries)
-                persist(progress)
             record.result_file = result_file
             record.status = "done"
         except Exception:
             record.error = traceback.format_exc(limit=8)
             record.status = "failed"
+        _ETA_SECONDS.set(0.0)
         busy = time.perf_counter() - started
         _WORKER_BUSY.inc(busy)
         _JOB_SECONDS.observe(busy)

@@ -828,6 +828,28 @@ class TestSweepCli:
         # event-driven points run on the kernel, whose hot path dominates
         assert "kernel/machine.py" in out
 
+    def test_trace_and_profile_combine(self, capsys, tmp_path):
+        # A traced sweep is the same SweepRunner.run call as an untraced
+        # one, so it profiles too and prints the same points.
+        assert main(self.ARGS + ["--no-cache"]) == 0
+        bare = capsys.readouterr().out
+        trace = tmp_path / "trace.json"
+        args = self.ARGS + ["--no-cache", "--trace", str(trace), "--profile", "5"]
+        assert main(args) == 0
+        traced = capsys.readouterr().out
+        assert "Ordered by: cumulative time" in traced
+
+        def points(out):
+            return [line for line in out.splitlines() if line.startswith("[")]
+
+        assert len(points(bare)) == 2
+        assert points(traced) == points(bare)
+        events = json.loads(trace.read_text())["traceEvents"]
+        names = [event["name"] for event in events if event["ph"] == "X"]
+        assert names.count("sweep") == 1
+        assert names.count("point") == 2
+        assert "shard" not in names
+
     def test_profile_with_full_cache_reports_nothing_ran(self, capsys, tmp_path):
         args = self.ARGS + ["--cache-dir", str(tmp_path / "cache")]
         assert main(args) == 0

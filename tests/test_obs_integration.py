@@ -35,7 +35,6 @@ from repro.service import (
     make_server,
     save_result_npz,
 )
-from repro.service.scheduler import ShardScheduler
 
 GRID = "fig01"
 OVERRIDES = dict(
@@ -73,28 +72,30 @@ def counter_value(name: str, **labels) -> float:
 class TestObserverPurity:
     """Spans and taps never perturb results — the acceptance pin."""
 
-    def test_traced_sharded_sweep_is_bitwise_identical(self, tmp_path, grid):
-        mode = grid_mode(GRID)
-        bare = SweepRunner(jobs=1).run(grid, mode=mode)
+    def test_traced_sharded_sweep_is_bitwise_identical(
+        self, tmp_path, grid, monkeypatch
+    ):
+        bare = SweepRunner(jobs=1).run(grid, mode=grid_mode(GRID))
 
+        monkeypatch.setattr("repro.service.service.SHARD_SIZE", 2)
+        service = SweepService(tmp_path / "service", jobs=1)
         jsonl = tmp_path / "sweep.trace.jsonl"
         configure_tracing(jsonl)
         try:
-            results, _, progress = ShardScheduler(
-                SweepRunner(jobs=1), shard_size=2
-            ).execute(grid, mode)
+            record = service.submit_grid(GRID, OVERRIDES)
+            service.run_pending()
         finally:
             disable_tracing()
 
-        assert payload_bytes(tmp_path, "traced", results) == payload_bytes(
-            tmp_path, "bare", bare.results
-        )
+        traced = service.result_path(record.job_id)
+        assert traced is not None
+        assert traced.read_bytes() == payload_bytes(tmp_path, "bare", bare.results)
         # The trace itself: >= 1 span per shard and per point.
         spans = [
             e for e in read_trace_events(jsonl) if e["kind"] == "span"
         ]
         names = [s["name"] for s in spans]
-        assert names.count("shard") == progress.shards_total == 2
+        assert names.count("shard") == record.shards_total == 2
         assert names.count("point") == len(grid) == 4
         shard_ids = {s["id"] for s in spans if s["name"] == "shard"}
         assert all(
@@ -165,8 +166,9 @@ class TestMetricsTruth:
 
 
 @pytest.fixture
-def live(tmp_path):
-    service = SweepService(tmp_path / "service", jobs=1, shard_size=2)
+def live(tmp_path, monkeypatch):
+    monkeypatch.setattr("repro.service.service.SHARD_SIZE", 2)
+    service = SweepService(tmp_path / "service", jobs=1)
     server = make_server(service)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()

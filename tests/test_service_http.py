@@ -113,9 +113,15 @@ def payload_points() -> dict[str, float]:
     }
 
 
+@pytest.fixture(autouse=True)
+def _two_point_shards(monkeypatch):
+    """Shard every job in two-point shards, so a 4-point grid spans two."""
+    monkeypatch.setattr("repro.service.service.SHARD_SIZE", 2)
+
+
 @pytest.fixture
 def service(tmp_path):
-    instance = SweepService(tmp_path / "service", jobs=1, shard_size=2)
+    instance = SweepService(tmp_path / "service", jobs=1)
     yield instance
     instance.stop(timeout=10.0)
 
@@ -147,17 +153,20 @@ class TestServiceCore:
         def explode(*args, **kwargs):
             raise RuntimeError("shard executor blew up")
 
-        monkeypatch.setattr(service.scheduler, "execute", explode)
+        monkeypatch.setattr(service.runner, "run", explode)
+        eta = REGISTRY.get("repro_job_eta_seconds")
+        eta.set(5.0)  # as an earlier shard would have left it
         service.run_pending()
         failed = service.status(record.job_id)
         assert failed is not None
         assert failed.status == "failed"
         assert failed.error is not None
         assert "shard executor blew up" in failed.error
+        assert eta.value == 0.0
 
     def test_restart_resumes_interrupted_work(self, tmp_path):
         root = tmp_path / "service"
-        first = SweepService(root, jobs=1, shard_size=2)
+        first = SweepService(root, jobs=1)
         record = first.submit_grid(GRID, OVERRIDES)
         # Simulate a crash mid-job: the record persisted as running, the
         # process died before finishing.
@@ -165,7 +174,7 @@ class TestServiceCore:
         record.points_completed = 2
         first.store.save(record)
 
-        second = SweepService(root, jobs=1, shard_size=2)
+        second = SweepService(root, jobs=1)
         assert [r.job_id for r in second.recovered] == [record.job_id]
         assert second.run_pending() == 1
         finished = second.status(record.job_id)
@@ -173,6 +182,46 @@ class TestServiceCore:
         assert finished.status == "done"
         assert finished.note == "recovered after restart"
         assert finished.points_completed == finished.total_points == 4
+        second.stop()
+
+    def test_killed_job_resumes_from_its_finished_shards(
+        self, tmp_path, monkeypatch
+    ):
+        class Killed(BaseException):
+            """Escapes the worker's ``except Exception``, as a kill would."""
+
+        root = tmp_path / "service"
+        first = SweepService(root, jobs=1)
+        record = first.submit_grid(GRID, OVERRIDES)
+        run = first.runner.run
+        calls = []
+
+        def killed_on_the_second_shard(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                raise Killed
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(first.runner, "run", killed_on_the_second_shard)
+        with pytest.raises(Killed):
+            first.run_pending()
+        interrupted = first.status(record.job_id)
+        assert interrupted is not None and interrupted.status == "running"
+        assert interrupted.shards_completed == 1
+        assert interrupted.points_completed == 2
+
+        # The restart replays the finished shard from the cache and
+        # simulates only the one that was cut.
+        second = SweepService(root, jobs=1)
+        assert [r.job_id for r in second.recovered] == [record.job_id]
+        assert second.run_pending() == 1
+        finished = second.status(record.job_id)
+        assert finished is not None and finished.status == "done"
+        assert finished.simulated == 2 and finished.cache_hits == 2
+        assert finished.points_completed == 4
+        payload = second.result_path(record.job_id)
+        assert payload is not None
+        assert payload.read_bytes() == library_payload_bytes(tmp_path)
         second.stop()
 
 
@@ -201,7 +250,7 @@ class TestServiceCore:
         self, tmp_path
     ):
         root = tmp_path / "service"
-        first = SweepService(root, jobs=1, shard_size=2)
+        first = SweepService(root, jobs=1)
         interrupted, kept, truncated = (
             first.submit_grid(GRID, dict(OVERRIDES, num_jobs=num_jobs))
             for num_jobs in (40, 60, 80)
@@ -213,7 +262,7 @@ class TestServiceCore:
         corrupt = REGISTRY.get("repro_service_corrupt_records_total")
         before = corrupt.value
 
-        second = SweepService(root, jobs=1, shard_size=2)
+        second = SweepService(root, jobs=1)
         assert [r.job_id for r in second.recovered] == [interrupted.job_id]
         assert [r.job_id for r in second.list_jobs()] == [
             interrupted.job_id,
@@ -377,6 +426,17 @@ class TestHTTPEndToEnd:
                     "utilizations": [i / 1000 for i in range(1, 301)],
                 },
             },
+            {"grid": "fig01", "overrides": {"num_jobs": 100.9}},
+            {"grid": "fig01", "overrides": {"workstation_counts": [2.9]}},
+            {"grid": "fig01", "overrides": {"workstation_counts": [True]}},
+            {
+                "grid": "admission-sweep",
+                "overrides": {"job_widths": [2.5], "num_jobs": 40},
+            },
+            {"grid": "fig01", "overrides": {"num_batches": 4.5}},
+            {"grid": "fig01", "overrides": {"seed": True}},
+            {"grid": "fig01", "overrides": {"confidence": 2.0}},
+            {"points": [dict(_POINT, confidence=2.0)], "mode": "monte-carlo"},
         ],
         ids=[
             "point-key-typo",
@@ -393,11 +453,21 @@ class TestHTTPEndToEnd:
             "unknown-admission-policy",
             "unknown-policy-keyword",
             "grid-over-point-cap",
+            "fractional-num-jobs-override",
+            "fractional-workstation-count",
+            "boolean-workstation-count",
+            "fractional-job-width",
+            "fractional-num-batches",
+            "boolean-seed",
+            "confidence-override-above-1",
+            "point-confidence-above-1",
         ],
     )
     def test_malformed_submission_is_refused(self, live, payload):
         # None may be reinterpreted: an ignored typo runs the defaults, a
-        # truncated int runs another point, and a U/P pair that disagrees
+        # truncated int or a boolean runs another point (in a raw point or
+        # a grid override alike), a confidence outside (0, 1) fails only
+        # when the interval is formed, and a U/P pair that disagrees
         # under Eq. 8 is simulated at one value and reported at the other.
         # Nor may a distribution or policy every backend refuses become a
         # job that fails once it runs, nor a 120 000-point grid be queued.

@@ -1,4 +1,4 @@
-"""Tests for the shard scheduler and the NPZ result payloads."""
+"""Tests for the service's shard loop and the NPZ result payloads."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from repro.core import ScenarioSpec
 from repro.engine import ResultCache, SweepRunner, build_grid, grid_mode
 from repro.engine.cache import encode_entry, result_arrays
 from repro.service import (
-    ShardScheduler,
+    SweepService,
     load_result_arrays,
     outcome_arrays,
     save_result_npz,
@@ -71,64 +71,63 @@ ENTRY_SHA256 = {
 }
 
 
+#: A 4-point ``fig01`` grid.
+SMALL_GRID = dict(
+    num_jobs=80,
+    num_batches=4,
+    workstation_counts=(2, 5),
+    utilizations=(0.05, 0.10),
+)
+
+
 @pytest.fixture
 def small_grid():
-    return build_grid(
-        "fig01",
-        num_jobs=80,
-        num_batches=4,
-        workstation_counts=(2, 5),
-        utilizations=(0.05, 0.10),
-    )
+    return build_grid("fig01", **SMALL_GRID)
 
 
-class TestShardScheduler:
-    def test_shards_preserve_grid_order(self, small_grid):
-        scheduler = ShardScheduler(SweepRunner(jobs=1), shard_size=3)
-        shards = scheduler.shards(small_grid)
-        assert [len(shard) for shard in shards] == [3, 1]
-        assert [c for shard in shards for c in shard] == small_grid
+class TestJobShards:
+    """The service runs a job's grid shard by shard through its runner."""
 
-    def test_shard_size_validated(self):
-        with pytest.raises(ValueError):
-            ShardScheduler(SweepRunner(jobs=1), shard_size=0)
-
-    def test_sharded_run_is_bitwise_equal_to_one_call(self, small_grid):
+    def test_sharded_job_is_bitwise_equal_to_one_call(
+        self, small_grid, tmp_path, monkeypatch
+    ):
         # Seeds derive from each point's config, never from batch position,
-        # so slicing the grid into shards must not perturb a single sample.
-        mode = grid_mode("fig01")
-        whole = SweepRunner(jobs=1).run(small_grid, mode=mode)
-        sharded, _, progress = ShardScheduler(
-            SweepRunner(jobs=1), shard_size=3
-        ).execute(small_grid, mode)
-        assert progress.points_completed == len(small_grid)
-        assert progress.shards_completed == progress.shards_total == 2
-        for lone, shard_result in zip(whole.results, sharded):
-            np.testing.assert_array_equal(lone.job_times, shard_result.job_times)
-            np.testing.assert_array_equal(lone.task_times, shard_result.task_times)
+        # so slicing the grid into shards must not perturb a single byte.
+        monkeypatch.setattr("repro.service.service.SHARD_SIZE", 3)
+        service = SweepService(tmp_path / "service", jobs=1)
+        record = service.submit_grid("fig01", SMALL_GRID)
+        assert record.shards_total == 2
+        assert service.run_pending() == 1
+        done = service.status(record.job_id)
+        assert done is not None and done.status == "done"
+        assert done.shards_completed == 2 and done.points_completed == 4
+        whole = SweepRunner(jobs=1).run(small_grid, mode=grid_mode("fig01"))
+        payload = service.result_path(record.job_id)
+        assert payload is not None
+        assert payload.read_bytes() == savez_bytes(outcome_arrays(whole.results))
 
-    def test_progress_streams_after_every_shard(self, small_grid, tmp_path):
-        runner = SweepRunner(jobs=1, cache=ResultCache(tmp_path))
-        scheduler = ShardScheduler(runner, shard_size=2)
+    def test_progress_streams_after_every_shard(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("repro.service.service.SHARD_SIZE", 2)
+        service = SweepService(tmp_path / "service", jobs=1)
+        save = service.store.save
         seen: list[tuple[int, int, int]] = []
-        scheduler.execute(
-            small_grid,
-            grid_mode("fig01"),
-            on_shard=lambda p: seen.append(
-                (p.shards_completed, p.points_completed, p.simulated)
-            ),
-        )
-        assert seen == [(1, 2, 2), (2, 4, 4)]
-        # Replay: the shared cache serves every shard, nothing simulates.
+
+        def spy(record):
+            if record.status == "running":
+                seen.append(
+                    (record.shards_completed, record.points_completed, record.simulated)
+                )
+            save(record)
+
+        monkeypatch.setattr(service.store, "save", spy)
+        service.submit_grid("fig01", SMALL_GRID)
+        service.run_pending()
+        assert seen == [(0, 0, 0), (1, 2, 2), (2, 4, 4)]
+        # Resubmission: the shared cache serves every shard, nothing simulates.
         seen.clear()
-        scheduler.execute(
-            small_grid,
-            grid_mode("fig01"),
-            on_shard=lambda p: seen.append(
-                (p.shards_completed, p.points_completed, p.simulated)
-            ),
-        )
-        assert seen == [(1, 2, 0), (2, 4, 0)]
+        service.submit_grid("fig01", SMALL_GRID)
+        service.run_pending()
+        assert seen == [(0, 0, 0), (1, 2, 0), (2, 4, 0)]
 
 
 class TestResultPayloads:
