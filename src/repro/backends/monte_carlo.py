@@ -16,8 +16,8 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
+from ..core.distributions import binomial_cdf
 from ..desim import StreamRegistry
 from .base import (
     SimulationBackend,
@@ -29,18 +29,6 @@ from .base import (
 )
 
 __all__ = ["MonteCarloSampler"]
-
-
-def _binomial_cdf(trials: int, probability: float) -> np.ndarray:
-    """CDF of ``Binomial(trials, probability)`` over 0..trials.
-
-    The final entry is pinned to exactly 1.0 so an inverse-CDF lookup can
-    never index past the support because of float round-off in the tail.
-    """
-    cdf = _scipy_stats.binom.cdf(np.arange(trials + 1), trials, probability)
-    cdf = np.asarray(cdf, dtype=np.float64)
-    cdf[-1] = 1.0
-    return cdf
 
 
 @register_backend
@@ -138,7 +126,7 @@ class MonteCarloSampler(SimulationBackend):
 
         def base_cdf(p: float) -> np.ndarray:
             if p not in cdf_cache:
-                cdf_cache[p] = _binomial_cdf(t, p)
+                cdf_cache[p] = binomial_cdf(t, p)
             return cdf_cache[p]
 
         results: list[SimulationResult] = []

@@ -9,9 +9,9 @@ The analytical model of the paper needs three distributions:
   the job completion time (Eqs. 4-6).
 
 All pmf/cdf evaluations are vectorised over the support and computed in log
-space (via :func:`scipy.special.gammaln`) so that large task demands
-(``T`` in the tens of thousands, as needed for the scaled-problem experiments)
-do not overflow or lose precision.
+space (from the log-factorial table of :func:`_log_factorial`) so that large
+task demands (``T`` in the tens of thousands, as needed for the scaled-problem
+experiments) do not overflow or lose precision.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy import special
 
 __all__ = [
     "binomial_pmf",
@@ -37,6 +36,28 @@ __all__ = [
     "Deterministic",
     "DiscreteDistribution",
 ]
+
+
+#: ``ln k!`` for ``k <= 32``; Stirling's series covers every larger ``k``.
+_SMALL_LOG_FACTORIALS = np.array([math.lgamma(k + 1.0) for k in range(33)])
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _log_factorial(values: NDArray[np.int64]) -> NDArray[np.float64]:
+    """``ln k!`` for each non-negative integer ``k`` of ``values``.
+
+    ``math.lgamma`` up to 32; above that, Stirling's series for
+    ``ln Gamma(z)`` at ``z = k + 1`` with four correction terms, whose
+    truncation error (``< 1 / (1188 z**9)``) is below double precision.
+    """
+    z = values + 1.0
+    inv = 1.0 / z
+    inv2 = inv * inv
+    series = 1.0 / 12.0 - inv2 * (1.0 / 360.0 - inv2 * (1.0 / 1260.0 - inv2 / 1680.0))
+    out: NDArray[np.float64] = (z - 0.5) * np.log(z) - z + _HALF_LOG_2PI + inv * series
+    small = values < _SMALL_LOG_FACTORIALS.size
+    out[small] = _SMALL_LOG_FACTORIALS[values[small]]
+    return out
 
 
 def _validate_trials_prob(trials: int, prob: float) -> None:
@@ -69,12 +90,9 @@ def binomial_pmf(trials: int, prob: float) -> NDArray[np.float64]:
         out = np.zeros(n + 1)
         out[-1] = 1.0
         return out
-    k = np.arange(n + 1, dtype=np.float64)
-    log_coeff = (
-        special.gammaln(n + 1.0)
-        - special.gammaln(k + 1.0)
-        - special.gammaln(n - k + 1.0)
-    )
+    k = np.arange(n + 1)
+    log_factorials = _log_factorial(k)
+    log_coeff = log_factorials[n] - log_factorials - log_factorials[::-1]
     log_pmf = log_coeff + k * math.log(prob) + (n - k) * math.log1p(-prob)
     pmf = np.exp(log_pmf)
     # Renormalise tiny floating error so the mass sums to exactly one; this
@@ -88,7 +106,9 @@ def binomial_pmf(trials: int, prob: float) -> NDArray[np.float64]:
 def binomial_cdf(trials: int, prob: float) -> NDArray[np.float64]:
     """Cumulative distribution ``S[n] = P(N <= n)`` of Eq. 4, for all ``n``.
 
-    Returns an array of length ``trials + 1``; the last entry is exactly 1.
+    Returns an array of length ``trials + 1``; the last entry is exactly 1,
+    so an inverse-CDF lookup (the Monte-Carlo sampler's ``searchsorted``)
+    never indexes past the support because of round-off in the tail.
     """
     pmf = binomial_pmf(trials, prob)
     cdf = np.cumsum(pmf)

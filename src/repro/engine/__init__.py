@@ -19,6 +19,8 @@ from .grids import (
     GRID_AXES,
     GRID_NAMES,
     MAX_GRID_POINTS,
+    MAX_POINT_TASKS,
+    PAPER_UTILIZATIONS,
     build_grid,
     grid_mode,
     saturation_rate,
@@ -39,6 +41,8 @@ __all__ = [
     "GRID_AXES",
     "GRID_NAMES",
     "MAX_GRID_POINTS",
+    "MAX_POINT_TASKS",
+    "PAPER_UTILIZATIONS",
     "build_grid",
     "saturation_rate",
     "grid_mode",

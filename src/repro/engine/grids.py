@@ -53,6 +53,8 @@ __all__ = [
     "GRID_NAMES",
     "GridAxis",
     "MAX_GRID_POINTS",
+    "MAX_POINT_TASKS",
+    "PAPER_UTILIZATIONS",
     "build_grid",
     "grid_mode",
     "saturation_rate",
@@ -61,6 +63,12 @@ __all__ = [
 #: Most points one grid may have: the five-digit ``point%05d`` namespace of
 #: a job payload (:mod:`repro.service.results`).
 MAX_GRID_POINTS = 100_000
+
+#: Most task times (``num_jobs * W``) one submitted point may ask for, 160 MB
+#: of float64: ten times the largest registered default point
+#: (``validation``, 20 000 jobs on 100 workstations).  The service refuses a
+#: larger point at submission (:meth:`repro.service.SweepJobSpec.resolve`).
+MAX_POINT_TASKS = 20_000_000
 
 
 def saturation_rate(utilization: float, task_demand: float) -> float:
@@ -234,11 +242,11 @@ def _admission_point(
 
 
 #: Owner utilizations plotted in the paper's Figures 1-9.
-_PAPER_UTILIZATIONS: tuple[float, ...] = (0.01, 0.05, 0.10, 0.20)
+PAPER_UTILIZATIONS: tuple[float, ...] = (0.01, 0.05, 0.10, 0.20)
 
 #: The paper's fixed-job-size family; its W axis is the Section-2.2
 #: validation x-axis.
-_PAPER = _Family((1, 5, 10, 20, 40, 60, 80, 100), _PAPER_UTILIZATIONS, _paper_point)
+_PAPER = _Family((1, 5, 10, 20, 40, 60, 80, 100), PAPER_UTILIZATIONS, _paper_point)
 
 #: Family name -> family.  The scenario families keep their clusters modest:
 #: the policy family walks every preemption on the event-driven backend and
@@ -252,14 +260,14 @@ _FAMILIES: dict[str, _Family] = {
         {"concentration_levels": (0.0, 0.5, 1.0)},
     ),
     "policy": _Family(
-        (8, 16, 32), _PAPER_UTILIZATIONS, _policy_point, {"policies": POLICY_NAMES}
+        (8, 16, 32), PAPER_UTILIZATIONS, _policy_point, {"policies": POLICY_NAMES}
     ),
     "arrival": _Family(
-        (4, 8, 16), _PAPER_UTILIZATIONS, _arrival_point,
+        (4, 8, 16), PAPER_UTILIZATIONS, _arrival_point,
         {"arrival_rates": (0.25, 0.5, 0.75)},
     ),
     "admission": _Family(
-        (8, 16), _PAPER_UTILIZATIONS, _admission_point,
+        (8, 16), PAPER_UTILIZATIONS, _admission_point,
         {"job_widths": (2, 4), "admission_policies": ADMISSION_POLICY_NAMES,
          "arrival_rates": (0.5,)},
     ),

@@ -29,7 +29,7 @@ from ..core.feasibility import feasibility_frontier, weighted_efficiency_at_task
 from ..core.metrics import compute_metrics
 from ..core.params import JobSpec, OwnerSpec, SystemSpec, TaskRounding
 from ..core.scaling import response_time_inflation, scaled_sweep
-from ..engine import parallel_map
+from ..engine import PAPER_UTILIZATIONS, parallel_map
 from ..pvm import VirtualMachine, run_local_computation
 from ..stats import summarize_replications
 from ..workload import ValidationGrid, standard_problem_ladder
@@ -52,9 +52,6 @@ __all__ = [
     "run_conclusions_thresholds",
     "run_conclusions_scaled",
 ]
-
-#: Owner utilizations plotted in Figures 1-9.
-PAPER_UTILIZATIONS: tuple[float, ...] = (0.01, 0.05, 0.10, 0.20)
 
 #: Owner-process demand used throughout the analysis section.
 DEFAULT_OWNER_DEMAND = 10.0

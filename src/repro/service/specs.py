@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, fields
 from typing import Any, Mapping, Sequence
 
 from ..backends import SimulationConfig
-from ..engine import build_grid, grid_mode
+from ..engine import MAX_POINT_TASKS, build_grid, grid_mode
 from ..engine.codec import config_from_json, config_to_json
 
 __all__ = ["EXECUTORS", "SweepJobSpec", "spec_digest"]
@@ -133,15 +133,27 @@ class SweepJobSpec:
         """Materialise the submission into ``(configs, backend mode)``.
 
         Raises ``KeyError``/``ValueError`` on an unknown grid, a bad
-        override, or an invalid config — submission-time validation, so a
-        client learns about a bad job synchronously instead of through a
-        ``failed`` status.
+        override, an invalid config, or a point asking for more than
+        :data:`~repro.engine.MAX_POINT_TASKS` task times — submission-time
+        validation, so a client learns about a bad job synchronously instead
+        of through a ``failed`` status.
         """
         if self.kind == "grid":
             assert self.grid is not None
-            return build_grid(self.grid, **self.overrides), grid_mode(self.grid)
-        assert self.mode is not None
-        return list(self.points), self.mode
+            configs = build_grid(self.grid, **self.overrides)
+            mode = grid_mode(self.grid)
+        else:
+            assert self.mode is not None
+            configs, mode = list(self.points), self.mode
+        for index, config in enumerate(configs):
+            tasks = config.num_jobs * config.workstations
+            if tasks > MAX_POINT_TASKS:
+                raise ValueError(
+                    f"point {index} would hold {tasks} task times "
+                    f"(num_jobs {config.num_jobs} x W {config.workstations}); "
+                    f"a point may hold at most {MAX_POINT_TASKS}"
+                )
+        return configs, mode
 
     def to_json(self) -> dict[str, Any]:
         payload: dict[str, Any] = {"kind": self.kind, "executor": self.executor}

@@ -4,18 +4,36 @@ The paper reports "confidence intervals of 1 percent or less at a 90 percent
 confidence level" computed with the batch-means method.  This module supplies
 the generic interval machinery (Student-t based, as is standard for a small
 number of batches); :mod:`repro.stats.batch_means` builds the batching on top.
+
+The Student-t critical value is computed here with the standard library, so
+the package needs no scipy at run time: Newton iteration on the t
+distribution's finite-series CDF (Abramowitz & Stegun 26.7.3/26.7.4, exact
+for integer degrees of freedom), started from the Cornish-Fisher expansion
+of A&S 26.7.5.  It agrees with ``scipy.stats.t.ppf`` to 1e-12 relative for
+1 to 10 000 degrees of freedom at confidences from 0.5 to 0.999.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as sps
 
-__all__ = ["ConfidenceInterval", "t_confidence_interval", "mean_confidence_interval"]
+__all__ = [
+    "ConfidenceInterval",
+    "t_critical",
+    "t_confidence_interval",
+    "mean_confidence_interval",
+]
+
+#: Above this many degrees of freedom the four-term Cornish-Fisher expansion
+#: is itself the quantile: its truncation error falls as ``df**-5`` and is
+#: below 3e-14 relative for confidences up to 0.999, under the rounding
+#: noise of the O(df)-term series that Newton iteration would evaluate.
+_EXPANSION_DF = 1000
 
 
 @dataclass(frozen=True)
@@ -53,6 +71,67 @@ class ConfidenceInterval:
         )
 
 
+def _t_central_probability(t: float, df: int) -> float:
+    """``P(|T| <= t)`` for Student's t with ``df >= 2`` degrees of freedom.
+
+    The finite series of A&S 26.7.3 (odd ``df``) and 26.7.4 (even ``df``) in
+    ``cos**2 theta = df / (df + t**2)``, summed in Horner form.
+    """
+    x = df / (df + t * t)
+    series = 1.0
+    if df % 2:
+        for k in range((df - 3) // 2, 0, -1):
+            series = 1.0 + series * x * (2 * k) / (2 * k + 1)
+        theta = math.atan(t / math.sqrt(df))
+        return 2.0 / math.pi * (theta + t * math.sqrt(df) / (df + t * t) * series)
+    for k in range((df - 2) // 2, 0, -1):
+        series = 1.0 + series * x * (2 * k - 1) / (2 * k)
+    return t / math.sqrt(df + t * t) * series
+
+
+def t_critical(confidence: float, df: int) -> float:
+    """Two-sided Student-t critical value: ``t`` with ``P(|T| <= t) = confidence``.
+
+    The same value as ``scipy.stats.t.ppf(0.5 + confidence / 2, df)`` for an
+    integer ``df >= 1``.  One and two degrees of freedom have closed forms.
+    Otherwise Newton iteration on :func:`_t_central_probability`, with the t
+    density as its derivative, refines the Cornish-Fisher start.  That CDF is
+    concave for ``t > 0`` and the normal quantile ``z`` lies below the root,
+    so once a step is clamped at ``z`` the iterates rise to the root.
+    """
+    if not 0.0 < confidence < 1.0:
+        raise ValueError(f"confidence must be in (0, 1), got {confidence!r}")
+    if df < 1:
+        raise ValueError(f"degrees of freedom must be >= 1, got {df!r}")
+    if df == 1:
+        return math.tan(math.pi * confidence / 2.0)
+    if df == 2:
+        return confidence * math.sqrt(2.0 / ((1.0 - confidence) * (1.0 + confidence)))
+    z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
+    z2 = z * z
+    g1 = z * (z2 + 1.0) / 4.0
+    g2 = z * ((5.0 * z2 + 16.0) * z2 + 3.0) / 96.0
+    g3 = z * (((3.0 * z2 + 19.0) * z2 + 17.0) * z2 - 15.0) / 384.0
+    g4 = (
+        z * ((((79.0 * z2 + 776.0) * z2 + 1482.0) * z2 - 1920.0) * z2 - 945.0) / 92160.0
+    )
+    t = z + (g1 + (g2 + (g3 + g4 / df) / df) / df) / df
+    if df > _EXPANSION_DF:
+        return t
+    log_scale = (
+        math.lgamma((df + 1) / 2.0)
+        - math.lgamma(df / 2.0)
+        - 0.5 * math.log(df * math.pi)
+    )
+    for _ in range(100):
+        density = math.exp(log_scale - (df + 1) / 2.0 * math.log1p(t * t / df))
+        step = (_t_central_probability(t, df) - confidence) / (2.0 * density)
+        t = max(t - step, z)
+        if abs(step) <= 1e-12 * t:
+            break
+    return t
+
+
 def t_confidence_interval(
     values: Sequence[float] | np.ndarray,
     confidence: float = 0.90,
@@ -62,15 +141,13 @@ def t_confidence_interval(
     Requires at least two observations.  With a single batch/replication there
     is no variance information and the call raises ``ValueError``.
     """
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must be in (0, 1), got {confidence!r}")
     data = np.asarray(values, dtype=np.float64)
     n = data.size
     if n < 2:
         raise ValueError(f"need at least 2 observations for an interval, got {n}")
+    critical = t_critical(confidence, n - 1)
     mean = float(np.mean(data))
     std_err = float(np.std(data, ddof=1)) / math.sqrt(n)
-    critical = float(sps.t.ppf(0.5 + confidence / 2.0, df=n - 1))
     return ConfidenceInterval(
         mean=mean,
         half_width=critical * std_err,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy import special
 from scipy import stats as sps
 
 from repro.core.distributions import (
@@ -20,6 +21,7 @@ from repro.core.distributions import (
     pmf_mean,
     pmf_variance,
 )
+from repro.core.distributions import _log_factorial
 
 
 class TestBinomialPmf:
@@ -33,6 +35,38 @@ class TestBinomialPmf:
         n, p = 50, 0.07
         expected = sps.binom.pmf(np.arange(n + 1), n, p)
         np.testing.assert_allclose(binomial_pmf(n, p), expected, rtol=1e-10)
+
+    def test_log_factorial_matches_gammaln(self):
+        k = np.arange(200_001)
+        np.testing.assert_allclose(
+            _log_factorial(k), special.gammaln(k + 1.0), rtol=1e-15, atol=0.0
+        )
+
+    @pytest.mark.parametrize(
+        "n, p",
+        [(10, 0.3), (100, 0.01), (1000, 0.05), (10_000, 0.2), (50_000, 1e-4),
+         (99_999, 0.2), (100_000, 0.001), (100_000, 0.5)],
+    )
+    def test_large_trials_match_scipy(self, n, p):
+        pmf = binomial_pmf(n, p)
+        k = np.arange(n + 1, dtype=np.float64)
+        # Reference: the same log-space formula on scipy's gammaln.
+        log_pmf = (
+            special.gammaln(n + 1.0)
+            - special.gammaln(k + 1.0)
+            - special.gammaln(n - k + 1.0)
+            + k * np.log(p)
+            + (n - k) * np.log1p(-p)
+        )
+        gammaln_pmf = np.exp(log_pmf)
+        gammaln_pmf /= gammaln_pmf.sum()
+        kept = gammaln_pmf > 1e-300
+        np.testing.assert_allclose(pmf[kept], gammaln_pmf[kept], rtol=1e-10)
+        # Rounding ln n! (about 1e6 at n = 1e5) in float64 bounds both forms
+        # to a few 1e-10 of the exact pmf.
+        exact = sps.binom.pmf(k, n, p)
+        kept = exact > 1e-300
+        np.testing.assert_allclose(pmf[kept], exact[kept], rtol=1e-9)
 
     def test_small_case_exact(self):
         np.testing.assert_allclose(binomial_pmf(2, 0.5), [0.25, 0.5, 0.25])

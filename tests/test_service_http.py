@@ -11,9 +11,12 @@ The two contracts the service must never break are pinned here:
 
 from __future__ import annotations
 
+import http.client
 import json
 import socket
+import statistics
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -437,6 +440,19 @@ class TestHTTPEndToEnd:
             {"grid": "fig01", "overrides": {"seed": True}},
             {"grid": "fig01", "overrides": {"confidence": 2.0}},
             {"points": [dict(_POINT, confidence=2.0)], "mode": "monte-carlo"},
+            {
+                "grid": "fig01",
+                "overrides": {
+                    "num_jobs": 10**12,
+                    "workstation_counts": [100],
+                    "utilizations": [0.1],
+                },
+            },
+            {"grid": "arrival-sweep", "overrides": {"num_jobs": 10**12}},
+            {
+                "points": [dict(_POINT, num_jobs=10**9, workstations=100)],
+                "mode": "monte-carlo",
+            },
         ],
         ids=[
             "point-key-typo",
@@ -461,6 +477,9 @@ class TestHTTPEndToEnd:
             "boolean-seed",
             "confidence-override-above-1",
             "point-confidence-above-1",
+            "grid-num-jobs-over-task-cap",
+            "open-grid-num-jobs-over-task-cap",
+            "point-num-jobs-over-task-cap",
         ],
     )
     def test_malformed_submission_is_refused(self, live, payload):
@@ -470,7 +489,8 @@ class TestHTTPEndToEnd:
         # when the interval is formed, and a U/P pair that disagrees
         # under Eq. 8 is simulated at one value and reported at the other.
         # Nor may a distribution or policy every backend refuses become a
-        # job that fails once it runs, nor a 120 000-point grid be queued.
+        # job that fails once it runs, nor a 120 000-point grid be queued,
+        # nor a point whose num_jobs x W task times no worker could hold.
         service, client = live
         with pytest.raises(ServiceError) as refused:
             client._request_json("/jobs", payload)
@@ -534,6 +554,26 @@ class TestHTTPEndToEnd:
         assert b"exceeds the" in answer
         assert len(service.store) == 0
         assert client.health()["status"] == "ok"
+
+    def test_kept_alive_requests_answer_without_delayed_ack(self, live):
+        # Headers and body are two writes; under Nagle's algorithm the body
+        # of every request after the first waited for the client's delayed
+        # ACK, about 40 ms.
+        _, client = live
+        connection = http.client.HTTPConnection(
+            client.base_url.removeprefix("http://"), timeout=5.0
+        )
+        seconds = []
+        try:
+            for _ in range(20):
+                started = time.perf_counter()
+                connection.request("GET", "/health")
+                response = connection.getresponse()
+                assert json.loads(response.read())["status"] == "ok"
+                seconds.append(time.perf_counter() - started)
+        finally:
+            connection.close()
+        assert statistics.median(seconds) < 0.020, seconds
 
     def test_result_before_done_is_a_conflict(self, service):
         # Server up, but the worker thread deliberately not started: the

@@ -8,7 +8,7 @@ import pytest
 
 from repro.backends import SimulationConfig
 from repro.core import OwnerSpec
-from repro.engine import build_grid, config_fingerprint, grid_mode
+from repro.engine import GRID_NAMES, build_grid, config_fingerprint, grid_mode
 from repro.service import (
     JobRecord,
     JobStore,
@@ -118,6 +118,12 @@ class TestSweepJobSpec:
             build_grid("fig01")[:1], mode="monte-carlo", executor="vectorized"
         )
         assert SweepJobSpec.from_json(spec.to_json()) == spec
+
+    @pytest.mark.parametrize("grid", GRID_NAMES)
+    def test_registered_grid_resolves_under_task_cap(self, grid):
+        # resolve raises on any point over MAX_POINT_TASKS task times
+        configs, _ = SweepJobSpec.for_grid(grid).resolve()
+        assert configs
 
     def test_unknown_grid_fails_at_resolve(self):
         with pytest.raises(KeyError):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy import stats as sps
 
 from repro.stats import (
     BatchMeansResult,
@@ -15,6 +16,7 @@ from repro.stats import (
     summarize_replications,
     t_confidence_interval,
 )
+from repro.stats.confidence import t_critical
 
 
 class TestConfidenceInterval:
@@ -67,6 +69,22 @@ class TestConfidenceInterval:
     def test_str_rendering(self):
         ci = t_confidence_interval([1.0, 2.0, 3.0])
         assert "±" in str(ci)
+
+
+class TestTCritical:
+    @pytest.mark.parametrize(
+        "df", [*range(1, 60), 99, 100, 199, 500, 999, 1000, 1001, 2000, 4999, 10_000]
+    )
+    def test_matches_scipy_quantile(self, df):
+        confidences = np.linspace(0.5, 0.999, 25)
+        ours = [t_critical(float(c), df) for c in confidences]
+        reference = sps.t.ppf(0.5 + confidences / 2.0, df)
+        np.testing.assert_allclose(ours, reference, rtol=1e-11)
+
+    @pytest.mark.parametrize("confidence, df", [(0.0, 5), (1.0, 5), (0.9, 0)])
+    def test_invalid_arguments(self, confidence, df):
+        with pytest.raises(ValueError):
+            t_critical(confidence, df)
 
 
 class TestBatchObservations:
