@@ -43,7 +43,7 @@ admitted while a strictly more important one waits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from ..desim import Environment, Event

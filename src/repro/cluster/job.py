@@ -14,8 +14,7 @@ the quantity ``E_j`` estimates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 

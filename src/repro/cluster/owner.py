@@ -10,8 +10,8 @@ to arbitrary variates so the simulator can also explore the paper's
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Generator, Optional
+from dataclasses import dataclass, replace
+from typing import Callable, Generator
 
 import numpy as np
 

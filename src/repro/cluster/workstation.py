@@ -15,7 +15,7 @@ can report measured utilizations (the simulated analogue of the paper's
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Generator, Optional
 
 import numpy as np

@@ -36,7 +36,6 @@ from numpy.typing import NDArray
 
 from .distributions import (
     binomial_cdf,
-    binomial_mean,
     binomial_pmf,
     max_of_iid_mean,
     max_of_iid_pmf,

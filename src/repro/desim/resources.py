@@ -19,10 +19,10 @@ the PVM-like substrate uses it for message queues.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Optional
+from typing import Any, Optional
 
 from .core import Environment, Process
-from .events import Event, URGENT
+from .events import Event
 
 __all__ = [
     "Preempted",

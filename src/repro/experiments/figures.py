@@ -19,11 +19,10 @@ Simulation counterparts of the figure grids are available through
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from ..cluster import SimulationConfig
 from ..core.analytical import evaluate, sweep_workstations
 from ..core.feasibility import feasibility_frontier, weighted_efficiency_at_task_ratio
 from ..core.metrics import compute_metrics
@@ -32,7 +31,7 @@ from ..core.scaling import response_time_inflation, scaled_sweep
 from ..engine import PAPER_UTILIZATIONS, parallel_map
 from ..pvm import VirtualMachine, run_local_computation
 from ..stats import summarize_replications
-from ..workload import ValidationGrid, standard_problem_ladder
+from ..workload import ValidationGrid
 
 __all__ = [
     "PAPER_UTILIZATIONS",

@@ -8,7 +8,7 @@ diffed in CI, or pasted into EXPERIMENTS.md.
 from __future__ import annotations
 
 import io
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 

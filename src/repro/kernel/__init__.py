@@ -2,17 +2,16 @@
 
 A drop-in executor for the event-driven back-ends that replaces the
 per-event Python-object path (generator coroutines parked on
-:mod:`repro.desim` events) with a flat agenda of heap tuples and integer
-transition tables, while reproducing the oracle's results bit for bit:
-
-:mod:`repro.kernel.agenda`
-    The binary-heap event agenda: ``(when, priority, tie)`` ordering with
-    the oracle's FIFO tie-breaking contract, plus tie *ticks* for elided
-    no-op events.
+:mod:`repro.desim` events) with one flat event loop over a heap of plain
+tuples and integer transition tables, while reproducing the oracle's results
+bit for bit:
 
 :mod:`repro.kernel.machine`
-    :class:`EventKernel`, the flattened closed- and open-system event loops
-    (owner/task/job/source state machines instead of coroutines).
+    :class:`EventKernel`: the closed system, the classless job stream and
+    the space-shared job classes run on one loop that defines the owner,
+    CPU and task state machines once (instead of coroutines); only the job
+    lifecycle differs between them.  The module also states the ordering
+    contract the loop shares with the oracle's agenda.
 
 :mod:`repro.kernel.backend`
     The ``event-kernel`` registry backend, which the sweep runner executes
@@ -22,13 +21,9 @@ transition tables, while reproducing the oracle's results bit for bit:
     an import cycle.
 """
 
-from .agenda import NORMAL, URGENT, EventAgenda
 from .machine import KERNEL_POLICIES, EventKernel
 
 __all__ = [
-    "EventAgenda",
     "EventKernel",
     "KERNEL_POLICIES",
-    "NORMAL",
-    "URGENT",
 ]

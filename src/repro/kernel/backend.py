@@ -13,14 +13,17 @@ dataclasses' fields, and the fingerprint maps ``event-kernel`` to the
 oracle mode it replaces.
 
 ``run_batch`` is the cross-point batching entry: back-to-back grid points
-share one :class:`EventKernel` instance (one reusable agenda heap), while
+share one :class:`EventKernel` instance (one reusable event heap), while
 every point still seeds its own :class:`~repro.desim.StreamRegistry` from
 its config, so batch composition cannot change any result.
 
 Every registered scheduling policy has transition tables (the kernel
-refuses a policy without one with a ``ValueError``), and space-shared
-admission scenarios (job classes under FCFS / EASY-backfill / priority
-admission) run through :meth:`EventKernel.run_space_shared`.
+refuses a policy without one with a ``ValueError``).  Closed scenarios run
+through :meth:`EventKernel.run_closed`, classless job streams through
+:meth:`EventKernel.run_open`, and space-shared admission scenarios (job
+classes under FCFS / EASY-backfill / priority admission) through
+:meth:`EventKernel.run_space_shared` — three entry points into the kernel's
+one event loop.
 """
 
 from __future__ import annotations

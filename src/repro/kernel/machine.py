@@ -1,8 +1,9 @@
 """Flattened state-machine executor for the event-driven cluster model.
 
-:class:`EventKernel` re-implements the two process-oriented back-ends —
-``event-driven`` (closed) and ``open-system`` (classless job stream) — as one
-flat event loop over the :mod:`repro.kernel.agenda` heap.  The oracle models
+:class:`EventKernel` re-implements the process-oriented back-ends —
+``event-driven`` (the closed system) and ``open-system`` (a classless job
+stream, or moldable job classes space-sharing the cluster under an admission
+policy) — as one flat event loop over a :mod:`heapq` heap.  The oracle models
 owners, tasks, jobs and sources as Python generator coroutines parked on
 :mod:`repro.desim` events; the kernel replaces every coroutine with a small
 transition table keyed by an integer event kind, and every event object with
@@ -10,6 +11,24 @@ a plain heap tuple.  Nothing else changes: the kernel performs the *same*
 floating-point operations in the *same* order on the *same* RNG streams, so
 its results are bitwise-identical to the oracle's (pinned by
 ``tests/test_kernel.py``).
+
+The three entry points share the loop and differ only in the *job
+lifecycle*: how jobs arrive, are admitted and end.  The owner, CPU and task
+machinery — owners preempting the tasks of a parallel job on every
+workstation — is written once.  A classless job's station subset is all
+``W`` stations in order; a space-shared job gets its subset at admission.
+
+Ordering contract (the one of :class:`repro.desim.AgendaEntry`): heap
+entries are tuples ``(when, priority, tie, kind, payload, serial)`` ordered
+by ``(when, priority, tie)``, with ``URGENT (0) < NORMAL (1)`` and one
+monotone tie counter that makes equal ``(when, priority)`` entries FIFO in
+scheduling order, so comparisons never reach the payload.  Every oracle
+enqueue consumes one tie.  Enqueues whose callbacks can never run (the
+oracle's :class:`~repro.desim.resources.Release` completions, and process
+terminations nobody waits on) are *elided*: the loop advances ``tie``
+without pushing, which keeps every later tie value — and so the full pop
+order — aligned with the oracle's counter while skipping guaranteed no-op
+pops.
 
 Equivalence contract (how each oracle construct maps):
 
@@ -23,9 +42,9 @@ owner preempting the task holder  ``TASK_INTERRUPT`` urgent push, then the
                                   owner's grant push (the oracle enqueues
                                   the interrupt in ``_maybe_preempt`` before
                                   ``_dispatch`` succeeds the owner request)
-``Release`` completion event      :meth:`EventAgenda.tick` (guaranteed
-                                  no-op pop, elided; see ``agenda.py``)
-process termination, unobserved   ``tick()`` likewise
+``Release`` completion event      ``tie += 1`` without a push (guaranteed
+                                  no-op pop, elided)
+process termination, unobserved   ``tie += 1`` likewise
 process termination, awaited      ``TASK_EXIT`` / ``JOB_EXIT`` push
 ``AllOf`` over a job's tasks      ``pending`` countdown -> ``JOB_ALLOF``
 ================================  =========================================
@@ -77,9 +96,8 @@ from ..cluster.policies import (
     StaticPartition,
     make_policy,
 )
-from ..core.params import ScenarioSpec
+from ..core.params import JobArrivalSpec, ScenarioSpec
 from ..desim.rng import StreamRegistry, make_variate
-from .agenda import NORMAL, URGENT, EventAgenda
 
 __all__ = ["EventKernel", "KERNEL_POLICIES"]
 
@@ -90,8 +108,18 @@ KERNEL_POLICIES: tuple[str, ...] = (
     MigrateOnOwnerArrival.name,
 )
 
+#: Entry priorities, numerically identical to :mod:`repro.desim.events`.
+URGENT = 0
+NORMAL = 1
+
+# Job lifecycles, one per public entry point.
+_CLOSED = 0  # run_closed: num_jobs jobs back to back, one at a time
+_CLASSLESS = 1  # run_open: a job stream behind a FIFO admission limit
+_SPACE = 2  # run_space_shared: job classes on station subsets, by policy
+
 # Event kinds.  One integer per distinct continuation in the oracle's
-# generators; frequency-ordered comments refer to the dispatch chain below.
+# generators.  The owner, task and job kinds serve every lifecycle (the job
+# kinds branch on it); the rest belong to one lifecycle each.
 _OWNER_INIT = 0
 _OWNER_WAKE = 1
 _OWNER_GRANT = 2
@@ -104,13 +132,14 @@ _TASK_EXIT = 8
 _JOB_INIT = 9
 _JOB_ALLOF = 10
 _JOB_EXIT = 11
-_DRIVER_EXIT = 12
+# The closed run: its job loop has finished the last job.
+_CLOSED_EXIT = 12
+# The classless stream: its source and its FIFO admission resource.
 _SOURCE_INIT = 13
 _SOURCE_WAKE = 14
 _SOURCE_EXIT = 15
 _ADMIT_GRANT = 16
-# Space-shared admission kinds (run_space_shared's loop; it reuses the owner /
-# task / job kinds above and adds the admission-controller continuations).
+# The space-shared admission controller and its job sources.
 _ADMIT_TICKET = 17  # AdmissionTicket.event succeeded: the job may start
 _ADMIT_KILL_TASK = 18  # admission preemption interrupt on one live task
 _TASK_FAIL = 19  # a killed task's failed termination (the join's check)
@@ -141,7 +170,8 @@ class _Task:
     """Flattened state of one task / worker / migration-item process."""
 
     __slots__ = (
-        "job",
+        "att",
+        "pos",
         "station",
         "remaining",
         "serial",
@@ -152,11 +182,12 @@ class _Task:
         "frag_count",
     )
 
-    def __init__(self, job: "_Job", station: int) -> None:
-        self.job = job
-        self.station = station
+    def __init__(self, att: "_Attempt", pos: int, station: int) -> None:
+        self.att = att
+        self.pos = pos  # position within the job's subset (migration index)
+        self.station = station  # global station index (CPU/owner state)
         self.remaining = 0.0
-        #: Lazy-deletion stamp; bumped on every grant push / interrupt.
+        #: Lazy-deletion stamp; bumped on every grant push / interrupt / kill.
         self.serial = 0
         #: Service start of the current CPU grant (None while waiting).
         self.started: float | None = None
@@ -169,74 +200,23 @@ class _Task:
         self.frag_count = 0
 
 
-class _Job:
-    """Flattened state of one job (closed driver slot or open arrival)."""
-
-    __slots__ = ("index", "start", "demand", "pending", "tasks", "active", "chunk", "chunks_left")
-
-    def __init__(self, index: int) -> None:
-        self.index = index
-        self.start = 0.0
-        self.demand = 0.0  # open mode: the drawn total demand
-        self.pending = 0  # tasks still running (the oracle's AllOf count)
-        self.tasks: list[_Task] = []
-        self.active: list[int] = []  # migrate policy's per-station item count
-        self.chunk = 0.0  # self-scheduling chunk size
-        self.chunks_left = 0  # self-scheduling chunks not yet pulled
-
-
-class _SJob:
-    """Flattened state of one space-shared (moldable, classed) job.
-
-    One record spans the job's whole restart chain: every admission
-    preemption discards the running attempt (:class:`_SAttempt`) and requeues
-    this same record with its full demand, exactly like the oracle's
-    ``run_one_job`` retry loop.
-    """
+class _Attempt:
+    """One execution attempt of a job: its tasks and their AllOf join."""
 
     __slots__ = (
-        "index",
-        "class_id",
-        "width",
-        "priority",
-        "demand",
-        "seq",
-        "serial",
-        "subset",
-        "att",
-        "waiter",
+        "job",
+        "tasks",
+        "pending",
+        "failed",
+        "dead",
+        "active",
+        "chunk",
+        "chunks_left",
     )
 
-    def __init__(
-        self, index: int, class_id: int, width: int, priority: int, demand: float
-    ) -> None:
-        self.index = index
-        self.class_id = class_id
-        self.width = width
-        self.priority = priority
-        self.demand = demand
-        #: Admission-queue arrival order of the *current* request (the
-        #: oracle's ``AdmissionTicket.seq``; re-stamped on every requeue).
-        self.seq = 0
-        #: Lazy-deletion stamp for pending admission tickets (bumped when the
-        #: job process is interrupted while parked at its ticket).
-        self.serial = 0
-        #: Allocated station indices (ascending), ``None`` while queued.
-        self.subset: list[int] | None = None
-        #: The running attempt, ``None`` while queued / parked at a ticket.
-        self.att: "_SAttempt | None" = None
-        #: Closed-loop source parked on this job's termination (``None`` for
-        #: open arrivals).
-        self.waiter: "_SSource | None" = None
-
-
-class _SAttempt:
-    """One execution attempt of a space-shared job (the tasks' AllOf join)."""
-
-    __slots__ = ("job", "pending", "failed", "dead", "active", "chunk", "chunks_left")
-
-    def __init__(self, job: _SJob) -> None:
+    def __init__(self, job: "_Job") -> None:
         self.job = job
+        self.tasks: list[_Task] = []
         self.pending = 0  # tasks still running (the oracle's AllOf count)
         #: The join failed: a task was killed by admission preemption.
         self.failed = False
@@ -248,28 +228,63 @@ class _SAttempt:
         self.chunks_left = 0  # self-scheduling chunks not yet pulled
 
 
-class _STask:
-    """Flattened state of one task process on a station *subset* position."""
+class _Job:
+    """Flattened state of one job across its whole restart chain.
 
-    __slots__ = ("att", "pos", "station", "remaining", "serial", "started")
+    A classless job runs once on all stations.  A space-shared job gets its
+    station subset at admission, and every admission preemption discards
+    the running attempt and requeues this same record with its full demand,
+    exactly like the oracle's ``run_one_job`` retry loop.
+    """
 
-    def __init__(self, att: _SAttempt, pos: int, station: int) -> None:
-        self.att = att
-        self.pos = pos  # position within the job's subset (migration index)
-        self.station = station  # global station index (CPU/owner state)
-        self.remaining = 0.0
-        #: Lazy-deletion stamp; bumped on every grant push / interrupt / kill.
+    __slots__ = (
+        "index",
+        "width",
+        "demand",
+        "subset",
+        "priority",
+        "start",
+        "seq",
+        "serial",
+        "att",
+        "waiter",
+    )
+
+    def __init__(
+        self,
+        index: int,
+        width: int,
+        demand: float,
+        subset: list[int],
+        priority: int = 0,
+    ) -> None:
+        self.index = index
+        self.width = width
+        self.demand = demand
+        #: Allocated station indices (ascending), empty while queued.
+        self.subset = subset
+        self.priority = priority
+        self.start = 0.0  # closed run: when the job started
+        #: Admission-queue arrival order of the *current* request (the
+        #: oracle's ``AdmissionTicket.seq``; re-stamped on every requeue).
+        self.seq = 0
+        #: Lazy-deletion stamp for pending admission tickets (bumped when the
+        #: job process is interrupted while parked at its ticket).
         self.serial = 0
-        self.started: float | None = None
+        #: The running attempt, ``None`` while queued / parked at a ticket.
+        self.att: _Attempt | None = None
+        #: Closed-loop source parked on this job's termination (``None`` for
+        #: open arrivals).
+        self.waiter: _Source | None = None
 
 
-class _SRun:
+class _Running:
     """Bookkeeping for one admitted job (the oracle's ``_RunningJob``)."""
 
     __slots__ = ("job", "stations", "admitted_at", "estimate")
 
     def __init__(
-        self, job: _SJob, stations: list[int], admitted_at: float, estimate: float
+        self, job: _Job, stations: list[int], admitted_at: float, estimate: float
     ) -> None:
         self.job = job
         self.stations = stations
@@ -278,7 +293,7 @@ class _SRun:
         self.estimate = estimate
 
 
-class _SSource:
+class _Source:
     """One closed-loop source: a think-time variate bound to a job class."""
 
     __slots__ = ("variate", "class_index")
@@ -286,6 +301,37 @@ class _SSource:
     def __init__(self, variate, class_index: int) -> None:
         self.variate = variate
         self.class_index = class_index
+
+
+def _arrival_spec(
+    scenario: ScenarioSpec, life: int, workstations: int
+) -> JobArrivalSpec:
+    """The scenario's job-arrival spec, checked against the open lifecycle."""
+    spec = scenario.arrivals
+    if life == _CLASSLESS:
+        if spec is None:
+            raise ValueError(
+                "the event kernel's open mode needs a scenario with a "
+                "job-arrival process; set ScenarioSpec.arrivals"
+            )
+        if spec.is_space_shared:
+            raise ValueError(
+                "space-shared (job-class) arrival specs run through "
+                "EventKernel.run_space_shared, not the classless loop"
+            )
+        return spec
+    if spec is None or not spec.is_space_shared:
+        raise ValueError(
+            "run_space_shared needs a scenario whose arrival spec defines "
+            "job classes; use run_open for the classless stream"
+        )
+    for job_class in spec.job_classes:
+        if job_class.width > workstations:
+            raise ValueError(
+                f"job class {job_class.name!r} requests width "
+                f"{job_class.width} on a {workstations}-station cluster"
+            )
+    return spec
 
 
 def _policy_role(policy: SchedulingPolicy) -> tuple[int, int]:
@@ -305,29 +351,25 @@ def _policy_role(policy: SchedulingPolicy) -> tuple[int, int]:
 class EventKernel:
     """Array-based executor shared across the runs of one sweep batch.
 
-    The instance owns the reusable agenda heap; all per-run state lives in
-    locals of :meth:`run_closed` / :meth:`run_open`, so one kernel can be
-    shared across grid points (cross-point batching) with every point still
-    drawing from its own freshly seeded :class:`StreamRegistry` — results
-    are independent of batch composition.
+    The instance owns the reusable event heap; all per-run state lives in
+    locals of the run, so one kernel can be shared across grid points
+    (cross-point batching) with every point still drawing from its own
+    freshly seeded :class:`StreamRegistry` — results are independent of
+    batch composition.
 
     ``tap`` is the generic observer hook (``None`` by default): any callable
     ``tap(kind, sim_time, **details)``, invoked at each scheduling decision
-    (owner arrivals, preemptions, migrations, open-system admissions).  The
-    kernel never imports the telemetry layer — the backend wires an
-    installed :class:`repro.obs.SimEventTap` in (lint rule SL007 enforces
-    the direction).  Taps observe only: they draw no randomness and reorder
-    no events, so a tapped run stays bitwise-identical.
+    (owner arrivals, preemptions, migrations, admissions).  The kernel never
+    imports the telemetry layer — the backend wires an installed
+    :class:`repro.obs.SimEventTap` in (lint rule SL007 enforces the
+    direction).  Taps observe only: they draw no randomness and reorder no
+    events, so a tapped run stays bitwise-identical.
     """
 
-    __slots__ = ("_heap", "_agenda", "tap")
+    __slots__ = ("_heap", "tap")
 
     def __init__(self) -> None:
         self._heap: list[tuple] = []
-        #: The space-shared loop drives this :class:`EventAgenda` (reset at
-        #: the top of every :meth:`run_space_shared`, so back-to-back grid
-        #: points in one batch cannot leak agenda state into each other).
-        self._agenda = EventAgenda()
         self.tap: Callable[..., None] | None = None
 
     # -- public entry points -------------------------------------------------
@@ -340,7 +382,7 @@ class EventKernel:
         bitwise-equal to the corresponding fields of the ``event-driven``
         backend's :class:`SimulationResult`.
         """
-        return self._run(config, streams, open_mode=False)
+        return self._run(config, streams, _CLOSED)
 
     def run_open(
         self, config, streams: StreamRegistry | None = None
@@ -351,10 +393,52 @@ class EventKernel:
         measured_owner_utilization)``, bitwise-equal to the corresponding
         fields of the ``open-system`` backend's :class:`OpenSystemResult`.
         """
-        return self._run(config, streams, open_mode=True)
+        return self._run(config, streams, _CLASSLESS)
+
+    def run_space_shared(
+        self, config, streams: StreamRegistry | None = None
+    ) -> tuple[
+        np.ndarray,
+        np.ndarray,
+        np.ndarray,
+        np.ndarray,
+        np.ndarray,
+        np.ndarray,
+        np.ndarray,
+        float,
+    ]:
+        """Moldable job classes space-sharing the cluster under admission.
+
+        Flattens the ``open-system`` oracle's ``_run_space_shared`` — the
+        :class:`~repro.cluster.admission.AdmissionController` decision loop
+        (queue state, exclusive station-subset allocation, EASY reservation /
+        backfill checks, preemptive kill-and-requeue restarts) plus the
+        open/closed job sources — into transition tables of the kernel's
+        one event loop.  Returns ``(arrival_times, start_times, end_times,
+        demands, widths, class_ids, restarts, measured_owner_utilization)``,
+        bitwise-equal to the corresponding fields of the oracle's
+        :class:`OpenSystemResult`.
+
+        Admission-controller mapping (on top of the module-level contract):
+
+        =====================================  ==============================
+        oracle (controller + desim)            kernel (flat loop)
+        =====================================  ==============================
+        ``ticket.event.succeed``               ``ADMIT_TICKET`` push, stamped
+                                               with the job's ``serial``
+        ``process.interrupt`` on a task        ``ADMIT_KILL_TASK`` urgent push
+        killed task's failed termination       ``TASK_FAIL`` push; first one
+                                               fails the join (``JOB_ABORT``)
+        ``process.interrupt`` on the job       ``JOB_KILL`` urgent push (all
+                                               tasks finished in-instant)
+        detached AllOf firing after eviction   ``att.dead`` stale-skip
+        source process / sources' AllOf        ``SRC_*`` kinds
+        =====================================  ==============================
+        """
+        return self._run(config, streams, _SPACE)
 
     # -- the flat event loop -------------------------------------------------
-    def _run(self, config, streams, open_mode: bool):
+    def _run(self, config, streams, life: int):
         cfg = config
         scenario: ScenarioSpec = cfg.effective_scenario
         workstations: int = cfg.workstations
@@ -362,6 +446,8 @@ class EventKernel:
         imbalance: float = scenario.imbalance
         job_demand: float = cfg.job_demand
 
+        if life != _CLOSED:
+            spec = _arrival_spec(scenario, life, workstations)
         policy = make_policy(scenario.policy, **dict(scenario.policy_kwargs))
         role, chunks_per_station = _policy_role(policy)
 
@@ -390,8 +476,8 @@ class EventKernel:
         cpu_queue: list[deque] = [deque() for _ in range(workstations)]
 
         # Owner processes start in station order (oracle: _build_cluster loop).
-        for w, spec in enumerate(scenario.stations):
-            behavior = OwnerBehavior.from_station(spec)
+        for w, station in enumerate(scenario.stations):
+            behavior = OwnerBehavior.from_station(station)
             rng = streams.stream(f"owner-{w}")
             util[w] = behavior.utilization
             if behavior.is_idle:
@@ -413,6 +499,7 @@ class EventKernel:
             heappush(heap, (0.0, URGENT, tie, _OWNER_INIT, w, 0))
             tie += 1
         placement_rng = streams.stream("placement")
+        all_stations = list(range(workstations))  # a classless job's subset
 
         def think_sample(w: int) -> float:
             if prebatch[w]:
@@ -425,45 +512,6 @@ class EventKernel:
                 think_cur[w] = i + 1
                 return buf[i]
             return think_v[w].sample(owner_rng[w])
-
-        # Mode-specific setup: the closed driver / the open source+admission.
-        if open_mode:
-            spec_arrivals = scenario.arrivals
-            if spec_arrivals is None:
-                raise ValueError(
-                    "the event kernel's open mode needs a scenario with a "
-                    "job-arrival process; set ScenarioSpec.arrivals"
-                )
-            if spec_arrivals.is_space_shared:
-                raise ValueError(
-                    "space-shared (job-class) arrival specs run through "
-                    "EventKernel.run_space_shared, not the classless loop"
-                )
-            arrival_rng = streams.stream("arrivals")
-            job_demand_rng = streams.stream("job-demands")
-            demand_variate = make_variate(
-                spec_arrivals.demand_kind, job_demand, **dict(spec_arrivals.demand_kwargs)
-            )
-            mean_gap = spec_arrivals.mean_interarrival
-            admit_cap = spec_arrivals.max_concurrent_jobs
-            admit_users = 0
-            admit_queue: deque[_Job] = deque()
-            source_done = False
-            jobs_done = 0
-            arrival_times = np.empty(num_jobs, dtype=np.float64)
-            start_times = np.empty(num_jobs, dtype=np.float64)
-            end_times = np.empty(num_jobs, dtype=np.float64)
-            job_demands = np.empty(num_jobs, dtype=np.float64)
-            heappush(heap, (0.0, URGENT, tie, _SOURCE_INIT, None, 0))
-            tie += 1
-        else:
-            next_job = 0
-            job_times = np.empty(num_jobs, dtype=np.float64)
-            task_times: list[float] = []
-            # The driver's init pop immediately launches job 0 (or exits for
-            # num_jobs == 0), exactly the JOB_EXIT continuation — reuse it.
-            heappush(heap, (0.0, URGENT, tie, _JOB_EXIT, None, 0))
-            tie += 1
 
         def request_cpu(t: _Task) -> None:
             """``cpu.request(priority=TASK_PRIORITY)``: grant if free, else FIFO."""
@@ -491,37 +539,36 @@ class EventKernel:
                 holder[w] = None
             tie += 1  # the Release event itself (guaranteed no-op pop)
 
-        def start_job(job: _Job, total_demand: float) -> None:
-            """Launch one job's task processes (the policy's ``run_job`` head)."""
+        def start(job: _Job) -> None:
+            """Launch one attempt's task processes (the policy's ``run_job`` head).
+
+            The placement draw happens per *attempt* (oracle: inside the
+            retry loop), so a restarted job re-splits with fresh randomness.
+            """
             nonlocal tie
+            width = job.width
             if imbalance == 0.0:
-                demands = balanced_tasks(total_demand, workstations)
+                demands = balanced_tasks(job.demand, width)
             else:
-                demands = imbalanced_tasks(
-                    total_demand, workstations, imbalance, placement_rng
-                )
-            job.pending = workstations
-            tasks = job.tasks
-            tasks.clear()
+                demands = imbalanced_tasks(job.demand, width, imbalance, placement_rng)
+            att = _Attempt(job)
+            job.att = att
+            att.pending = width
             if role == _ROLE_WORKER:
                 total = float(np.sum(demands))
-                num_chunks = chunks_per_station * workstations
-                job.chunk = total / num_chunks
-                job.chunks_left = num_chunks
-                for w in range(workstations):
-                    t = _Task(job, w)
-                    tasks.append(t)
-                    heappush(heap, (now, URGENT, tie, _TASK_INIT, t, 0))
-                    tie += 1
-            else:
-                if role == _ROLE_ITEM:
-                    job.active = [1] * workstations
-                for w in range(workstations):
-                    t = _Task(job, w)
-                    t.remaining = float(demands[w])
-                    tasks.append(t)
-                    heappush(heap, (now, URGENT, tie, _TASK_INIT, t, 0))
-                    tie += 1
+                num_chunks = chunks_per_station * width
+                att.chunk = total / num_chunks
+                att.chunks_left = num_chunks
+            elif role == _ROLE_ITEM:
+                att.active = [1] * width
+            tasks = att.tasks
+            for pos, station in enumerate(job.subset):
+                t = _Task(att, pos, station)
+                if role != _ROLE_WORKER:
+                    t.remaining = float(demands[pos])
+                tasks.append(t)
+                heappush(heap, (now, URGENT, tie, _TASK_INIT, t, 0))
+                tie += 1
 
         def end_attempt(t: _Task) -> None:
             """Continuation after a CPU attempt ends (service done or dust).
@@ -537,15 +584,15 @@ class EventKernel:
                 heappush(heap, (now, NORMAL, tie, _TASK_EXIT, t, 0))
                 tie += 1
                 return
+            att = t.att
             if role == _ROLE_WORKER:
-                job = t.job
                 if t.frag_count == 0:
                     t.first_start = t.rec_start
                 t.frag_count += 1
                 t.end = now
-                if job.chunks_left > 0:
-                    job.chunks_left -= 1
-                    t.remaining = job.chunk
+                if att.chunks_left > 0:
+                    att.chunks_left -= 1
+                    t.remaining = att.chunk
                     t.rec_start = now
                     request_cpu(t)
                 else:
@@ -557,35 +604,350 @@ class EventKernel:
                 t.first_start = t.rec_start
             if t.remaining <= 0:
                 t.end = now
-                t.job.active[t.station] -= 1
+                att.active[t.pos] -= 1
                 heappush(heap, (now, NORMAL, tie, _TASK_EXIT, t, 0))
                 tie += 1
                 return
-            # Preempted with work left: migrate to the least-utilized idle
-            # station (ties by index), else resume in place.
-            active = t.job.active
-            cur = t.station
+            # Preempted with work left: migrate within the job's subset to the
+            # least-utilized idle position (ties by position), else resume.
+            active = att.active
+            subset = att.job.subset
+            cur = t.pos
             best = -1
-            for i in range(workstations):
+            best_util = 0.0  # util[subset[best]]
+            for i, w in enumerate(subset):
                 if i == cur or active[i] > 0:
                     continue
-                if best < 0 or util[i] < util[best]:
+                if best < 0 or util[w] < best_util:
                     best = i
+                    best_util = util[w]
             if best >= 0:
                 active[cur] -= 1
                 active[best] += 1
-                t.station = best
+                t.pos = best
+                t.station = subset[best]
                 if tap is not None:
                     tap(
                         "task-migrated",
                         now,
-                        job=t.job.index,
-                        source=cur,
-                        target=best,
+                        job=att.job.index,
+                        source=subset[cur],
+                        target=subset[best],
                         remaining=t.remaining,
                     )
             t.rec_start = now
             request_cpu(t)
+
+        # Lifecycle set-up.  Stream creation order matches the oracle's and
+        # is part of the bitwise contract: the closed run creates the
+        # owners' streams and ``placement`` only; the classless stream adds
+        # ``arrivals`` and ``job-demands``; the space-shared run adds
+        # ``job-classes`` and ``think-times`` too, unconditionally (a
+        # single-class mix draws nothing from them, but their creation
+        # advances the registry).
+        if life == _CLOSED:
+            next_job = 0
+            job_times = np.empty(num_jobs, dtype=np.float64)
+            task_times: list[float] = []
+            # The job loop's init pop immediately launches job 0 (or exits for
+            # num_jobs == 0), exactly the JOB_EXIT continuation — reuse it.
+            heappush(heap, (0.0, URGENT, tie, _JOB_EXIT, None, 0))
+            tie += 1
+        else:
+            arrival_rng = streams.stream("arrivals")
+            job_demand_rng = streams.stream("job-demands")
+            demand_variate = make_variate(
+                spec.demand_kind, job_demand, **dict(spec.demand_kwargs)
+            )
+            arrival_times = np.empty(num_jobs, dtype=np.float64)
+            start_times = np.empty(num_jobs, dtype=np.float64)
+            end_times = np.empty(num_jobs, dtype=np.float64)
+            job_demands = np.empty(num_jobs, dtype=np.float64)
+            submitted = 0
+            exited = 0
+            sources_done = False
+
+        if life == _CLASSLESS:
+            mean_gap = spec.mean_interarrival
+            admit_cap = spec.max_concurrent_jobs
+            admit_users = 0
+            admit_queue: deque[_Job] = deque()
+
+            def adm_request(job: _Job) -> None:
+                """``run_one_job``'s admission request (a plain FIFO resource)."""
+                nonlocal tie, admit_users
+                if admit_users < admit_cap:
+                    admit_users += 1
+                    heappush(heap, (now, NORMAL, tie, _ADMIT_GRANT, job, 0))
+                    tie += 1
+                else:
+                    admit_queue.append(job)
+                    if tap is not None:
+                        tap(
+                            "job-queued",
+                            now,
+                            job=job.index,
+                            queue_depth=len(admit_queue),
+                        )
+
+            def adm_release(job: _Job) -> None:
+                """Admission release: hand the slot to the FIFO head."""
+                nonlocal tie, admit_users
+                if admit_queue:
+                    nxt = admit_queue.popleft()
+                    heappush(heap, (now, NORMAL, tie, _ADMIT_GRANT, nxt, 0))
+                    tie += 1
+                else:
+                    admit_users -= 1
+                tie += 1  # the admission Release event (no-op pop)
+
+            heappush(heap, (0.0, URGENT, tie, _SOURCE_INIT, None, 0))
+            tie += 1
+        elif life == _SPACE:
+            classes = spec.job_classes
+            class_rng = streams.stream("job-classes")
+            think_rng = streams.stream("think-times")
+            admission = make_admission_policy(
+                spec.admission_policy, **dict(spec.admission_kwargs)
+            )
+            # Flatten the policy object into the transition tables' scalars.
+            adm_backfill = isinstance(admission, EasyBackfillAdmission)
+            adm_priority = isinstance(admission, PriorityAdmission)
+            preemptive = adm_priority and admission.preemptive
+            runtime_factor = admission.runtime_factor if adm_backfill else 0.0
+            mean_util = scenario.mean_utilization
+
+            open_indices = spec.open_class_indices
+            open_index_array = np.array(open_indices, dtype=np.int64)
+            weights = np.array(
+                [classes[index].weight for index in open_indices], dtype=np.float64
+            )
+            if weights.size:
+                weights /= weights.sum()
+            mean_gap = spec.mean_interarrival if open_indices else 0.0
+
+            widths = np.empty(num_jobs, dtype=np.float64)
+            class_ids = np.empty(num_jobs, dtype=np.float64)
+            restarts = np.zeros(num_jobs, dtype=np.float64)
+            budget = num_jobs
+
+            # Admission-controller state, flattened: a sorted free-station
+            # list, the waiting queue (policy order), and insertion-ordered
+            # running records (EASY's release sort relies on dict insertion
+            # order plus sort stability, exactly like the oracle's
+            # ``running.values()``).
+            adm_free = list(range(workstations))
+            adm_queue: list[_Job] = []
+            adm_running: dict[int, _Running] = {}
+            adm_seq = 0
+
+            def estimate_service(job: _Job) -> float:
+                # The oracle's estimate_service lambda, verbatim float ops.
+                return job.demand / (job.width * (1.0 - mean_util))
+
+            def adm_select() -> _Job | None:
+                """``AdmissionPolicy.select`` over the flattened queue state."""
+                if not adm_queue:
+                    return None
+                head = adm_queue[0]
+                free = len(adm_free)
+                if head.width <= free:
+                    return head
+                if not adm_backfill:
+                    return None  # FCFS / priority: head-of-line blocking
+                # EASY: the head's reservation (shadow time + spare width),
+                # then the backfill scan over the rest of the queue.
+                releases = sorted(
+                    adm_running.values(),
+                    key=lambda run: run.admitted_at + runtime_factor * run.estimate,
+                )
+                shadow = now
+                extra = free
+                available = free
+                for run in releases:
+                    available += len(run.stations)
+                    if available >= head.width:
+                        shadow = run.admitted_at + runtime_factor * run.estimate
+                        if shadow < now:
+                            shadow = now
+                        extra = available - head.width
+                        break
+                for job in adm_queue[1:]:
+                    if job.width > free:
+                        continue
+                    finish = now + runtime_factor * estimate_service(job)
+                    if finish <= shadow or job.width <= extra:
+                        return job
+                return None
+
+            def adm_admit(job: _Job) -> None:
+                nonlocal tie
+                adm_queue.remove(job)
+                allocated = adm_free[: job.width]
+                del adm_free[: job.width]
+                job.subset = allocated
+                adm_running[job.index] = _Running(
+                    job, allocated, now, estimate_service(job)
+                )
+                # ticket.event.succeed(ticket): one enqueue, the ADMIT_TICKET pop.
+                heappush(heap, (now, NORMAL, tie, _ADMIT_TICKET, job, job.serial))
+                tie += 1
+
+            def adm_preempt(run: _Running) -> None:
+                """Kill-and-requeue one running job (restart semantics).
+
+                Interrupt enqueues mirror the oracle's per-station scan of
+                ``list(cpu.users) + list(cpu.queue)``: the task holder first
+                (owners are skipped — their requests carry OWNER_PRIORITY),
+                then the queued tasks in FIFO order.  A victim with no live
+                task left (all finished in this very instant) gets the
+                interrupt on its job process instead.
+                """
+                nonlocal tie
+                killed = 0
+                for w in run.stations:
+                    h = holder[w]
+                    if h is not None and h is not _OWNER_HOLDER:
+                        heappush(heap, (now, URGENT, tie, _ADMIT_KILL_TASK, h, 0))
+                        tie += 1
+                        killed += 1
+                    for t in cpu_queue[w]:
+                        heappush(heap, (now, URGENT, tie, _ADMIT_KILL_TASK, t, 0))
+                        tie += 1
+                        killed += 1
+                if killed == 0:
+                    heappush(heap, (now, URGENT, tie, _JOB_KILL, run.job, 0))
+                    tie += 1
+                del adm_running[run.job.index]
+                adm_free.extend(run.stations)
+                adm_free.sort()
+
+            def adm_dispatch() -> None:
+                """``AdmissionController._dispatch``: select loop, then the plan."""
+                while True:
+                    pick = adm_select()
+                    if pick is None:
+                        break
+                    adm_admit(pick)
+                if preemptive and adm_queue:
+                    head = adm_queue[0]
+                    victims = sorted(
+                        (
+                            run
+                            for run in adm_running.values()
+                            if run.job.priority < head.priority
+                        ),
+                        key=lambda run: (
+                            run.job.priority,
+                            -run.admitted_at,
+                            -run.job.seq,
+                        ),
+                    )
+                    reclaimed = len(adm_free)
+                    plan: list[_Running] = []
+                    for run in victims:
+                        plan.append(run)
+                        reclaimed += len(run.stations)
+                        if reclaimed >= head.width:
+                            break
+                    else:
+                        plan = []  # reclaiming everything still won't fit
+                    if plan:
+                        for run in plan:
+                            adm_preempt(run)
+                        adm_admit(head)
+                        while True:
+                            pick = adm_select()
+                            if pick is None:
+                                break
+                            adm_admit(pick)
+                # Work conservation: stations never all idle while jobs wait.
+                assert not (adm_queue and not adm_running), (
+                    "admission stalled with an empty cluster and a non-empty queue"
+                )
+
+            def adm_request(job: _Job) -> None:
+                nonlocal adm_seq
+                adm_seq += 1
+                job.seq = adm_seq
+                adm_queue.append(job)
+                if adm_priority:
+                    adm_queue.sort(key=lambda j: (-j.priority, j.seq))
+                adm_dispatch()
+                if tap is not None and not job.subset:
+                    tap("job-queued", now, job=job.index, queue_depth=len(adm_queue))
+
+            def adm_release(job: _Job) -> None:
+                run = adm_running.pop(job.index)
+                adm_free.extend(run.stations)
+                adm_free.sort()
+                adm_dispatch()
+
+            def requeue(job: _Job) -> None:
+                """Discard the running attempt and re-request admission."""
+                att = job.att
+                if att is not None:
+                    att.dead = True
+                    job.att = None
+                job.subset = []
+                restarts[job.index] += 1.0
+                if tap is not None:
+                    tap(
+                        "job-restarted",
+                        now,
+                        job=job.index,
+                        restarts=int(restarts[job.index]),
+                    )
+                adm_request(job)  # requeue with the full demand (restart)
+
+            def take_budget() -> bool:
+                nonlocal budget
+                if budget <= 0:
+                    return False
+                budget -= 1
+                return True
+
+            def submit(class_index: int) -> _Job:
+                nonlocal tie, submitted
+                demand = float(demand_variate.sample(job_demand_rng))
+                while demand <= 0.0:
+                    demand = float(demand_variate.sample(job_demand_rng))
+                job_class = classes[class_index]
+                job = _Job(
+                    submitted, job_class.width, demand, [], job_class.priority
+                )
+                arrival_times[job.index] = now
+                job_demands[job.index] = demand
+                widths[job.index] = float(job_class.width)
+                class_ids[job.index] = float(class_index)
+                submitted += 1
+                heappush(heap, (now, URGENT, tie, _JOB_INIT, job, 0))
+                tie += 1
+                return job
+
+            # Sources start after the owners, open first (oracle process
+            # order).  Every class mix has at least one source: a class is
+            # open, or closed with a positive population.
+            sources_left = 0
+            if open_indices:
+                heappush(heap, (0.0, URGENT, tie, _SRC_OPEN_INIT, None, 0))
+                tie += 1
+                sources_left += 1
+            for class_index in spec.closed_class_indices:
+                job_class = classes[class_index]
+                for _member in range(job_class.population):
+                    source = _Source(
+                        make_variate(
+                            job_class.think_time_kind,
+                            job_class.think_time,
+                            **dict(job_class.think_time_kwargs),
+                        ),
+                        class_index,
+                    )
+                    heappush(heap, (0.0, URGENT, tie, _SRC_CLOSED_INIT, source, 0))
+                    tie += 1
+                    sources_left += 1
+            multi_source = sources_left > 1
 
         # ---- dispatch loop (branches roughly frequency-ordered) ----
         while True:
@@ -595,7 +957,7 @@ class EventKernel:
             if kind == _TASK_GRANT:
                 t = entry[4]
                 if entry[5] != t.serial:
-                    continue  # stale grant (task was interrupted meanwhile)
+                    continue  # stale grant (interrupted / killed meanwhile)
                 t.started = now
                 heappush(
                     heap, (now + t.remaining, NORMAL, tie, _TASK_DONE, t, t.serial)
@@ -684,7 +1046,7 @@ class EventKernel:
                     tap(
                         "task-preempted",
                         now,
-                        job=t.job.index,
+                        job=t.att.job.index,
                         station=t.station,
                         remaining=t.remaining,
                     )
@@ -698,50 +1060,47 @@ class EventKernel:
             elif kind == _TASK_INIT:
                 t = entry[4]
                 if role == _ROLE_WORKER:
-                    job = t.job
-                    if job.chunks_left <= 0:
+                    att = t.att
+                    if att.chunks_left <= 0:
                         # Chunk queue already drained: worker exits at birth.
                         heappush(heap, (now, NORMAL, tie, _TASK_EXIT, t, 0))
                         tie += 1
                         continue
-                    job.chunks_left -= 1
-                    t.remaining = job.chunk
+                    att.chunks_left -= 1
+                    t.remaining = att.chunk
                 t.rec_start = now
                 request_cpu(t)
             elif kind == _TASK_EXIT:
-                job = entry[4].job
-                job.pending -= 1
-                if job.pending == 0:
-                    heappush(heap, (now, NORMAL, tie, _JOB_ALLOF, job, 0))
+                att = entry[4].att
+                att.pending -= 1
+                if att.pending == 0 and not att.failed:
+                    # The join fires even for a dead attempt whose tasks all
+                    # finished (the oracle's detached AllOf still succeeds);
+                    # the JOB_ALLOF pop skips it.  A *failed* join never
+                    # re-fires: the AllOf is already triggered.
+                    heappush(heap, (now, NORMAL, tie, _JOB_ALLOF, att, 0))
                     tie += 1
             elif kind == _JOB_ALLOF:
-                job = entry[4]
-                if open_mode:
-                    end_times[job.index] = now
-                    # Admission release: hand the slot to the FIFO head.
-                    if admit_queue:
-                        nxt = admit_queue.popleft()
-                        heappush(heap, (now, NORMAL, tie, _ADMIT_GRANT, nxt, 0))
-                        tie += 1
-                    else:
-                        admit_users -= 1
-                    tie += 1  # the admission Release event (no-op pop)
-                else:
+                att = entry[4]
+                if att.dead:
+                    continue  # stale join: the job was evicted this instant
+                job = att.job
+                if life == _CLOSED:
                     end = -_INF
                     if role == _ROLE_STATIC:
-                        for t in job.tasks:
+                        for t in att.tasks:
                             task_times.append(t.end - t.rec_start)
                             if t.end > end:
                                 end = t.end
                     elif role == _ROLE_WORKER:
-                        for t in job.tasks:
+                        for t in att.tasks:
                             if t.frag_count == 0:
                                 continue  # station never pulled a chunk
                             task_times.append(t.end - t.first_start)
                             if t.end > end:
                                 end = t.end
                     else:
-                        for t in job.tasks:
+                        for t in att.tasks:
                             s = t.first_start
                             task_times.append(
                                 t.end - (s if s is not None else 0.0)
@@ -749,50 +1108,49 @@ class EventKernel:
                             if t.end > end:
                                 end = t.end
                     job_times[job.index] = end - job.start
+                else:
+                    end_times[job.index] = now
+                    adm_release(job)
                 heappush(heap, (now, NORMAL, tie, _JOB_EXIT, job, 0))
                 tie += 1
             elif kind == _JOB_EXIT:
-                if open_mode:
-                    jobs_done += 1
-                    if source_done and jobs_done >= num_jobs:
-                        break  # the drain AllOf fires: simulation over
-                else:
-                    # The closed driver's loop: next job, or the driver exits.
+                if life == _CLOSED:
+                    # The closed job loop: next job, or the loop exits.
                     if next_job < num_jobs:
-                        job = _Job(next_job)
+                        job = _Job(next_job, workstations, job_demand, all_stations)
                         next_job += 1
                         heappush(heap, (now, URGENT, tie, _JOB_INIT, job, 0))
-                        tie += 1
                     else:
-                        heappush(heap, (now, NORMAL, tie, _DRIVER_EXIT, None, 0))
-                        tie += 1
+                        heappush(heap, (now, NORMAL, tie, _CLOSED_EXIT, None, 0))
+                    tie += 1
+                    continue
+                job = entry[4]
+                src = job.waiter
+                if src is not None:
+                    # Resume the parked closed-loop source: next think time.
+                    job.waiter = None
+                    gap = float(src.variate.sample(think_rng))
+                    heappush(
+                        heap,
+                        (now + max(gap, 0.0), NORMAL, tie, _SRC_CLOSED_WAKE, src, 0),
+                    )
+                    tie += 1
+                exited += 1
+                if sources_done and exited >= submitted:
+                    break  # the drain AllOf fires: simulation over
             elif kind == _JOB_INIT:
                 job = entry[4]
-                if open_mode:
-                    # run_one_job's admission request (plain FIFO resource).
-                    if admit_users < admit_cap:
-                        admit_users += 1
-                        heappush(heap, (now, NORMAL, tie, _ADMIT_GRANT, job, 0))
-                        tie += 1
-                    else:
-                        admit_queue.append(job)
-                        if tap is not None:
-                            tap(
-                                "job-queued",
-                                now,
-                                job=job.index,
-                                queue_depth=len(admit_queue),
-                            )
-                else:
+                if life == _CLOSED:
                     job.start = now
-                    start_job(job, job_demand)
+                    start(job)
+                else:
+                    adm_request(job)  # run_one_job's first admission request
             elif kind == _ADMIT_GRANT:
                 job = entry[4]
                 if tap is not None:
                     tap("job-admitted", now, job=job.index)
                 start_times[job.index] = now
-                job.start = now
-                start_job(job, job.demand)
+                start(job)
             elif kind == _SOURCE_WAKE:
                 j = entry[4]
                 demand = float(demand_variate.sample(job_demand_rng))
@@ -800,34 +1158,129 @@ class EventKernel:
                     demand = float(demand_variate.sample(job_demand_rng))
                 arrival_times[j] = now
                 job_demands[j] = demand
-                job = _Job(j)
-                job.demand = demand
+                submitted += 1
+                job = _Job(j, workstations, demand, all_stations)
                 heappush(heap, (now, URGENT, tie, _JOB_INIT, job, 0))
                 tie += 1
                 j += 1
                 if j < num_jobs:
-                    gap = spec_arrivals.interarrival(j)
+                    gap = spec.interarrival(j)
                     if gap is None:
                         gap = float(arrival_rng.exponential(mean_gap))
                     heappush(heap, (now + gap, NORMAL, tie, _SOURCE_WAKE, j, 0))
-                    tie += 1
                 else:
                     heappush(heap, (now, NORMAL, tie, _SOURCE_EXIT, None, 0))
-                    tie += 1
+                tie += 1
             elif kind == _SOURCE_EXIT:
-                source_done = True
-                if jobs_done >= num_jobs:
+                sources_done = True
+                if exited >= submitted:
                     break  # no in-flight jobs left to drain
             elif kind == _SOURCE_INIT:
                 if num_jobs <= 0:
                     heappush(heap, (now, NORMAL, tie, _SOURCE_EXIT, None, 0))
-                    tie += 1
-                    continue
-                gap = spec_arrivals.interarrival(0)
-                if gap is None:
-                    gap = float(arrival_rng.exponential(mean_gap))
-                heappush(heap, (now + gap, NORMAL, tie, _SOURCE_WAKE, 0, 0))
+                else:
+                    gap = spec.interarrival(0)
+                    if gap is None:
+                        gap = float(arrival_rng.exponential(mean_gap))
+                    heappush(heap, (now + gap, NORMAL, tie, _SOURCE_WAKE, 0, 0))
                 tie += 1
+            elif kind == _ADMIT_TICKET:
+                job = entry[4]
+                if entry[5] != job.serial:
+                    continue  # evicted while parked at this very ticket
+                if tap is not None:
+                    tap(
+                        "job-admitted",
+                        now,
+                        job=job.index,
+                        width=job.width,
+                        stations=tuple(job.subset),
+                    )
+                start_times[job.index] = now
+                start(job)
+            elif kind == _ADMIT_KILL_TASK:
+                t = entry[4]
+                # The interrupt detaches the task from any pending grant /
+                # completion (bumped at *pop* time: a grant legitimately
+                # issued to this dying task during an earlier kill's release
+                # must still be invalidated).
+                t.serial += 1
+                w = t.station
+                if holder[w] is t:
+                    release_cpu(w)  # context-manager release: grant next
+                else:
+                    cpu_queue[w].remove(t)  # queued request cancelled
+                    tie += 1  # its Release completion (no-op pop)
+                heappush(heap, (now, NORMAL, tie, _TASK_FAIL, t, 0))
+                tie += 1  # the failed termination
+            elif kind == _TASK_FAIL:
+                att = entry[4].att
+                if att.failed:
+                    continue  # the join already failed: triggered, no-op
+                att.failed = True
+                heappush(heap, (now, NORMAL, tie, _JOB_ABORT, att, 0))
+                tie += 1  # the AllOf's failure
+            elif kind == _JOB_ABORT:
+                requeue(entry[4].job)
+            elif kind == _JOB_KILL:
+                job = entry[4]
+                job.serial += 1  # a pending admission ticket goes stale
+                requeue(job)
+            elif kind == _SRC_OPEN_WAKE:
+                index = entry[4]
+                if len(open_indices) == 1:
+                    class_index = open_indices[0]
+                else:
+                    class_index = int(class_rng.choice(open_index_array, p=weights))
+                submit(class_index)
+                if take_budget():
+                    gap = spec.interarrival(index)
+                    if gap is None:
+                        gap = float(arrival_rng.exponential(mean_gap))
+                    heappush(
+                        heap, (now + gap, NORMAL, tie, _SRC_OPEN_WAKE, index + 1, 0)
+                    )
+                else:
+                    heappush(heap, (now, NORMAL, tie, _SRC_EXIT, None, 0))
+                tie += 1
+            elif kind == _SRC_CLOSED_WAKE:
+                src = entry[4]
+                if take_budget():
+                    submit(src.class_index).waiter = src  # park on the job
+                else:
+                    heappush(heap, (now, NORMAL, tie, _SRC_EXIT, None, 0))
+                    tie += 1
+            elif kind == _SRC_OPEN_INIT:
+                if take_budget():
+                    gap = spec.interarrival(0)
+                    if gap is None:
+                        gap = float(arrival_rng.exponential(mean_gap))
+                    heappush(heap, (now + gap, NORMAL, tie, _SRC_OPEN_WAKE, 1, 0))
+                else:
+                    heappush(heap, (now, NORMAL, tie, _SRC_EXIT, None, 0))
+                tie += 1
+            elif kind == _SRC_CLOSED_INIT:
+                src = entry[4]
+                gap = float(src.variate.sample(think_rng))
+                heappush(
+                    heap, (now + max(gap, 0.0), NORMAL, tie, _SRC_CLOSED_WAKE, src, 0)
+                )
+                tie += 1
+            elif kind == _SRC_EXIT:
+                sources_left -= 1
+                if sources_left == 0:
+                    if multi_source:
+                        # Last termination: the sources' AllOf succeeds.
+                        heappush(heap, (now, NORMAL, tie, _SRC_ALLOF, None, 0))
+                        tie += 1
+                    else:
+                        sources_done = True
+                        if exited >= submitted:
+                            break  # no in-flight jobs left to drain
+            elif kind == _SRC_ALLOF:
+                sources_done = True
+                if exited >= submitted:
+                    break
             elif kind == _OWNER_INIT:
                 w = entry[4]
                 think = think_sample(w)
@@ -846,7 +1299,7 @@ class EventKernel:
                         ),
                     )
                     tie += 1
-            else:  # _DRIVER_EXIT
+            else:  # _CLOSED_EXIT
                 break
 
         heap.clear()
@@ -861,719 +1314,14 @@ class EventKernel:
             measured.append(0.0 if now <= 0 else a / now)
         measured_util = float(np.mean(measured))
 
-        if open_mode:
+        if life == _CLOSED:
+            return (
+                job_times,
+                np.asarray(task_times, dtype=np.float64),
+                measured_util,
+            )
+        if life == _CLASSLESS:
             return arrival_times, start_times, end_times, job_demands, measured_util
-        return (
-            job_times,
-            np.asarray(task_times, dtype=np.float64),
-            measured_util,
-        )
-
-    # -- the space-shared admission loop -------------------------------------
-    def run_space_shared(
-        self, config, streams: StreamRegistry | None = None
-    ) -> tuple[
-        np.ndarray,
-        np.ndarray,
-        np.ndarray,
-        np.ndarray,
-        np.ndarray,
-        np.ndarray,
-        np.ndarray,
-        float,
-    ]:
-        """Moldable job classes space-sharing the cluster under admission.
-
-        Flattens the ``open-system`` oracle's ``_run_space_shared`` — the
-        :class:`~repro.cluster.admission.AdmissionController` decision loop
-        (queue state, exclusive station-subset allocation, EASY reservation /
-        backfill checks, preemptive kill-and-requeue restarts) plus the
-        open/closed job sources — into transition tables driven by the
-        kernel's :class:`EventAgenda`.  Returns ``(arrival_times,
-        start_times, end_times, demands, widths, class_ids, restarts,
-        measured_owner_utilization)``, bitwise-equal to the corresponding
-        fields of the oracle's :class:`OpenSystemResult`.
-
-        Admission-controller mapping (on top of the module-level contract):
-
-        =====================================  ==============================
-        oracle (controller + desim)            kernel (flat loop)
-        =====================================  ==============================
-        ``ticket.event.succeed``               ``ADMIT_TICKET`` push, stamped
-                                               with the job's ``serial``
-        ``process.interrupt`` on a task        ``ADMIT_KILL_TASK`` urgent push
-        killed task's failed termination       ``TASK_FAIL`` push; first one
-                                               fails the join (``JOB_ABORT``)
-        ``process.interrupt`` on the job       ``JOB_KILL`` urgent push (all
-                                               tasks finished in-instant)
-        detached AllOf firing after eviction   ``att.dead`` stale-skip
-        source process / sources' AllOf        ``SRC_*`` kinds
-        =====================================  ==============================
-        """
-        cfg = config
-        scenario: ScenarioSpec = cfg.effective_scenario
-        workstations: int = cfg.workstations
-        num_jobs: int = cfg.num_jobs
-        imbalance: float = scenario.imbalance
-        job_demand: float = cfg.job_demand
-
-        spec = scenario.arrivals
-        if spec is None or not spec.is_space_shared:
-            raise ValueError(
-                "run_space_shared needs a scenario whose arrival spec defines "
-                "job classes; use run_open for the classless stream"
-            )
-        classes = spec.job_classes
-        for job_class in classes:
-            if job_class.width > workstations:
-                raise ValueError(
-                    f"job class {job_class.name!r} requests width "
-                    f"{job_class.width} on a {workstations}-station cluster"
-                )
-        policy = make_policy(scenario.policy, **dict(scenario.policy_kwargs))
-        role, chunks_per_station = _policy_role(policy)
-        admission = make_admission_policy(
-            spec.admission_policy, **dict(spec.admission_kwargs)
-        )
-        # Flatten the policy object into the transition tables' scalars.
-        adm_backfill = isinstance(admission, EasyBackfillAdmission)
-        adm_priority = isinstance(admission, PriorityAdmission)
-        preemptive = adm_priority and admission.preemptive
-        runtime_factor = admission.runtime_factor if adm_backfill else 0.0
-
-        if streams is None:
-            streams = StreamRegistry(cfg.seed)
-
-        agenda = self._agenda
-        agenda.reset()
-        now = 0.0
-        tap = self.tap
-
-        # Per-station owner + CPU state, identical to the classless loop.
-        think_v: list = [None] * workstations
-        demand_v: list = [None] * workstations
-        owner_rng: list = [None] * workstations
-        prebatch = [False] * workstations
-        think_buf: list = [()] * workstations
-        think_cur = [0] * workstations
-        owner_pending = [0.0] * workstations
-        busy = [False] * workstations
-        busy_start = [0.0] * workstations
-        area = [0.0] * workstations
-        util = [0.0] * workstations
-        holder: list = [None] * workstations
-        cpu_queue: list[deque] = [deque() for _ in range(workstations)]
-
-        for w, sspec in enumerate(scenario.stations):
-            behavior = OwnerBehavior.from_station(sspec)
-            rng = streams.stream(f"owner-{w}")
-            util[w] = behavior.utilization
-            if behavior.is_idle:
-                continue
-            think = behavior.think_time
-            demand = behavior.demand
-            think_v[w] = think
-            demand_v[w] = demand
-            owner_rng[w] = rng
-            prebatch[w] = bool(
-                getattr(think, "draws_rng", True)
-                and hasattr(think, "sample_batch")
-                and not getattr(demand, "draws_rng", True)
-            )
-            agenda.push(0.0, URGENT, _OWNER_INIT, w)
-        # Stream creation order matches the oracle: owners, placement,
-        # arrivals, job-demands, job-classes, think-times — all six created
-        # unconditionally (a single-class mix draws nothing from the extras,
-        # but their creation still advances the registry's spawn counter).
-        placement_rng = streams.stream("placement")
-        arrival_rng = streams.stream("arrivals")
-        job_demand_rng = streams.stream("job-demands")
-        class_rng = streams.stream("job-classes")
-        think_rng = streams.stream("think-times")
-        demand_variate = make_variate(
-            spec.demand_kind, job_demand, **dict(spec.demand_kwargs)
-        )
-        mean_util = scenario.mean_utilization
-
-        def think_sample(w: int) -> float:
-            if prebatch[w]:
-                buf = think_buf[w]
-                i = think_cur[w]
-                if i >= len(buf):
-                    buf = think_v[w].sample_batch(owner_rng[w], _THINK_BLOCK).tolist()
-                    think_buf[w] = buf
-                    i = 0
-                think_cur[w] = i + 1
-                return buf[i]
-            return think_v[w].sample(owner_rng[w])
-
-        open_indices = spec.open_class_indices
-        open_index_array = np.array(open_indices, dtype=np.int64)
-        weights = np.array(
-            [classes[index].weight for index in open_indices], dtype=np.float64
-        )
-        if weights.size:
-            weights /= weights.sum()
-        mean_gap = spec.mean_interarrival if open_indices else 0.0
-
-        arrival_times = np.empty(num_jobs, dtype=np.float64)
-        start_times = np.empty(num_jobs, dtype=np.float64)
-        end_times = np.empty(num_jobs, dtype=np.float64)
-        job_demands = np.empty(num_jobs, dtype=np.float64)
-        widths = np.empty(num_jobs, dtype=np.float64)
-        class_ids = np.empty(num_jobs, dtype=np.float64)
-        restarts = np.zeros(num_jobs, dtype=np.float64)
-
-        budget = num_jobs
-        submitted = 0
-        jobs_exited = 0
-        sources_done = False
-
-        # Admission-controller state, flattened: a sorted free-station list,
-        # the waiting queue (policy order), and insertion-ordered running
-        # records (EASY's release sort relies on dict insertion order plus
-        # sort stability, exactly like the oracle's ``running.values()``).
-        adm_free = list(range(workstations))
-        adm_queue: list[_SJob] = []
-        adm_running: dict[int, _SRun] = {}
-        adm_seq = 0
-
-        def estimate_service(job: _SJob) -> float:
-            # The oracle's estimate_service lambda, verbatim float ops.
-            return job.demand / (job.width * (1.0 - mean_util))
-
-        def request_cpu(t: _STask) -> None:
-            w = t.station
-            if holder[w] is None:
-                holder[w] = t
-                t.serial += 1
-                agenda.push(now, NORMAL, _TASK_GRANT, t, t.serial)
-            else:
-                cpu_queue[w].append(t)
-
-        def release_cpu(w: int) -> None:
-            q = cpu_queue[w]
-            if q:
-                h = q.popleft()
-                holder[w] = h
-                h.serial += 1
-                agenda.push(now, NORMAL, _TASK_GRANT, h, h.serial)
-            else:
-                holder[w] = None
-            agenda.tick()  # the Release event itself (guaranteed no-op pop)
-
-        def adm_select() -> _SJob | None:
-            """``AdmissionPolicy.select`` over the flattened queue state."""
-            if not adm_queue:
-                return None
-            head = adm_queue[0]
-            free = len(adm_free)
-            if head.width <= free:
-                return head
-            if not adm_backfill:
-                return None  # FCFS / priority: head-of-line blocking
-            # EASY: the head's reservation (shadow time + spare width), then
-            # the backfill scan over the rest of the queue.
-            releases = sorted(
-                adm_running.values(),
-                key=lambda run: run.admitted_at + runtime_factor * run.estimate,
-            )
-            shadow = now
-            extra = free
-            available = free
-            for run in releases:
-                available += len(run.stations)
-                if available >= head.width:
-                    shadow = run.admitted_at + runtime_factor * run.estimate
-                    if shadow < now:
-                        shadow = now
-                    extra = available - head.width
-                    break
-            for job in adm_queue[1:]:
-                if job.width > free:
-                    continue
-                finish = now + runtime_factor * estimate_service(job)
-                if finish <= shadow or job.width <= extra:
-                    return job
-            return None
-
-        def adm_admit(job: _SJob) -> None:
-            adm_queue.remove(job)
-            allocated = adm_free[: job.width]
-            del adm_free[: job.width]
-            job.subset = allocated
-            adm_running[job.index] = _SRun(job, allocated, now, estimate_service(job))
-            # ticket.event.succeed(ticket): one enqueue, the ADMIT_TICKET pop.
-            agenda.push(now, NORMAL, _ADMIT_TICKET, job, job.serial)
-
-        def adm_preempt(run: _SRun) -> None:
-            """Kill-and-requeue one running job (restart semantics).
-
-            Interrupt enqueues mirror the oracle's per-station scan of
-            ``list(cpu.users) + list(cpu.queue)``: the task holder first
-            (owners are skipped — their requests carry OWNER_PRIORITY), then
-            the queued tasks in FIFO order.  A victim with no live task left
-            (all finished in this very instant) gets the interrupt on its job
-            process instead.
-            """
-            killed = 0
-            for w in run.stations:
-                h = holder[w]
-                if h is not None and h is not _OWNER_HOLDER:
-                    agenda.push(now, URGENT, _ADMIT_KILL_TASK, h)
-                    killed += 1
-                for t in cpu_queue[w]:
-                    agenda.push(now, URGENT, _ADMIT_KILL_TASK, t)
-                    killed += 1
-            if killed == 0:
-                agenda.push(now, URGENT, _JOB_KILL, run.job)
-            del adm_running[run.job.index]
-            adm_free.extend(run.stations)
-            adm_free.sort()
-
-        def adm_dispatch() -> None:
-            """``AdmissionController._dispatch``: select loop, then the plan."""
-            while True:
-                pick = adm_select()
-                if pick is None:
-                    break
-                adm_admit(pick)
-            if preemptive and adm_queue:
-                head = adm_queue[0]
-                victims = sorted(
-                    (
-                        run
-                        for run in adm_running.values()
-                        if run.job.priority < head.priority
-                    ),
-                    key=lambda run: (
-                        run.job.priority,
-                        -run.admitted_at,
-                        -run.job.seq,
-                    ),
-                )
-                reclaimed = len(adm_free)
-                plan: list[_SRun] = []
-                for run in victims:
-                    plan.append(run)
-                    reclaimed += len(run.stations)
-                    if reclaimed >= head.width:
-                        break
-                else:
-                    plan = []  # reclaiming everything still won't fit: no plan
-                if plan:
-                    for run in plan:
-                        adm_preempt(run)
-                    adm_admit(head)
-                    while True:
-                        pick = adm_select()
-                        if pick is None:
-                            break
-                        adm_admit(pick)
-            # Work conservation: stations can never all idle while jobs wait.
-            assert not (adm_queue and not adm_running), (
-                "admission stalled with an empty cluster and a non-empty queue"
-            )
-
-        def adm_request(job: _SJob) -> None:
-            nonlocal adm_seq
-            adm_seq += 1
-            job.seq = adm_seq
-            adm_queue.append(job)
-            if adm_priority:
-                adm_queue.sort(key=lambda j: (-j.priority, j.seq))
-            adm_dispatch()
-            if tap is not None and job.subset is None:
-                tap("job-queued", now, job=job.index, queue_depth=len(adm_queue))
-
-        def adm_release(job: _SJob) -> None:
-            run = adm_running.pop(job.index)
-            adm_free.extend(run.stations)
-            adm_free.sort()
-            adm_dispatch()
-
-        def take_budget() -> bool:
-            nonlocal budget
-            if budget <= 0:
-                return False
-            budget -= 1
-            return True
-
-        def submit(class_index: int) -> _SJob:
-            nonlocal submitted
-            demand = float(demand_variate.sample(job_demand_rng))
-            while demand <= 0.0:
-                demand = float(demand_variate.sample(job_demand_rng))
-            job_class = classes[class_index]
-            job = _SJob(
-                submitted, class_index, job_class.width, job_class.priority, demand
-            )
-            arrival_times[job.index] = now
-            job_demands[job.index] = demand
-            widths[job.index] = float(job_class.width)
-            class_ids[job.index] = float(class_index)
-            submitted += 1
-            agenda.push(now, URGENT, _JOB_INIT, job)
-            return job
-
-        def start_attempt(job: _SJob) -> None:
-            """The admitted ticket's continuation: split demands, launch tasks.
-
-            The placement draw happens per *attempt* (oracle: inside the
-            retry loop), so restarts re-split with fresh randomness.
-            """
-            width = job.width
-            if imbalance == 0.0:
-                demands = balanced_tasks(job.demand, width)
-            else:
-                demands = imbalanced_tasks(job.demand, width, imbalance, placement_rng)
-            att = _SAttempt(job)
-            job.att = att
-            att.pending = width
-            subset = job.subset
-            if role == _ROLE_WORKER:
-                total = float(np.sum(demands))
-                num_chunks = chunks_per_station * width
-                att.chunk = total / num_chunks
-                att.chunks_left = num_chunks
-                for pos in range(width):
-                    agenda.push(now, URGENT, _TASK_INIT, _STask(att, pos, subset[pos]))
-            else:
-                if role == _ROLE_ITEM:
-                    att.active = [1] * width
-                for pos in range(width):
-                    t = _STask(att, pos, subset[pos])
-                    t.remaining = float(demands[pos])
-                    agenda.push(now, URGENT, _TASK_INIT, t)
-
-        def end_attempt(t: _STask) -> None:
-            """Continuation after a CPU attempt ends (subset-scoped)."""
-            att = t.att
-            if role == _ROLE_STATIC:
-                agenda.push(now, NORMAL, _TASK_EXIT, t)
-                return
-            if role == _ROLE_WORKER:
-                if att.chunks_left > 0:
-                    att.chunks_left -= 1
-                    t.remaining = att.chunk
-                    request_cpu(t)
-                else:
-                    agenda.push(now, NORMAL, _TASK_EXIT, t)
-                return
-            # _ROLE_ITEM: one execute_task_step record ended.
-            if t.remaining <= 0:
-                att.active[t.pos] -= 1
-                agenda.push(now, NORMAL, _TASK_EXIT, t)
-                return
-            # Preempted with work left: migrate within the job's subset to the
-            # least-utilized idle position (ties by position), else resume.
-            active = att.active
-            subset = att.job.subset
-            cur = t.pos
-            best = -1
-            for i in range(len(subset)):
-                if i == cur or active[i] > 0:
-                    continue
-                if best < 0 or util[subset[i]] < util[subset[best]]:
-                    best = i
-            if best >= 0:
-                active[cur] -= 1
-                active[best] += 1
-                if tap is not None:
-                    tap(
-                        "task-migrated",
-                        now,
-                        job=att.job.index,
-                        source=subset[cur],
-                        target=subset[best],
-                        remaining=t.remaining,
-                    )
-                t.pos = best
-                t.station = subset[best]
-            request_cpu(t)
-
-        # Sources start after the owners, open first (oracle process order).
-        sources_left = 0
-        if open_indices:
-            agenda.push(0.0, URGENT, _SRC_OPEN_INIT)
-            sources_left += 1
-        for class_index in spec.closed_class_indices:
-            job_class = classes[class_index]
-            for _member in range(job_class.population):
-                agenda.push(
-                    0.0,
-                    URGENT,
-                    _SRC_CLOSED_INIT,
-                    _SSource(
-                        make_variate(
-                            job_class.think_time_kind,
-                            job_class.think_time,
-                            **dict(job_class.think_time_kwargs),
-                        ),
-                        class_index,
-                    ),
-                )
-                sources_left += 1
-        multi_source = sources_left > 1
-
-        # ---- dispatch loop (branches roughly frequency-ordered) ----
-        # With no sources at all (every class empty of arrivals) the loop is
-        # skipped outright: owners alone never advance the interesting state,
-        # and the measured utilizations are all zero at ``now == 0``.
-        halted = sources_left == 0
-        while not halted:
-            entry = agenda.pop()
-            now = entry[0]
-            kind = entry[3]
-            if kind == _TASK_GRANT:
-                t = entry[4]
-                if entry[5] != t.serial:
-                    continue  # stale grant (interrupted / killed meanwhile)
-                t.started = now
-                agenda.push(now + t.remaining, NORMAL, _TASK_DONE, t, t.serial)
-            elif kind == _TASK_DONE:
-                t = entry[4]
-                if entry[5] != t.serial:
-                    continue  # stale completion (interrupted mid-service)
-                t.remaining = 0.0
-                t.started = None
-                release_cpu(t.station)
-                end_attempt(t)
-            elif kind == _OWNER_WAKE:
-                w = entry[4]
-                demand = demand_v[w].sample(owner_rng[w])
-                if demand < 0.0:
-                    demand = 0.0  # max(0.0, sample)
-                if demand == 0.0:
-                    think = think_sample(w)
-                    if think == _INF:
-                        agenda.tick()  # owner process returns, unobserved
-                    else:
-                        agenda.push(
-                            now + (think if think > 0.0 else 0.0),
-                            NORMAL,
-                            _OWNER_WAKE,
-                            w,
-                        )
-                    continue
-                owner_pending[w] = demand
-                if tap is not None:
-                    tap("owner-arrival", now, station=w, demand=demand)
-                h = holder[w]
-                if h is not None:
-                    h.serial += 1
-                    agenda.push(now, URGENT, _TASK_INTERRUPT, h)
-                holder[w] = _OWNER_HOLDER
-                agenda.push(now, NORMAL, _OWNER_GRANT, w)
-            elif kind == _OWNER_GRANT:
-                w = entry[4]
-                busy[w] = True
-                busy_start[w] = now
-                agenda.push(now + owner_pending[w], NORMAL, _OWNER_DONE, w)
-            elif kind == _OWNER_DONE:
-                w = entry[4]
-                area[w] += now - busy_start[w]
-                busy[w] = False
-                release_cpu(w)
-                think = think_sample(w)
-                if think == _INF:
-                    agenda.tick()  # owner process returns, unobserved
-                else:
-                    agenda.push(
-                        now + (think if think > 0.0 else 0.0), NORMAL, _OWNER_WAKE, w
-                    )
-            elif kind == _TASK_INTERRUPT:
-                t = entry[4]
-                if t.started is not None:
-                    t.remaining -= now - t.started
-                    t.started = None
-                if tap is not None:
-                    tap(
-                        "task-preempted",
-                        now,
-                        job=t.att.job.index,
-                        station=t.station,
-                        remaining=t.remaining,
-                    )
-                agenda.tick()  # Release of the interrupted request (no-op pop)
-                if role == _ROLE_ITEM:
-                    end_attempt(t)
-                elif t.remaining > 0:
-                    request_cpu(t)
-                else:
-                    end_attempt(t)
-            elif kind == _TASK_INIT:
-                t = entry[4]
-                if role == _ROLE_WORKER:
-                    att = t.att
-                    if att.chunks_left <= 0:
-                        agenda.push(now, NORMAL, _TASK_EXIT, t)
-                        continue
-                    att.chunks_left -= 1
-                    t.remaining = att.chunk
-                request_cpu(t)
-            elif kind == _TASK_EXIT:
-                att = entry[4].att
-                att.pending -= 1
-                if att.pending == 0 and not att.failed:
-                    # The join fires even for a dead attempt whose tasks all
-                    # finished (the oracle's detached AllOf still succeeds);
-                    # the JOB_ALLOF pop skips it.  A *failed* join never
-                    # re-fires: the AllOf is already triggered.
-                    agenda.push(now, NORMAL, _JOB_ALLOF, att)
-            elif kind == _JOB_ALLOF:
-                att = entry[4]
-                if att.dead:
-                    continue  # stale join: the job was evicted this instant
-                job = att.job
-                end_times[job.index] = now
-                adm_release(job)
-                agenda.push(now, NORMAL, _JOB_EXIT, job)
-            elif kind == _JOB_EXIT:
-                job = entry[4]
-                src = job.waiter
-                if src is not None:
-                    # Resume the parked closed-loop source: next think time.
-                    job.waiter = None
-                    gap = float(src.variate.sample(think_rng))
-                    agenda.push(now + max(gap, 0.0), NORMAL, _SRC_CLOSED_WAKE, src)
-                jobs_exited += 1
-                if sources_done and jobs_exited >= submitted:
-                    break  # the drain AllOf fires: simulation over
-            elif kind == _JOB_INIT:
-                # run_one_job's first admission request (synchronous dispatch).
-                adm_request(entry[4])
-            elif kind == _ADMIT_TICKET:
-                job = entry[4]
-                if entry[5] != job.serial:
-                    continue  # evicted while parked at this very ticket
-                if tap is not None:
-                    tap(
-                        "job-admitted",
-                        now,
-                        job=job.index,
-                        width=job.width,
-                        stations=tuple(job.subset),
-                    )
-                start_times[job.index] = now
-                start_attempt(job)
-            elif kind == _ADMIT_KILL_TASK:
-                t = entry[4]
-                # The interrupt detaches the task from any pending grant /
-                # completion (bumped at *pop* time: a grant legitimately
-                # issued to this dying task during an earlier kill's release
-                # must still be invalidated).
-                t.serial += 1
-                w = t.station
-                if holder[w] is t:
-                    release_cpu(w)  # context-manager release: grant next
-                else:
-                    cpu_queue[w].remove(t)  # queued request cancelled
-                    agenda.tick()  # its Release completion (no-op pop)
-                agenda.push(now, NORMAL, _TASK_FAIL, t)  # failed termination
-            elif kind == _TASK_FAIL:
-                att = entry[4].att
-                if att.failed:
-                    continue  # the join already failed: triggered, no-op
-                att.failed = True
-                agenda.push(now, NORMAL, _JOB_ABORT, att)  # the AllOf's fail
-            elif kind == _JOB_ABORT:
-                att = entry[4]
-                job = att.job
-                att.dead = True
-                job.att = None
-                job.subset = None
-                restarts[job.index] += 1.0
-                if tap is not None:
-                    tap(
-                        "job-restarted",
-                        now,
-                        job=job.index,
-                        restarts=int(restarts[job.index]),
-                    )
-                adm_request(job)  # requeue with the full demand (restart)
-            elif kind == _JOB_KILL:
-                job = entry[4]
-                job.serial += 1  # a pending admission ticket goes stale
-                att = job.att
-                if att is not None:
-                    att.dead = True
-                    job.att = None
-                job.subset = None
-                restarts[job.index] += 1.0
-                if tap is not None:
-                    tap(
-                        "job-restarted",
-                        now,
-                        job=job.index,
-                        restarts=int(restarts[job.index]),
-                    )
-                adm_request(job)
-            elif kind == _SRC_OPEN_WAKE:
-                index = entry[4]
-                if len(open_indices) == 1:
-                    class_index = open_indices[0]
-                else:
-                    class_index = int(class_rng.choice(open_index_array, p=weights))
-                submit(class_index)
-                if take_budget():
-                    gap = spec.interarrival(index)
-                    if gap is None:
-                        gap = float(arrival_rng.exponential(mean_gap))
-                    agenda.push(now + gap, NORMAL, _SRC_OPEN_WAKE, index + 1)
-                else:
-                    agenda.push(now, NORMAL, _SRC_EXIT)  # source termination
-            elif kind == _SRC_CLOSED_WAKE:
-                src = entry[4]
-                if take_budget():
-                    submit(src.class_index).waiter = src  # park on the job
-                else:
-                    agenda.push(now, NORMAL, _SRC_EXIT)  # source termination
-            elif kind == _SRC_OPEN_INIT:
-                if take_budget():
-                    gap = spec.interarrival(0)
-                    if gap is None:
-                        gap = float(arrival_rng.exponential(mean_gap))
-                    agenda.push(now + gap, NORMAL, _SRC_OPEN_WAKE, 1)
-                else:
-                    agenda.push(now, NORMAL, _SRC_EXIT)
-            elif kind == _SRC_CLOSED_INIT:
-                src = entry[4]
-                gap = float(src.variate.sample(think_rng))
-                agenda.push(now + max(gap, 0.0), NORMAL, _SRC_CLOSED_WAKE, src)
-            elif kind == _SRC_EXIT:
-                sources_left -= 1
-                if sources_left == 0:
-                    if multi_source:
-                        # Last termination: the sources' AllOf succeeds.
-                        agenda.push(now, NORMAL, _SRC_ALLOF)
-                    else:
-                        sources_done = True
-                        if jobs_exited >= submitted:
-                            break  # no in-flight jobs left to drain
-            elif kind == _SRC_ALLOF:
-                sources_done = True
-                if jobs_exited >= submitted:
-                    break
-            else:  # _OWNER_INIT
-                w = entry[4]
-                think = think_sample(w)
-                if think == _INF:
-                    agenda.tick()  # owner process returns, unobserved
-                else:
-                    agenda.push(
-                        now + (think if think > 0.0 else 0.0), NORMAL, _OWNER_WAKE, w
-                    )
-
-        # Finalize the owner-busy monitors at the stop time.
-        measured = []
-        for w in range(workstations):
-            a = area[w]
-            if busy[w]:
-                a += now - busy_start[w]
-            measured.append(0.0 if now <= 0 else a / now)
-        measured_util = float(np.mean(measured))
-
         return (
             arrival_times,
             start_times,

@@ -81,7 +81,6 @@ class LintConfig:
     # SL007
     telemetry_forbidden_packages: tuple[str, ...] = (
         "src/repro/desim",
-        "src/repro/kernel/agenda.py",
         "src/repro/kernel/machine.py",
         "src/repro/cluster",
     )

@@ -22,11 +22,11 @@ their first argument; ``yield from`` composes the context's primitives.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Generator, Optional, Sequence
 
 from ..cluster.owner import OwnerBehavior
-from ..cluster.workstation import TaskExecution, Workstation
+from ..cluster.workstation import Workstation
 from ..core.params import OwnerSpec
 from ..desim import Environment, Process, Store, StreamRegistry
 from .messages import ANY_SOURCE, ANY_TAG, Message, MessageBuffer

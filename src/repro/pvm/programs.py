@@ -22,7 +22,7 @@ programs exercise the messaging substrate on realistic patterns:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Generator, Optional, Sequence
 
 import numpy as np

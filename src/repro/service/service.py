@@ -12,7 +12,10 @@ background worker thread that drains the queue in submission order, so no
 two jobs race on the cache or the process pool.  Each job runs in
 :data:`SHARD_SIZE`-point shards, one :meth:`SweepRunner.run` across the
 runner's *process* pool per shard; the record is saved after every shard,
-so progress streams to pollers and a crash loses at most one shard.
+so progress streams to pollers and a crash loses at most one shard.  A
+``vectorized`` job runs as one shard: group sampling draws each sampler
+group from one stream seeded by the group's first config, so the groups
+must be formed over the whole grid, as a library call forms them.
 
 Determinism contract: every point's seed lives in its config (derived from
 grid coordinates at submission time), never in service state — so a job's
@@ -39,9 +42,9 @@ from .specs import SweepJobSpec
 
 __all__ = ["SHARD_SIZE", "SweepService"]
 
-#: Points per shard: small enough that progress streams and a crash costs
-#: little rework, large enough that the vectorized executor still sees
-#: whole sampler groups to batch in typical figure grids.
+#: Points per shard of a per-point job: small enough that progress streams
+#: and a crash costs little rework.  A vectorized job runs as one shard
+#: (:func:`_shard_size`).
 SHARD_SIZE = 16
 
 _SHARD_SECONDS = REGISTRY.histogram(
@@ -72,6 +75,16 @@ _WORKER_BUSY = REGISTRY.counter(
 _JOB_SECONDS = REGISTRY.histogram(
     "repro_service_job_seconds", "Wall-clock seconds per executed job"
 )
+
+
+def _shard_size(executor: str, points: int) -> int:
+    """Points per shard of a job with ``points`` points.
+
+    A vectorized job's sampler groups span the whole grid, so it runs as one
+    shard.  Its sampled points bypass the cache, so shards would give it no
+    crash resume anyway; it gives up only per-shard progress.
+    """
+    return max(points, 1) if executor == "vectorized" else SHARD_SIZE
 
 
 class SweepService:
@@ -117,7 +130,9 @@ class SweepService:
             record = self.store.create(spec)
             record.mode = mode
             record.total_points = len(configs)
-            record.shards_total = math.ceil(len(configs) / SHARD_SIZE)
+            record.shards_total = math.ceil(
+                len(configs) / _shard_size(spec.executor, len(configs))
+            )
             self.store.save(record)
             # under the lock: the worker takes jobs under it too, so its own
             # count at a job's start always lands after this one
@@ -168,12 +183,13 @@ class SweepService:
                 points=record.total_points,
             ):
                 configs, mode = record.spec.resolve()
-                starts = range(0, len(configs), SHARD_SIZE)
+                size = _shard_size(executor, len(configs))
+                starts = range(0, len(configs), size)
                 results: list = []
                 entries: list[bytes | None] = []
                 shard_seconds = 0.0
                 for number, start in enumerate(starts, start=1):
-                    shard = configs[start : start + SHARD_SIZE]
+                    shard = configs[start : start + size]
                     shard_started = time.perf_counter()
                     with trace_span(
                         "shard",

@@ -13,14 +13,14 @@ did.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from ..cluster.owner import OwnerBehavior
 from ..core.params import OwnerSpec
-from ..desim import StreamRegistry, Variate, make_variate
+from ..desim import StreamRegistry, make_variate
 
 __all__ = [
     "ActivityType",

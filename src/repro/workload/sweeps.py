@@ -9,7 +9,7 @@ and :func:`iterate_grid` walks it in the order the figures are drawn.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from ..core.params import OwnerSpec

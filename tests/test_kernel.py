@@ -2,11 +2,11 @@
 
 Three layers, mirroring the kernel's guarantees:
 
-* the :class:`~repro.kernel.EventAgenda` honours the exact ``(when,
-  priority, tie)`` ordering contract of ``desim.Environment`` — the edge
-  cases (simultaneous-event FIFO, empty-agenda peek, events exactly at the
-  horizon) are asserted against *both* implementations so the contract
-  cannot drift on either side;
+* ``desim.Environment`` honours the ``(when, priority, tie)`` ordering
+  contract the kernel's heap reproduces — the edge cases (simultaneous-event
+  FIFO, urgent before normal, empty-agenda peek, events exactly at the
+  horizon) are asserted here, and the kernel's side is pinned by the bitwise
+  oracle tests below;
 * the ``event-kernel`` backend is bitwise-identical to the generator
   oracles (``event-driven`` / ``open-system``) for every registered policy,
   closed and open, imbalanced and trace-driven;
@@ -15,6 +15,9 @@ Three layers, mirroring the kernel's guarantees:
 """
 
 from __future__ import annotations
+
+import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -29,7 +32,13 @@ from repro.cluster import OwnerBehavior, POLICY_NAMES
 from repro.core import JobArrivalSpec, JobClassSpec, OwnerSpec, ScenarioSpec
 from repro.desim import Environment, StreamRegistry
 from repro.engine import ResultCache, config_fingerprint
-from repro.kernel import NORMAL, URGENT, EventAgenda, KERNEL_POLICIES
+from repro.kernel import KERNEL_POLICIES
+from repro.obs import (
+    SIM_EVENT_KINDS,
+    SimEventTap,
+    install_sim_tap,
+    uninstall_sim_tap,
+)
 from repro.workload import generate_trace
 
 
@@ -160,12 +169,7 @@ def _assert_bitwise(oracle, kernel):
 
 class TestAgendaContract:
     def test_simultaneous_events_pop_in_push_order(self):
-        """FIFO among equal ``(when, priority)`` — on both implementations."""
-        agenda = EventAgenda()
-        for label in ("a", "b", "c"):
-            agenda.push(5.0, NORMAL, kind=0, payload=label)
-        assert [agenda.pop()[4] for _ in range(3)] == ["a", "b", "c"]
-
+        """FIFO among equal ``(when, priority)``."""
         env = Environment()
         seen: list[str] = []
         for label in ("a", "b", "c"):
@@ -175,22 +179,28 @@ class TestAgendaContract:
         assert seen == ["a", "b", "c"]
 
     def test_urgent_beats_normal_at_the_same_instant(self):
-        agenda = EventAgenda()
-        agenda.push(5.0, NORMAL, kind=0, payload="normal")
-        agenda.push(5.0, URGENT, kind=0, payload="urgent")
-        assert agenda.pop()[4] == "urgent"
-        assert agenda.pop()[4] == "normal"
+        """A process start (URGENT) runs before an earlier NORMAL timeout."""
+        env = Environment()
+        seen: list[str] = []
+        event = env.timeout(0.0, value="normal")
+        event.callbacks.append(lambda e: seen.append(e.value))
+
+        def process():
+            seen.append("urgent")
+            yield env.timeout(1.0)
+
+        env.process(process())
+        env.run()
+        assert seen == ["urgent", "normal"]
 
     def test_empty_agenda_peeks_infinity(self):
-        assert EventAgenda().peek() == float("inf")
         assert Environment().peek() == float("inf")
 
     def test_event_exactly_at_horizon_loses_to_the_stop(self):
         """A NORMAL event at exactly t=horizon must not run before the stop.
 
         ``Environment.run(until=h)`` enqueues its stop event URGENT at ``h``,
-        so a NORMAL event at the same instant stays unprocessed; the agenda
-        reproduces that with the same two pushes.
+        so a NORMAL event at the same instant stays unprocessed.
         """
         env = Environment()
         seen: list[str] = []
@@ -199,38 +209,29 @@ class TestAgendaContract:
         env.run(until=5.0)
         assert env.now == 5.0 and seen == []
 
-        agenda = EventAgenda()
-        agenda.push(5.0, NORMAL, kind=0, payload="at-horizon")
-        agenda.push(5.0, URGENT, kind=1, payload="stop")
-        assert agenda.pop()[4] == "stop"
-
-    def test_tick_consumes_a_tie_without_an_entry(self):
-        """Elided no-op events still advance the tie counter (trace parity)."""
-        agenda = EventAgenda()
-        assert agenda.tie == 0
-        agenda.push(1.0, NORMAL, kind=0)
-        agenda.tick()
-        agenda.push(1.0, NORMAL, kind=0)
-        assert agenda.tie == 3
-        first = agenda.pop()
-        second = agenda.pop()
-        assert (first[2], second[2]) == (0, 2)  # tie 1 went to the tick
-
-    def test_snapshot_lists_entries_in_pop_order(self):
-        agenda = EventAgenda()
-        agenda.push(2.0, NORMAL, kind=7)
-        agenda.push(1.0, NORMAL, kind=8)
-        agenda.push(1.0, URGENT, kind=9)
-        snap = agenda.snapshot()
-        assert snap["kind"].tolist() == [9, 8, 7]
-        assert snap["when"].tolist() == [1.0, 1.0, 2.0]
-        assert len(agenda) == 3  # snapshot is non-destructive
-
     def test_reset_clears_entries_and_tie(self):
-        agenda = EventAgenda()
-        agenda.push(1.0, NORMAL, kind=0)
-        agenda.reset()
-        assert not agenda and agenda.tie == 0
+        """Every kernel run starts from an empty heap and a zero tie counter.
+
+        A stale entry left in the instance's shared heap would pop first (it
+        sorts before every real event at t=0) and end the run; it must be
+        dropped when the next run starts, on all three lifecycles, and the
+        heap must be empty again when each run ends.
+        """
+        from repro.kernel import EventKernel
+        from repro.kernel.machine import URGENT
+
+        backend = get_backend("event-kernel")
+        kernel = EventKernel()
+        for config, oracle_mode in (
+            (_closed_config("static"), "event-driven"),
+            (_open_config("self-scheduling"), "open-system"),
+            (_space_shared_config("static", num_jobs=10), "open-system"),
+        ):
+            kernel._heap.append((0.0, URGENT, -1, -1, None, 0))
+            _assert_bitwise(
+                run_simulation(config, oracle_mode), backend(config)._run_with(kernel)
+            )
+            assert kernel._heap == []
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +400,41 @@ class TestSpaceSharedPinning:
 
 
 # ---------------------------------------------------------------------------
+# sim-event tap stream
+# ---------------------------------------------------------------------------
+
+
+class TestTapStream:
+    #: sha256 of the JSON of every tap event the kernel emits on a closed, a
+    #: classless-open and a preemptive space-shared config per policy.
+    DIGEST = "bc61c81a49c8692ec3b36607e99bed1fe85c365ca811f587ea3996312b238015"
+
+    def test_tap_stream_is_pinned(self):
+        configs = []
+        for policy in POLICY_NAMES:
+            configs += [
+                _closed_config(policy),
+                _open_config(policy),
+                _space_shared_config(
+                    policy,
+                    admission="priority",
+                    admission_kwargs=(("preemptive", 1.0),),
+                    classes=_MIXED_CLASSES,
+                    num_jobs=30,
+                ),
+            ]
+        tap = install_sim_tap(SimEventTap())
+        try:
+            for config in configs:
+                run_simulation(config, "event-kernel")
+        finally:
+            uninstall_sim_tap()
+        assert set(tap.counts()) == set(SIM_EVENT_KINDS)
+        blob = json.dumps(tap.events, sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == self.DIGEST
+
+
+# ---------------------------------------------------------------------------
 # cross-point batching
 # ---------------------------------------------------------------------------
 
@@ -420,14 +456,15 @@ class TestRunBatch:
             _assert_bitwise(backend(config).run(), together)
 
     def test_space_shared_state_isolated_across_batch_points(self):
-        """Back-to-back space-shared points share one agenda, zero state.
+        """Back-to-back space-shared points share one heap, zero state.
 
-        The shared kernel's :meth:`EventAgenda.reset` must scrub the heap and
-        the tie counter between grid points, and the admission bookkeeping
+        The shared kernel's heap must drain between grid points, the tie
+        counter restarts with every run, and the admission bookkeeping
         (queue, free-station pool, running map) is rebuilt per run — so a
         preemption-heavy point cannot leak queued jobs or allocation masks
         into its successors, whatever the execution order.
         """
+        from repro.backends.open_system import OpenSystemResult
         from repro.kernel import EventKernel
 
         configs = [
@@ -452,16 +489,16 @@ class TestRunBatch:
             _assert_bitwise(first, second)
             _assert_bitwise(run_simulation(config, "open-system"), first)
 
-        # the shared agenda itself drains completely and reset() rearms it
+        # the shared heap is empty after a run, and the next run on the same
+        # instance is bitwise-equal to the oracle
         kernel = EventKernel()
         kernel.run_space_shared(configs[0])
-        snap = kernel._agenda.snapshot()
-        assert snap["when"].shape[0] == len(kernel._agenda)
-        kernel._agenda.reset()
-        assert not kernel._agenda and kernel._agenda.tie == 0
-        np.testing.assert_array_equal(
-            kernel.run_space_shared(configs[1])[2],
-            run_simulation(configs[1], "open-system").end_times,
+        assert kernel._heap == []
+        _assert_bitwise(
+            run_simulation(configs[1], "open-system"),
+            OpenSystemResult(
+                configs[1], "event-kernel", *kernel.run_space_shared(configs[1])
+            ),
         )
 
 

@@ -312,10 +312,9 @@ class TestHTTPEndToEnd:
     def test_vectorized_job_is_not_served_the_per_point_entries(
         self, live, tmp_path
     ):
-        # One W=2 sampler group in one 2-point shard, so the service and a
-        # library call form the same group.  The per-point job leaves cache
-        # entries for the same configs under the same mode label; serving
-        # them to the vectorized job would be a different sample.
+        # The per-point job leaves cache entries for the same configs under
+        # the same mode label; serving them to the vectorized job would be a
+        # different sample.
         _, client = live
         overrides = dict(OVERRIDES, workstation_counts=[2])
         before = payload_points()
@@ -331,6 +330,20 @@ class TestHTTPEndToEnd:
         served = client.result_bytes(sampled.job_id)
         assert served == library_payload_bytes(tmp_path, overrides, vectorized=True)
         assert served != client.result_bytes(per_point.job_id)
+
+    def test_vectorized_job_equals_the_library_across_shards(self, live, tmp_path):
+        # The two W sampler groups would fall into both two-point shards; a
+        # vectorized job runs as one shard, so it forms the library's groups.
+        _, client = live
+        record = client.wait(
+            client.submit_grid(GRID, OVERRIDES, executor="vectorized").job_id
+        )
+        assert record.status == "done"
+        assert client.result_bytes(record.job_id) == library_payload_bytes(
+            tmp_path, OVERRIDES, vectorized=True
+        )
+        assert record.shards_total == record.shards_completed == 1
+        assert record.vectorized_groups == 2
 
     @pytest.mark.parametrize("batch", sorted(POINT_BATCHES))
     def test_points_submission_round_trip(self, live, tmp_path, batch):
