@@ -20,12 +20,17 @@ queued/running/failed — poll ``/jobs/<id>`` until ``status == "done"``.
 
 The server is a ``ThreadingHTTPServer`` so status polls answer while a
 submission handler is blocked on the service lock; job *execution* stays in
-the service's own worker thread, never in a request handler.
+the service's own worker thread, never in a request handler.  Status polls,
+the listing and ``/health`` read the job store's in-memory index and open no
+record file; the result route streams the payload file in fixed-size
+chunks, so a download holds one chunk in memory, not the payload.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import shutil
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 
@@ -114,12 +119,15 @@ class _Handler(BaseHTTPRequestHandler):
                 if result_path is None:  # pragma: no cover - defensive
                     self._send_error_json(500, "result payload missing")
                     return
-                payload = result_path.read_bytes()
-                self.send_response(200)
-                self.send_header("Content-Type", "application/octet-stream")
-                self.send_header("Content-Length", str(len(payload)))
-                self.end_headers()
-                self.wfile.write(payload)
+                # streamed in fixed-size chunks: a payload can be gigabytes
+                with result_path.open("rb") as payload:
+                    self.send_response(200)
+                    self.send_header("Content-Type", "application/octet-stream")
+                    self.send_header(
+                        "Content-Length", str(os.fstat(payload.fileno()).st_size)
+                    )
+                    self.end_headers()
+                    shutil.copyfileobj(payload, self.wfile)
                 return
         self._send_error_json(404, f"no route for {self.path!r}")
 

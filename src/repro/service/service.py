@@ -2,9 +2,21 @@
 
 :class:`SweepService` owns one root directory::
 
-    <root>/jobs/     durable JSON job records   (:mod:`repro.service.jobs`)
-    <root>/cache/    the shared ResultCache     (:mod:`repro.engine.cache`)
-    <root>/results/  per-job NPZ payloads       (:mod:`repro.service.results`)
+    <root>/service.lock  held (flock) by the one service on this root
+    <root>/jobs/         durable JSON job records   (:mod:`repro.service.jobs`)
+    <root>/cache/        the shared ResultCache     (:mod:`repro.engine.cache`)
+    <root>/results/      per-job NPZ payloads       (:mod:`repro.service.results`)
+
+One process serves a root at a time.  The service takes an exclusive,
+non-blocking ``flock`` on ``service.lock`` before it reads anything, and a
+second service on the same root fails with an ``OSError`` that names it.
+The kernel drops the lock when the holder's descriptor closes: on
+:meth:`SweepService.close`, once the worker's job has ended, or when the
+process dies, SIGKILL included.  A
+process forked from the service (a pool worker) closes its copy, so it
+cannot keep the root after the service is gone.  Holding the root is what
+lets the job store answer from memory and lets start-up delete every
+``*.tmp`` file in ``jobs/`` and ``results/``: no live writer can own one.
 
 Submissions are validated synchronously (the grid is resolved before a job
 id is minted), persisted as ``queued`` records, and executed by a single
@@ -27,10 +39,13 @@ cache: zero simulated points, every point a hit.
 
 from __future__ import annotations
 
+import fcntl
 import math
+import os
 import threading
 import time
 import traceback
+import weakref
 from pathlib import Path
 from typing import Any
 
@@ -87,6 +102,47 @@ def _shard_size(executor: str, points: int) -> int:
     return max(points, 1) if executor == "vectorized" else SHARD_SIZE
 
 
+#: Descriptors that hold a root's lock in this process.  A flock belongs to
+#: the open file, which a fork shares: a pool worker that outlived a killed
+#: service would keep its root locked, so a forked child closes its copies.
+_ROOT_LOCKS: set[int] = set()
+
+
+def _close_inherited_root_locks() -> None:
+    for fd in _ROOT_LOCKS:
+        os.close(fd)
+    _ROOT_LOCKS.clear()
+
+
+os.register_at_fork(after_in_child=_close_inherited_root_locks)
+
+
+def _lock_root(root: Path) -> int:
+    """Take ``<root>/service.lock``; returns the descriptor that holds it.
+
+    Raises ``OSError`` naming ``root`` if another service holds it.
+    """
+    fd = os.open(root / "service.lock", os.O_RDWR | os.O_CREAT, 0o644)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except BlockingIOError:
+        os.close(fd)
+        raise OSError(
+            f"service root {root} is in use: another sweep service holds "
+            f"{root / 'service.lock'}"
+        ) from None
+    except BaseException:
+        os.close(fd)
+        raise
+    _ROOT_LOCKS.add(fd)
+    return fd
+
+
+def _unlock_root(fd: int) -> None:
+    _ROOT_LOCKS.discard(fd)
+    os.close(fd)
+
+
 class SweepService:
     """Long-running sweep executor over one durable root directory.
 
@@ -95,7 +151,9 @@ class SweepService:
     root:
         Service state directory; created (with its ``jobs``/``cache``/
         ``results`` subdirectories) if missing.  Restarting over the same
-        root resumes pending work.
+        root resumes pending work.  One service holds a root at a time:
+        construction raises ``OSError`` while another holds it, and
+        :meth:`close` releases it.
     jobs:
         Worker processes per shard (the :class:`SweepRunner` pool size).
     """
@@ -103,10 +161,21 @@ class SweepService:
     def __init__(self, root: str | Path, jobs: int | None = 1) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.store = JobStore(self.root / "jobs")
-        self.cache = ResultCache(self.root / "cache")
+        # closing the descriptor drops the lock: close(), or else collection
+        # (a running worker holds the service); at exit the kernel drops it
+        # once every thread is gone
+        lock_fd = _lock_root(self.root)
+        self._release_root = weakref.finalize(self, _unlock_root, lock_fd)
+        self._release_root.atexit = False
+        jobs_dir = self.root / "jobs"
         self.results_dir = self.root / "results"
-        self.results_dir.mkdir(parents=True, exist_ok=True)
+        for directory in (jobs_dir, self.results_dir):
+            directory.mkdir(exist_ok=True)
+            # a writer killed mid-write left these; none is alive to finish
+            for leftover in directory.glob("*.tmp"):
+                leftover.unlink(missing_ok=True)
+        self.store = JobStore(jobs_dir)
+        self.cache = ResultCache(self.root / "cache")
         self.runner = SweepRunner(jobs=jobs, cache=self.cache)
         self._lock = threading.Lock()
         self._wake = threading.Event()
@@ -126,14 +195,11 @@ class SweepService:
         at submission time.
         """
         configs, mode = spec.resolve()
+        shards = math.ceil(len(configs) / _shard_size(spec.executor, len(configs)))
         with self._lock:
-            record = self.store.create(spec)
-            record.mode = mode
-            record.total_points = len(configs)
-            record.shards_total = math.ceil(
-                len(configs) / _shard_size(spec.executor, len(configs))
+            record = self.store.create(
+                spec, mode=mode, total_points=len(configs), shards_total=shards
             )
-            self.store.save(record)
             # under the lock: the worker takes jobs under it too, so its own
             # count at a job's start always lands after this one
             _QUEUE_DEPTH.set(len(self.store.pending()))
@@ -264,12 +330,27 @@ class SweepService:
         self._thread.start()
 
     def stop(self, timeout: float | None = 30.0) -> None:
-        """Stop the worker after its current job (if any) finishes."""
+        """Stop the worker after its current job (if any) finishes.
+
+        Waits at most ``timeout`` seconds; a worker still in its job then
+        stops when the job ends.
+        """
         self._stop.set()
         self._wake.set()
         if self._thread is not None:
             self._thread.join(timeout=timeout)
-            self._thread = None
+            if not self._thread.is_alive():
+                self._thread = None
+
+    def close(self) -> None:
+        """Stop the worker and release the root for another service.
+
+        Waits for the job in hand, however long it runs: a worker still
+        saving records would be a second writer once another service took
+        the root.
+        """
+        self.stop(timeout=None)
+        self._release_root()
 
     def _worker(self) -> None:
         while not self._stop.is_set():

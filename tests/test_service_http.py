@@ -11,22 +11,34 @@ The two contracts the service must never break are pinned here:
 
 from __future__ import annotations
 
+import builtins
+import contextlib
+import hashlib
 import http.client
+import io
 import json
+import os
+import signal
 import socket
 import statistics
+import subprocess
+import sys
 import threading
 import time
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.backends import SimulationConfig
 from repro.cli import main
 from repro.core import ScenarioSpec
 from repro.engine import SweepRunner, build_grid, grid_mode
 from repro.obs import REGISTRY
 from repro.service import (
+    JobStore,
     ServiceClient,
     ServiceError,
     SweepJobSpec,
@@ -44,6 +56,13 @@ OVERRIDES = {
     "workstation_counts": [2, 5],
     "utilizations": [0.05, 0.10],
     "num_jobs": 80,
+    "num_batches": 4,
+}
+#: One point: a job of one shard.
+ONE_POINT = {
+    "workstation_counts": [2],
+    "utilizations": [0.05],
+    "num_jobs": 40,
     "num_batches": 4,
 }
 
@@ -176,6 +195,7 @@ class TestServiceCore:
         record.status = "running"
         record.points_completed = 2
         first.store.save(record)
+        first.close()
 
         second = SweepService(root, jobs=1)
         assert [r.job_id for r in second.recovered] == [record.job_id]
@@ -215,6 +235,7 @@ class TestServiceCore:
 
         # The restart replays the finished shard from the cache and
         # simulates only the one that was cut.
+        first.close()
         second = SweepService(root, jobs=1)
         assert [r.job_id for r in second.recovered] == [record.job_id]
         assert second.run_pending() == 1
@@ -264,6 +285,7 @@ class TestServiceCore:
         record_file.write_bytes(record_file.read_bytes()[:50])
         corrupt = REGISTRY.get("repro_service_corrupt_records_total")
         before = corrupt.value
+        first.close()
 
         second = SweepService(root, jobs=1)
         assert [r.job_id for r in second.recovered] == [interrupted.job_id]
@@ -606,6 +628,280 @@ class TestHTTPEndToEnd:
         finally:
             server.shutdown()
             server.server_close()
+
+
+#: Takes a root, leaves a job ``running`` and forks a process that outlives
+#: it, as a pool worker of a killed service would; prints the job id and the
+#: forked process's pid, then waits to be killed.
+_HOLD_ROOT = """
+import multiprocessing, sys, time
+from repro.service import SweepService
+service = SweepService(sys.argv[1], jobs=1)
+record = service.submit_grid("fig01", {"workstation_counts": [2], "num_jobs": 40})
+record.status = "running"
+service.store.save(record)
+worker = multiprocessing.get_context("fork").Process(target=time.sleep, args=(120,))
+worker.start()
+print(record.job_id, worker.pid, flush=True)
+sys.stdin.read()
+"""
+
+
+class TestRootLock:
+    def test_a_held_root_is_refused_until_it_is_closed(self, tmp_path, capsys):
+        root = tmp_path / "service"
+        first = SweepService(root, jobs=1)
+        with pytest.raises(OSError, match="in use") as refused:
+            SweepService(root, jobs=1)
+        assert str(root) in str(refused.value)
+        assert main(["serve", "--root", str(root), "--port", "0", "--quiet"]) == 2
+        assert str(root) in capsys.readouterr().err
+        first.close()
+        SweepService(root, jobs=1).close()
+
+    def test_a_killed_holder_leaves_no_stale_lock(self, tmp_path):
+        # The kernel drops a flock with the last descriptor of its open
+        # file, so SIGKILL of the holder frees the root, although a process
+        # it forked lives on; the holder's running job is then re-queued.
+        root = tmp_path / "service"
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        child = subprocess.Popen(
+            [sys.executable, "-c", _HOLD_ROOT, str(root)],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env,
+        )
+        forked = None
+        try:
+            job_id, forked = child.stdout.readline().split()
+            assert job_id.startswith("job-000001-"), job_id
+            with pytest.raises(OSError, match="in use"):
+                SweepService(root, jobs=1)
+            child.kill()
+            child.wait(timeout=30)
+            assert child.returncode == -signal.SIGKILL
+            os.kill(int(forked), 0)  # still alive
+            service = SweepService(root, jobs=1)
+            try:
+                assert [r.job_id for r in service.recovered] == [job_id]
+                requeued = service.status(job_id)
+                assert requeued is not None and requeued.status == "queued"
+            finally:
+                service.close()
+        finally:
+            child.kill()
+            child.wait(timeout=30)
+            child.stdin.close()
+            child.stdout.close()
+            if forked is not None:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(int(forked), signal.SIGKILL)
+
+    def test_close_holds_the_root_until_the_running_job_ends(
+        self, tmp_path, monkeypatch
+    ):
+        # A job that outlasts stop()'s timeout keeps the root held, through
+        # stop() and through close() until the job ends: no second service
+        # can re-queue and rerun it while the first still saves it.
+        root = tmp_path / "service"
+        first = SweepService(root, jobs=1)
+        started, release = threading.Event(), threading.Event()
+        run = first.runner.run
+
+        def blocking_run(*args, **kwargs):
+            started.set()
+            assert release.wait(timeout=60)
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(first.runner, "run", blocking_run)
+        # stop()'s default wait, cut so that the job outlasts it
+        monkeypatch.setattr(SweepService.stop, "__defaults__", (0.1,))
+        record = first.submit_grid(GRID, ONE_POINT)
+        first.start()
+        closing = threading.Thread(target=first.close)
+        try:
+            assert started.wait(timeout=30)
+            first.stop()
+            with pytest.raises(OSError, match="in use"):
+                SweepService(root, jobs=1)
+            closing.start()
+            closing.join(timeout=0.5)
+            assert closing.is_alive()  # close() waits for the job
+            with pytest.raises(OSError, match="in use"):
+                SweepService(root, jobs=1)
+        finally:
+            release.set()
+            if closing.is_alive():
+                closing.join(timeout=60)
+        assert not closing.is_alive()
+        second = SweepService(root, jobs=1)
+        try:
+            assert second.recovered == []
+            assert second.status(record.job_id).status == "done"
+        finally:
+            second.close()
+
+    def test_temp_files_of_killed_writers_are_removed_at_start(self, tmp_path):
+        root = tmp_path / "service"
+        first = SweepService(root, jobs=1)
+        record = first.submit_grid(GRID, ONE_POINT)
+        assert first.run_pending() == 1
+        first.close()
+
+        def files():
+            return {
+                path: path.read_bytes()
+                for directory in ("jobs", "results")
+                for path in (root / directory).iterdir()
+            }
+
+        kept = files()
+        planted = [
+            root / "jobs" / f"{record.job_id}x7k2q9.tmp",
+            root / "results" / f"{record.job_id}p3m8w1.tmp",
+        ]
+        for path in planted:
+            path.write_bytes(b"half of a write")
+        SweepService(root, jobs=1).close()
+        assert not any(path.exists() for path in planted)
+        assert files() == kept
+
+
+class TestJobIndex:
+    @pytest.mark.parametrize("prior", [1, 60])
+    def test_no_request_reads_a_record_file(self, tmp_path, monkeypatch, prior):
+        # Counted, not timed: after the store opens, a submit and its run,
+        # status polls, the listing, /health and a result fetch all answer
+        # from the index, however many records the root holds.
+        root = tmp_path / "service"
+        store = JobStore(root / "jobs")
+        for _ in range(prior):
+            store.create(SweepJobSpec.for_grid(GRID, ONE_POINT), status="done")
+        service = SweepService(root, jobs=1)
+        jobs_dir = root / "jobs"
+        reads, writes = [], []
+        real_open, real_replace = io.open, os.replace
+
+        def counting_open(file, mode="r", *args, **kwargs):
+            if (
+                isinstance(file, (str, os.PathLike))
+                and Path(file).parent == jobs_dir
+                and not set(mode) & set("wax+")
+            ):
+                reads.append(Path(file).name)
+            return real_open(file, mode, *args, **kwargs)
+
+        def counting_replace(source, target, *args, **kwargs):
+            if Path(target).parent == jobs_dir:
+                writes.append(Path(target).name)
+            return real_replace(source, target, *args, **kwargs)
+
+        monkeypatch.setattr(io, "open", counting_open)
+        monkeypatch.setattr(builtins, "open", counting_open)
+        monkeypatch.setattr(os, "replace", counting_replace)
+        server = make_server(service)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            service.start()
+            client = ServiceClient(f"http://127.0.0.1:{server.server_address[1]}")
+            record = client.wait(client.submit_grid(GRID, ONE_POINT).job_id)
+            for _ in range(10):
+                assert client.status(record.job_id).status == "done"
+            assert client.health()["jobs"] == prior + 1
+            assert len(client.jobs()) == prior + 1
+            assert client.result_bytes(record.job_id)
+        finally:
+            server.shutdown()
+            server.server_close()
+            service.close()
+        assert record.status == "done" and record.shards_total == 1
+        assert reads == []
+        # queued (once, with its totals), running, its one shard, done
+        assert writes == [f"{record.job_id}.json"] * 4
+
+    def test_reads_are_copies_taken_at_a_save(self, tmp_path):
+        store = JobStore(tmp_path)
+        record = store.create(SweepJobSpec.for_grid(GRID, ONE_POINT))
+        record.status = "running"  # changed, not saved
+        assert store.load(record.job_id).status == "queued"
+        assert store.pending()[0].status == "queued"
+        polled = store.load(record.job_id)
+        polled.status = "failed"
+        assert [r.status for r in store] == ["queued"]
+        store.save(record)
+        assert store.load(record.job_id).status == "running"
+        assert store.pending() == []
+        record.status = "done"
+        store.save(record)
+        assert store.load(record.job_id) == record
+
+    def test_finished_records_cost_the_index_less_than_their_files(
+        self, tmp_path
+    ):
+        # 20 finished raw-points jobs of 100 points: the index keeps their
+        # text deflated, well under what the files take on disk, and reads
+        # give back what the files hold.
+        configs = build_grid(
+            GRID, num_jobs=40, workstation_counts=list(range(1, 26)),
+            utilizations=[0.01, 0.05, 0.1, 0.2],
+        )
+        assert len(configs) == 100
+        spec = SweepJobSpec.for_points(configs, grid_mode(GRID))
+        store = JobStore(tmp_path)
+        records = [
+            store.create(spec, status=status, total_points=len(configs))
+            for status in ("done", "failed") * 10
+        ]
+        on_disk = sum(path.stat().st_size for path in tmp_path.glob("*.json"))
+        tracemalloc.start()
+        try:
+            reopened = JobStore(tmp_path)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < on_disk / 4, (held, on_disk)
+        assert [r.to_json() for r in reopened] == [r.to_json() for r in records]
+        assert [r.to_json() for r in store] == [r.to_json() for r in records]
+
+
+class TestResultStreaming:
+    def test_result_is_streamed_not_buffered(self, service):
+        record = service.store.create(
+            SweepJobSpec.for_grid(GRID, ONE_POINT),
+            status="done",
+            result_file="large.npz",
+        )
+        expected = hashlib.sha256()
+        with (service.results_dir / "large.npz").open("wb") as handle:
+            for _ in range(32):
+                block = os.urandom(1 << 20)
+                expected.update(block)
+                handle.write(block)
+        server = make_server(service)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        connection = http.client.HTTPConnection(
+            "127.0.0.1", server.server_address[1], timeout=30.0
+        )
+        received = hashlib.sha256()
+        tracemalloc.start()
+        try:
+            connection.request("GET", f"/jobs/{record.job_id}/result")
+            answer = connection.getresponse()
+            length = int(answer.getheader("Content-Length"))
+            while block := answer.read(1 << 16):
+                received.update(block)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            connection.close()
+            server.shutdown()
+            server.server_close()
+        assert answer.status == 200
+        assert length == 32 << 20
+        assert received.hexdigest() == expected.hexdigest()
+        assert peak < 4 << 20, peak
 
 
 class TestServiceCLI:

@@ -204,6 +204,7 @@ class TestJobStore:
         payload = json.loads(path.read_text())
         payload["spec"]["points"][0]["scenario"].update(scenario_update)
         path.write_text(json.dumps(payload))
+        store = JobStore(tmp_path)  # a store reads its records when it opens
         assert store.load(record.job_id) is None
         assert path.with_name(path.name + ".corrupt").exists()
         assert list(store) == []
@@ -228,17 +229,20 @@ class TestJobStore:
         finished.status = "done"
         store.save(finished)
 
-        recovered = JobStore(tmp_path).recover()
+        store = JobStore(tmp_path)
+        recovered = store.recover()
 
         assert [record.job_id for record in recovered] == [crashed.job_id]
-        requeued = store.load(crashed.job_id)
-        assert requeued is not None
-        assert requeued.status == "queued"
-        assert requeued.note == "recovered after restart"
-        # Progress counters reset: the rerun replays finished shards from
-        # the shared cache, and the counters must describe *that* run.
-        assert requeued.points_completed == 0
-        assert requeued.simulated == 0
-        assert requeued.started_at is None
-        done_again = store.load(finished.job_id)
-        assert done_again is not None and done_again.status == "done"
+        # the recovering store's index, then the files a restart reads
+        for reader in (store, JobStore(tmp_path)):
+            requeued = reader.load(crashed.job_id)
+            assert requeued is not None
+            assert requeued.status == "queued"
+            assert requeued.note == "recovered after restart"
+            # Progress counters reset: the rerun replays finished shards from
+            # the shared cache, and the counters must describe *that* run.
+            assert requeued.points_completed == 0
+            assert requeued.simulated == 0
+            assert requeued.started_at is None
+            done_again = reader.load(finished.job_id)
+            assert done_again is not None and done_again.status == "done"
