@@ -508,8 +508,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         pending = len(service.store.pending())
         print(
             f"sweep service on http://{args.host}:{args.port} "
-            f"(root={service.root}, {pending} queued, "
-            f"{len(service.cache)} cached points)"
+            f"(root={service.root}, {pending} queued)"
         )
         serve_forever(
             service, host=args.host, port=args.port, verbose=not args.quiet
@@ -577,10 +576,8 @@ def main(argv: Sequence[str] | None = None) -> int:
                         file=sys.stderr,
                     )
                     return 1
-                payload = client.result_bytes(args.job_id)
-                with open(args.output, "wb") as handle:
-                    handle.write(payload)
-                print(f"wrote {len(payload)} bytes to {args.output}")
+                size = client.save_result(args.job_id, args.output)
+                print(f"wrote {size} bytes to {args.output}")
                 return 0
         except (ServiceError, ValueError, TimeoutError) as exc:
             print(str(exc), file=sys.stderr)

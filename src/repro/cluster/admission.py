@@ -345,11 +345,6 @@ class AdmissionController:
         """Number of stations not allocated to any job."""
         return len(self.free)
 
-    @property
-    def occupied_width(self) -> int:
-        """Number of stations currently allocated."""
-        return sum(job.width for job in self.running.values())
-
     def estimate(self, ticket: AdmissionTicket) -> float:
         """Ideal service-time estimate for a queued ticket."""
         return self._estimate_service(ticket.record.demand, ticket.width)

@@ -32,9 +32,6 @@ from .heterogeneous import (
     heterogeneous_job_time_distribution,
 )
 from .distributions import (
-    Binomial,
-    Deterministic,
-    Geometric,
     binomial_cdf,
     binomial_mean,
     binomial_pmf,
@@ -103,9 +100,6 @@ __all__ = [
     "request_probability_to_utilization",
     "split_job_demand",
     # distributions
-    "Binomial",
-    "Geometric",
-    "Deterministic",
     "binomial_pmf",
     "binomial_cdf",
     "binomial_mean",

@@ -1,10 +1,9 @@
 """Discrete probability distributions used by the analytical model.
 
-The analytical model of the paper needs three distributions:
+The analytical model of the paper needs two distributions:
 
 * the **binomial** distribution of the number of owner interruptions suffered
-  by one task (Eq. 2),
-* the **geometric** distribution of owner think times (Section 2.1), and
+  by one task (Eq. 2), and
 * the distribution of the **maximum** of ``W`` i.i.d. binomials, which gives
   the job completion time (Eqs. 4-6).
 
@@ -17,8 +16,6 @@ experiments) do not overflow or lose precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -31,10 +28,6 @@ __all__ = [
     "max_of_iid_cdf",
     "max_of_iid_pmf",
     "max_of_iid_mean",
-    "Binomial",
-    "Geometric",
-    "Deterministic",
-    "DiscreteDistribution",
 ]
 
 
@@ -158,142 +151,3 @@ def max_of_iid_mean(cdf: NDArray[np.float64], count: int) -> float:
     max_cdf = max_of_iid_cdf(cdf, count)
     # Support is 0..len(cdf)-1; E[X] = sum_{n=0}^{len-2} P(X > n).
     return float(np.sum(1.0 - max_cdf[:-1]))
-
-
-@dataclass(frozen=True)
-class Binomial:
-    """Binomial distribution object with sampling support.
-
-    This is a light object-oriented wrapper over the functional API above,
-    convenient for the simulator and for property-based tests.
-    """
-
-    trials: int
-    prob: float
-
-    def __post_init__(self) -> None:
-        _validate_trials_prob(self.trials, self.prob)
-
-    @property
-    def mean(self) -> float:
-        return binomial_mean(self.trials, self.prob)
-
-    @property
-    def variance(self) -> float:
-        return binomial_variance(self.trials, self.prob)
-
-    def pmf(self) -> NDArray[np.float64]:
-        return binomial_pmf(self.trials, self.prob)
-
-    def cdf(self) -> NDArray[np.float64]:
-        return binomial_cdf(self.trials, self.prob)
-
-    def sample(
-        self, rng: np.random.Generator, size: int | tuple[int, ...] = 1
-    ) -> NDArray[np.int64]:
-        """Draw samples using numpy's generator (used by the Monte-Carlo sampler)."""
-        return rng.binomial(self.trials, self.prob, size=size)
-
-    def max_pmf(self, count: int) -> NDArray[np.float64]:
-        """PMF of the maximum over ``count`` i.i.d. copies."""
-        return max_of_iid_pmf(self.cdf(), count)
-
-    def max_mean(self, count: int) -> float:
-        """Mean of the maximum over ``count`` i.i.d. copies."""
-        return max_of_iid_mean(self.cdf(), count)
-
-
-@dataclass(frozen=True)
-class Geometric:
-    """Geometric (number of failures before first success) think-time model.
-
-    The paper assumes a discrete geometric think time with mean ``1/P``: at
-    each time unit the owner requests the processor with probability ``P``.
-    ``mean`` is ``1/P``; ``P == 0`` models a dedicated workstation (infinite
-    think time).
-    """
-
-    prob: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.prob <= 1.0:
-            raise ValueError(f"probability must be in [0, 1], got {self.prob!r}")
-
-    @property
-    def mean(self) -> float:
-        if self.prob == 0.0:
-            return math.inf
-        return 1.0 / self.prob
-
-    @property
-    def variance(self) -> float:
-        if self.prob == 0.0:
-            return math.inf
-        return (1.0 - self.prob) / (self.prob**2)
-
-    def pmf(self, k: int) -> float:
-        """P(first request happens after exactly ``k`` units of thinking), k >= 1."""
-        if k < 1:
-            return 0.0
-        if self.prob == 0.0:
-            return 0.0
-        return (1.0 - self.prob) ** (k - 1) * self.prob
-
-    def sample(
-        self, rng: np.random.Generator, size: int | tuple[int, ...] = 1
-    ) -> NDArray[np.int64]:
-        """Draw geometric samples (support starting at 1)."""
-        if self.prob == 0.0:
-            raise ValueError("cannot sample a geometric with prob = 0 (infinite mean)")
-        return rng.geometric(self.prob, size=size)
-
-
-@dataclass(frozen=True)
-class Deterministic:
-    """Degenerate distribution placing all mass at ``value``.
-
-    Used for the owner-process service demand ``O`` in the baseline model
-    (the paper notes the deterministic assumption makes its results
-    optimistic; the simulator supports higher-variance alternatives).
-    """
-
-    value: float
-
-    def __post_init__(self) -> None:
-        if self.value < 0:
-            raise ValueError(f"value must be >= 0, got {self.value!r}")
-
-    @property
-    def mean(self) -> float:
-        return float(self.value)
-
-    @property
-    def variance(self) -> float:
-        return 0.0
-
-    def sample(
-        self, rng: np.random.Generator, size: int | tuple[int, ...] = 1
-    ) -> NDArray[np.float64]:
-        return np.full(size, self.value, dtype=np.float64)
-
-
-DiscreteDistribution = Binomial | Geometric | Deterministic
-
-
-def pmf_mean(support: Sequence[float] | NDArray, pmf: Sequence[float] | NDArray) -> float:
-    """Mean of an arbitrary discrete distribution given support and pmf."""
-    support_arr = np.asarray(support, dtype=np.float64)
-    pmf_arr = np.asarray(pmf, dtype=np.float64)
-    if support_arr.shape != pmf_arr.shape:
-        raise ValueError("support and pmf must have the same shape")
-    return float(np.dot(support_arr, pmf_arr))
-
-
-def pmf_variance(
-    support: Sequence[float] | NDArray, pmf: Sequence[float] | NDArray
-) -> float:
-    """Variance of an arbitrary discrete distribution given support and pmf."""
-    support_arr = np.asarray(support, dtype=np.float64)
-    pmf_arr = np.asarray(pmf, dtype=np.float64)
-    mean = pmf_mean(support_arr, pmf_arr)
-    return float(np.dot((support_arr - mean) ** 2, pmf_arr))

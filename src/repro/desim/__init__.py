@@ -9,7 +9,7 @@ resources model the "owner preempts parallel task" CPU discipline.
 
 from .core import AgendaEntry, EmptySchedule, Environment, Interrupt, Process, StopSimulation
 from .events import AllOf, AnyOf, ConditionValue, Event, Timeout
-from .monitors import IntervalMonitor, TallyMonitor, TimeWeightedMonitor
+from .monitors import TimeWeightedMonitor
 from .resources import (
     Preempted,
     PreemptiveResource,
@@ -55,9 +55,7 @@ __all__ = [
     "Store",
     "StorePut",
     "StoreGet",
-    "TallyMonitor",
     "TimeWeightedMonitor",
-    "IntervalMonitor",
     "Variate",
     "DeterministicVariate",
     "GeometricVariate",

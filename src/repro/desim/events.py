@@ -103,14 +103,6 @@ class Event:
         self.env._enqueue(self, NORMAL)
         return self
 
-    def trigger(self, source: "Event") -> None:
-        """Trigger this event with the state of another event (callback form)."""
-        if source._ok:
-            self.succeed(source._value)
-        else:
-            source.defused = True
-            self.fail(source._value)
-
     # -- composition ------------------------------------------------------
     def __and__(self, other: "Event") -> "AllOf":
         return AllOf(self.env, [self, other])

@@ -1,92 +1,14 @@
 """Observation collectors ("monitors") for simulation output.
 
-CSIM attaches tables/meters to model components to collect statistics; these
-monitors play the same role:
-
-* :class:`TallyMonitor` — per-observation statistics (mean, variance, min,
-  max, percentiles) for quantities like task completion times,
-* :class:`TimeWeightedMonitor` — time-averaged statistics for piecewise
-  constant quantities like "is the owner using the CPU?", which is how the
-  simulator measures the realised owner utilization,
-* :class:`IntervalMonitor` — busy-period bookkeeping used by the workload
-  generator to measure utilization over a trace.
+CSIM attaches tables/meters to model components to collect statistics; the
+:class:`TimeWeightedMonitor` plays the same role for piecewise-constant
+quantities like "is the owner using the CPU?", which is how the simulator
+measures the realised owner utilization.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Iterable, Sequence
-
-import numpy as np
-
-__all__ = ["TallyMonitor", "TimeWeightedMonitor", "IntervalMonitor"]
-
-
-class TallyMonitor:
-    """Collects individual observations and reports summary statistics."""
-
-    def __init__(self, name: str = "") -> None:
-        self.name = name
-        self._values: list[float] = []
-
-    def record(self, value: float) -> None:
-        """Record one observation."""
-        self._values.append(float(value))
-
-    def extend(self, values: Iterable[float]) -> None:
-        """Record many observations at once."""
-        self._values.extend(float(v) for v in values)
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    @property
-    def values(self) -> np.ndarray:
-        """All observations as a numpy array (copy)."""
-        return np.asarray(self._values, dtype=np.float64)
-
-    @property
-    def count(self) -> int:
-        return len(self._values)
-
-    @property
-    def mean(self) -> float:
-        if not self._values:
-            raise ValueError(f"monitor {self.name!r} has no observations")
-        return float(np.mean(self._values))
-
-    @property
-    def variance(self) -> float:
-        """Sample (ddof=1) variance; zero when fewer than two observations."""
-        if len(self._values) < 2:
-            return 0.0
-        return float(np.var(self._values, ddof=1))
-
-    @property
-    def std(self) -> float:
-        return math.sqrt(self.variance)
-
-    @property
-    def minimum(self) -> float:
-        if not self._values:
-            raise ValueError(f"monitor {self.name!r} has no observations")
-        return float(np.min(self._values))
-
-    @property
-    def maximum(self) -> float:
-        if not self._values:
-            raise ValueError(f"monitor {self.name!r} has no observations")
-        return float(np.max(self._values))
-
-    def percentile(self, q: float) -> float:
-        """Empirical percentile, ``q`` in [0, 100]."""
-        if not self._values:
-            raise ValueError(f"monitor {self.name!r} has no observations")
-        return float(np.percentile(self._values, q))
-
-    def reset(self) -> None:
-        """Discard all observations (used between warm-up and measurement)."""
-        self._values.clear()
+__all__ = ["TimeWeightedMonitor"]
 
 
 class TimeWeightedMonitor:
@@ -136,43 +58,3 @@ class TimeWeightedMonitor:
         if self.elapsed <= 0:
             raise ValueError(f"monitor {self.name!r} has observed no elapsed time")
         return self._area / self.elapsed
-
-
-class IntervalMonitor:
-    """Tracks busy intervals of a binary signal and reports its utilization."""
-
-    def __init__(self, name: str = "") -> None:
-        self.name = name
-        self._intervals: list[tuple[float, float]] = []
-        self._busy_since: float | None = None
-
-    def start(self, time: float) -> None:
-        """Mark the beginning of a busy period (idempotent while busy)."""
-        if self._busy_since is None:
-            self._busy_since = float(time)
-
-    def stop(self, time: float) -> None:
-        """Mark the end of the current busy period."""
-        if self._busy_since is None:
-            return
-        if time < self._busy_since:
-            raise ValueError(f"stop time {time} precedes start time {self._busy_since}")
-        self._intervals.append((self._busy_since, float(time)))
-        self._busy_since = None
-
-    @property
-    def intervals(self) -> Sequence[tuple[float, float]]:
-        return tuple(self._intervals)
-
-    @property
-    def busy_time(self) -> float:
-        return sum(end - start for start, end in self._intervals)
-
-    def utilization(self, horizon: float) -> float:
-        """Fraction of ``[0, horizon]`` covered by busy intervals."""
-        if horizon <= 0:
-            raise ValueError(f"horizon must be positive, got {horizon!r}")
-        busy = self.busy_time
-        if self._busy_since is not None and self._busy_since < horizon:
-            busy += horizon - self._busy_since
-        return min(1.0, busy / horizon)

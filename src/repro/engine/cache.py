@@ -29,6 +29,7 @@ a job payload copies its deflated members out of them
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import io
 import json
@@ -38,7 +39,7 @@ import tempfile
 import zipfile
 from dataclasses import fields, replace
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, BinaryIO, Iterator, Mapping
 
 import numpy as np
 
@@ -52,8 +53,8 @@ from ..obs import REGISTRY
 from .codec import to_json
 
 __all__ = [
-    "CACHE_VERSION", "SCHEMA_HISTORY", "config_fingerprint", "encode_entry",
-    "result_arrays", "ResultCache",
+    "CACHE_VERSION", "SCHEMA_HISTORY", "atomic_file", "config_fingerprint",
+    "encode_entry", "result_arrays", "ResultCache",
 ]
 
 # Cache observability: counted in whichever process performs the cache I/O —
@@ -259,8 +260,34 @@ def encode_entry(result: SimulationResult | OpenSystemResult) -> bytes:
     return buffer.getvalue()
 
 
-#: A store's temp-file name, ``<stem>.<writer pid>.<random>.tmp``.
+#: An :func:`atomic_file` temp-file name, ``<stem>.<writer pid>.<random>.tmp``.
 _TMP_NAME = re.compile(r"\.([1-9][0-9]{0,8})\.[^.]+\.tmp$")
+
+
+@contextlib.contextmanager
+def atomic_file(path: str | Path) -> Iterator[BinaryIO]:
+    """Write ``path`` whole or not at all.
+
+    Yields a binary handle on a temp file beside ``path``, named
+    ``<stem>.<pid>.<random>.tmp`` (:data:`_TMP_NAME`), and renames it over
+    ``path`` with ``os.replace`` when the block ends.  If the block or the
+    rename raises, the temp file is removed and the exception propagates,
+    so ``path`` keeps its old bytes.  A writer killed mid-write leaves its
+    temp file behind for the directory's owner to sweep.  Cache entries,
+    job records, result payloads and downloads are all written through it.
+    """
+    path = Path(path)
+    fd, tmp_name = tempfile.mkstemp(
+        dir=path.parent, prefix=f"{path.stem}.{os.getpid()}.", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            yield handle
+        os.replace(tmp_name, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp_name)
+        raise
 
 
 def _writer_is_live(tmp_name: str) -> bool:
@@ -281,9 +308,9 @@ class ResultCache:
     """Directory-backed store of completed simulation points.
 
     One NPZ file per point, named after its fingerprint, holding the
-    point's :func:`result_arrays`.  Writes are atomic (temp file +
-    ``os.replace``) so concurrent sweep workers sharing a cache directory
-    never observe torn files.
+    point's :func:`result_arrays`.  Writes go through :func:`atomic_file`,
+    so concurrent sweep workers sharing a cache directory never observe
+    torn files.
     """
 
     def __init__(self, root: str | Path) -> None:
@@ -294,8 +321,8 @@ class ResultCache:
     def _sweep_stale_tmp_files(self) -> int:
         """Remove ``*.tmp`` leftovers of writers that crashed mid-store.
 
-        :meth:`store` writes through a temp file and atomically renames it
-        into place; a writer killed between the two leaks the temp file,
+        :meth:`store` writes through :func:`atomic_file`; a writer killed
+        between its write and its rename leaks the temp file,
         which ``glob("*.npz")`` never sees — so without this sweep a shared
         cache directory accumulates invisible garbage across service
         restarts.  A temp file whose name holds the pid of a running
@@ -386,20 +413,10 @@ class ResultCache:
         if entry is None:
             entry = encode_entry(result)
         path = self.path_for(config, mode)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=self.root, prefix=f"{path.stem}.{os.getpid()}.", suffix=".tmp"
-        )
         try:
-            with os.fdopen(fd, "wb") as handle:
+            with atomic_file(path) as handle:
                 handle.write(entry)
-            os.replace(tmp_name, path)
-        except BaseException as exc:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            if not isinstance(exc, OSError):
-                raise
+        except OSError:
             _CACHE_STORE_FAILURES.inc()
             return None
         _CACHE_STORES.inc()

@@ -6,9 +6,11 @@ A :class:`~repro.backends.SimulationConfig` and the specs it nests — the
 :func:`to_json` and :func:`from_json` walk ``dataclasses.fields`` and the
 fields' type hints, so a field added to any of them is encoded, decoded and
 fingerprinted without anyone editing a codec.  The sweep service's wire
-format (:func:`config_to_json` / :func:`config_from_json`) and the result
-cache's key (:func:`repro.engine.cache.config_fingerprint`) are both this
-walk.
+format (:func:`config_to_json` / :func:`config_from_json`), the result
+cache's key (:func:`repro.engine.cache.config_fingerprint`) and the
+service's job records (:class:`repro.service.JobRecord`) are all this walk.
+A field whose dataclass defines its own ``to_json`` / ``from_json`` is coded
+by them: a job's submission spec, whose JSON depends on its kind.
 
 Encoding is canonical: tuples become lists, a ``dict[str, float]`` becomes a
 key-sorted map, floats pass through ``float()`` (JSON's ``repr`` round-trips
@@ -116,6 +118,8 @@ def _codec(hint: Any, where: str) -> tuple[_Coerce, _Coerce]:
     if hint is str:
         return str, lambda value: _string(value, where)
     if isinstance(hint, type) and dataclasses.is_dataclass(hint):
+        if "to_json" in vars(hint) and "from_json" in vars(hint):
+            return hint.to_json, hint.from_json
         return _dataclass_codec(hint)
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     optional = origin in (typing.Union, types.UnionType) and len(args) == 2

@@ -428,16 +428,6 @@ class SweepRunner:
                 self.cache.store(configs[index], executors[index], result, entry)
         return results, entries, len(configs) - len(pending), profiles
 
-    def run_experiment(self, name: str, **overrides: Any) -> SweepOutcome:
-        """Execute a named sweep grid from :mod:`repro.engine.grids`.
-
-        ``overrides`` are forwarded to :func:`~repro.engine.grids.build_grid`
-        (e.g. ``num_jobs=500`` to shrink an interactive run).
-        """
-        from .grids import build_grid, grid_mode
-
-        return self.run(build_grid(name, **overrides), mode=grid_mode(name))
-
 
 def _sample_groups(
     configs: list[SimulationConfig], profile: bool

@@ -14,7 +14,7 @@ import numpy as np
 
 from .figures import FigureResult
 
-__all__ = ["format_figure", "format_mapping", "figure_to_csv", "format_comparison"]
+__all__ = ["format_figure", "format_mapping", "figure_to_csv"]
 
 
 def _format_value(value: float, precision: int = 4) -> str:
@@ -89,37 +89,4 @@ def format_mapping(title: str, mapping: Mapping[str, object], precision: int = 4
         else:
             rendered = str(value)
         out.write(f"  {str(key).ljust(width)} : {rendered}\n")
-    return out.getvalue()
-
-
-def format_comparison(
-    title: str,
-    comparison: Mapping[str, Mapping[str, float]],
-    precision: int = 4,
-) -> str:
-    """Render a measured-vs-reference comparison (see ``stats.compare_to_reference``)."""
-    out = io.StringIO()
-    out.write(title + "\n")
-    header = ["key", "measured", "reference", "abs error", "rel error"]
-    rows = []
-    for key, entry in comparison.items():
-        rows.append(
-            [
-                str(key),
-                _format_value(entry["measured"], precision),
-                _format_value(entry["reference"], precision),
-                _format_value(entry["absolute_error"], precision),
-                f"{entry['relative_error']:+.1%}",
-            ]
-        )
-    widths = [
-        max(len(header[i]), *(len(r[i]) for r in rows)) if rows else len(header[i])
-        for i in range(len(header))
-    ]
-    out.write("  ".join(h.ljust(widths[i]) for i, h in enumerate(header)).rstrip() + "\n")
-    for row in rows:
-        out.write(
-            "  ".join(cell.rjust(widths[i]) for i, cell in enumerate(row)).rstrip()
-            + "\n"
-        )
     return out.getvalue()

@@ -7,11 +7,13 @@ repeats that study with the reproduction's simulators and reports, for every
 (W, U) point, the analytic and simulated job times, the CI and whether the
 analytic value lies inside the simulation's confidence interval.
 
-The grid is executed through the sweep engine
-(:class:`repro.engine.SweepRunner`): pass ``jobs`` to fan the points out over
-worker processes and ``cache_dir`` to replay previously simulated points from
-disk.  Per-point seeds are fixed by the grid coordinates, so the results are
-identical for any ``jobs`` value.
+The points are the registered ``validation`` grid
+(:func:`repro.engine.build_grid`, J = 1000), executed through the sweep
+engine (:class:`repro.engine.SweepRunner`): pass ``jobs`` to fan the points
+out over worker processes and ``cache_dir`` to replay previously simulated
+points from disk.  Per-point seeds derive from the grid coordinates, so the
+results are identical for any ``jobs`` value and equal to a ``sweep
+validation`` run of the same points.
 """
 
 from __future__ import annotations
@@ -21,10 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ..cluster import SimulationConfig
 from ..core.analytical import evaluate_inputs
-from ..core.params import JobSpec, OwnerSpec, SystemSpec, TaskRounding
-from ..engine import SweepRunner
+from ..engine import SweepRunner, build_grid
 
 __all__ = ["ValidationPoint", "run_simulation_validation", "agreement_summary"]
 
@@ -56,9 +56,8 @@ class ValidationPoint:
 
 
 def run_simulation_validation(
-    job_demand: float = 1000.0,
-    workstation_counts: Sequence[int] = (1, 5, 10, 20, 40, 60, 80, 100),
-    utilizations: Sequence[float] = (0.01, 0.05, 0.10, 0.20),
+    workstation_counts: Sequence[int] | None = None,
+    utilizations: Sequence[float] | None = None,
     owner_demand: float = 10.0,
     num_jobs: int = 20_000,
     num_batches: int = 20,
@@ -72,38 +71,26 @@ def run_simulation_validation(
 
     The defaults use the paper's Figure-1 parameters and its batch-means setup
     (20 batches x 1000 samples = 20 000 job completions per point) with the
-    fast Monte-Carlo back-end; pass ``mode="discrete-time"`` for the literal
+    fast Monte-Carlo back-end; an axis left ``None`` keeps the ``validation``
+    grid's W or U values; pass ``mode="discrete-time"`` for the literal
     unit-by-unit walk (much slower, statistically identical).  ``jobs`` and
     ``cache_dir`` control the sweep engine (worker processes / on-disk result
     replay) without affecting any point's samples.
     """
-    job = JobSpec(total_demand=job_demand, rounding=TaskRounding.ROUND)
-    configs: list[SimulationConfig] = []
-    coordinates: list[tuple[float, int]] = []
-    for utilization in utilizations:
-        owner = OwnerSpec(demand=owner_demand, utilization=float(utilization))
-        for workstations in workstation_counts:
-            system = SystemSpec(workstations=int(workstations), owner=owner)
-            task_demand = job.task_demand(system.workstations)
-            configs.append(
-                SimulationConfig(
-                    workstations=int(workstations),
-                    task_demand=task_demand,
-                    owner=owner,
-                    num_jobs=num_jobs,
-                    num_batches=num_batches,
-                    confidence=confidence,
-                    seed=seed + int(workstations) * 1000 + int(utilization * 1000),
-                )
-            )
-            coordinates.append((float(utilization), int(workstations)))
-
+    configs = build_grid(
+        "validation",
+        num_jobs=num_jobs,
+        owner_demand=owner_demand,
+        num_batches=num_batches,
+        confidence=confidence,
+        seed=seed,
+        workstation_counts=workstation_counts,
+        utilizations=utilizations,
+    )
     outcome = SweepRunner(jobs=jobs, cache=cache_dir).run(configs, mode=mode)
 
     points: list[ValidationPoint] = []
-    for (utilization, workstations), config, result in zip(
-        coordinates, configs, outcome
-    ):
+    for config, result in zip(configs, outcome):
         analytic = evaluate_inputs(config.model_inputs)
         interval = result.job_time_interval.interval
         rel_error = (
@@ -111,8 +98,8 @@ def run_simulation_validation(
         ) / analytic.expected_job_time
         points.append(
             ValidationPoint(
-                workstations=workstations,
-                utilization=utilization,
+                workstations=config.workstations,
+                utilization=config.nominal_owner_utilization,
                 task_demand=config.task_demand,
                 analytic_job_time=analytic.expected_job_time,
                 simulated_job_time=result.mean_job_time,

@@ -331,10 +331,3 @@ def handler_type_names(handler: ast.ExceptHandler) -> tuple[str, ...] | None:
         if name is not None:
             names.append(name.rsplit(".", 1)[-1])
     return tuple(names)
-
-
-def string_constants(node: ast.AST) -> Iterator[str]:
-    """All string literals below ``node``."""
-    for child in ast.walk(node):
-        if isinstance(child, ast.Constant) and isinstance(child.value, str):
-            yield child.value

@@ -30,7 +30,6 @@ from .metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    get_registry,
 )
 from .prometheus import (
     CONTENT_TYPE,
@@ -73,7 +72,6 @@ __all__ = [
     "escape_help",
     "escape_label_value",
     "export_chrome_trace",
-    "get_registry",
     "get_sim_tap",
     "get_tracer",
     "install_sim_tap",

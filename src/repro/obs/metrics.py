@@ -33,7 +33,7 @@ from __future__ import annotations
 import bisect
 import re
 import threading
-from typing import Iterable, Iterator, Mapping, Sequence, TypeVar, cast
+from typing import Iterator, Mapping, Sequence, TypeVar, cast
 
 __all__ = [
     "Counter",
@@ -41,7 +41,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "REGISTRY",
-    "get_registry",
     "DEFAULT_LATENCY_BUCKETS",
 ]
 
@@ -324,17 +323,6 @@ class MetricsRegistry:
         with self._lock:
             return list(self._metrics)
 
-    def unregister(self, names: Iterable[str]) -> None:
-        """Drop families by name — test isolation only, never production."""
-        with self._lock:
-            for name in names:
-                self._metrics.pop(name, None)
-
 
 #: The process-global registry every instrumented subsystem writes to.
 REGISTRY = MetricsRegistry()
-
-
-def get_registry() -> MetricsRegistry:
-    """The process-global registry (function form for patchability in tests)."""
-    return REGISTRY

@@ -19,7 +19,6 @@ from .programs import (
     local_computation_master,
     local_computation_worker,
     run_local_computation,
-    run_ring_exchange,
     run_self_scheduling,
 )
 
@@ -44,5 +43,4 @@ __all__ = [
     "local_computation_worker",
     "run_local_computation",
     "run_self_scheduling",
-    "run_ring_exchange",
 ]

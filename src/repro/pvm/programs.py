@@ -7,17 +7,13 @@ master reports the **maximum task execution time** — deliberately excluding
 the spawn/collection overhead of the parallel-computing package so the
 measurement isolates owner interference (Section 4).
 
-:func:`run_local_computation` reproduces that experiment.  Two further
-programs exercise the messaging substrate on realistic patterns:
-
-* :func:`run_self_scheduling` — a master/worker *work-queue* (self-scheduling)
-  version of the same computation, where the job is split into more chunks
-  than workers and each worker asks for the next chunk when it finishes the
-  previous one.  This is the classic remedy for stragglers and provides an
-  interesting extension experiment: dynamic scheduling partially hides owner
-  interference that static partitioning cannot.
-* :func:`run_ring_exchange` — a synthetic nearest-neighbour exchange that
-  stresses send/recv ordering (used by the integration tests).
+:func:`run_local_computation` reproduces that experiment.
+:func:`run_self_scheduling` is a master/worker *work-queue* (self-scheduling)
+version of the same computation, where the job is split into more chunks
+than workers and each worker asks for the next chunk when it finishes the
+previous one.  This is the classic remedy for stragglers and provides an
+interesting extension experiment: dynamic scheduling partially hides owner
+interference that static partitioning cannot.
 """
 
 from __future__ import annotations
@@ -41,7 +37,6 @@ __all__ = [
     "run_local_computation",
     "SelfSchedulingResult",
     "run_self_scheduling",
-    "run_ring_exchange",
 ]
 
 #: Message tags (arbitrary but fixed, as in a real PVM program).
@@ -293,59 +288,3 @@ def run_self_scheduling(
     return vm.run_program(
         _self_scheduling_master, float(job_demand), int(workers), chunks, host=0
     )
-
-
-def _ring_worker(ctx: PvmContext, right_tid_event: int, rounds: int, payload: int) -> Generator:
-    """Forward a token around a ring ``rounds`` times (messaging stress test)."""
-    # The master sends us our right neighbour's tid first.
-    setup = yield from ctx.recv(tag=WORK_TAG)
-    right = setup.buffer.unpack_int()
-    token_count = 0
-    for _ in range(rounds):
-        message = yield from ctx.recv(tag=RESULT_TAG)
-        data = message.buffer.unpack_int_array()
-        token_count += 1
-        out = MessageBuffer().pack_int_array(data)
-        yield from ctx.send(right, out, RESULT_TAG)
-    return token_count
-
-
-def run_ring_exchange(
-    vm: VirtualMachine, ring_size: int, rounds: int = 1, payload: int = 64
-) -> int:
-    """Pass a token around a ring of tasks; returns total hops completed.
-
-    Purely a substrate-exercise program (ordering, wildcards, array payloads);
-    it has no analogue in the paper but is used by the integration tests and
-    the messaging example.
-    """
-
-    def master(ctx: PvmContext) -> Generator:
-        if ring_size < 2:
-            raise ValueError(f"ring_size must be >= 2, got {ring_size!r}")
-        tids = []
-        for i in range(ring_size):
-            tid = yield from ctx.spawn(
-                _ring_worker, 0, rounds, payload, host=i % ctx.vm.num_hosts
-            )
-            tids.append(tid)
-        # Tell each worker who its right neighbour is.
-        for i, tid in enumerate(tids):
-            right = tids[(i + 1) % ring_size]
-            setup = MessageBuffer().pack_int(right)
-            yield from ctx.send(tid, setup, WORK_TAG)
-        # Inject the token at the first worker for each round.
-        token = MessageBuffer().pack_int_array(np.arange(payload))
-        for _ in range(rounds):
-            yield from ctx.send(tids[0], token, RESULT_TAG)
-            # Wait for it to come back around: the last worker sends to tids[0],
-            # but round-trip completion is detected by the first worker having
-            # received `rounds` tokens, so simply wait for all workers at the end.
-        total = 0
-        for tid in tids:
-            info = ctx.vm.task_info(tid)
-            yield info.process
-            total += info.exit_value
-        return total
-
-    return vm.run_program(master, host=0)

@@ -9,17 +9,23 @@ done yet" (409) without parsing exception strings.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
+import shutil
 import time
 import urllib.error
 import urllib.request
-from typing import Any, Callable, Mapping, Sequence
+from http.client import HTTPResponse
+from pathlib import Path
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from ..backends import SimulationConfig
+from ..engine.cache import atomic_file
 from .jobs import JobRecord
+from .results import load_result_arrays
 from .specs import SweepJobSpec
 
 __all__ = ["ServiceError", "ServiceClient"]
@@ -41,9 +47,10 @@ class ServiceClient:
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
 
-    def _request(
+    @contextlib.contextmanager
+    def _response(
         self, path: str, body: Mapping[str, Any] | None = None
-    ) -> bytes:
+    ) -> Iterator[HTTPResponse]:
         url = f"{self.base_url}{path}"
         data = None
         headers = {}
@@ -53,7 +60,7 @@ class ServiceClient:
         request = urllib.request.Request(url, data=data, headers=headers)
         try:
             with urllib.request.urlopen(request, timeout=self.timeout) as answer:
-                return answer.read()
+                yield answer
         except urllib.error.HTTPError as exc:
             detail = exc.read().decode("utf-8", errors="replace")
             try:
@@ -61,6 +68,12 @@ class ServiceClient:
             except (json.JSONDecodeError, AttributeError):
                 pass
             raise ServiceError(exc.code, detail) from None
+
+    def _request(
+        self, path: str, body: Mapping[str, Any] | None = None
+    ) -> bytes:
+        with self._response(path, body) as answer:
+            return answer.read()
 
     def _request_json(
         self, path: str, body: Mapping[str, Any] | None = None
@@ -156,9 +169,27 @@ class ServiceClient:
         """The finished job's raw NPZ payload."""
         return self._request(f"/jobs/{job_id}/result")
 
+    def save_result(self, job_id: str, path: str | Path) -> int:
+        """Stream the finished job's NPZ payload into ``path``; returns its size.
+
+        The body is copied chunk by chunk through
+        :func:`~repro.engine.cache.atomic_file`, so a payload of any size
+        holds one chunk in memory, and a download that fails leaves no file.
+        A body shorter than its ``Content-Length`` (a chunked read ends
+        quietly when the connection closes early) raises ``ConnectionError``.
+        """
+        with (
+            self._response(f"/jobs/{job_id}/result") as answer,
+            atomic_file(path) as handle,
+        ):
+            shutil.copyfileobj(answer, handle)
+            size, length = handle.tell(), answer.headers.get("Content-Length")
+            if length is not None and size != int(length):
+                raise ConnectionError(
+                    f"the service sent {size} of the payload's {length} bytes"
+                )
+            return size
+
     def result_arrays(self, job_id: str) -> dict[str, np.ndarray]:
         """The finished job's payload, decoded to its flat array mapping."""
-        with np.load(
-            io.BytesIO(self.result_bytes(job_id)), allow_pickle=False
-        ) as data:
-            return {key: np.asarray(data[key]) for key in data.files}
+        return load_result_arrays(io.BytesIO(self.result_bytes(job_id)))

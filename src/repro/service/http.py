@@ -4,7 +4,7 @@ A thin :mod:`http.server` layer — no web framework, no new dependencies —
 exposing the service over five routes:
 
 ==========================  =============================================
-``GET  /health``            liveness + queue depth
+``GET  /health``            liveness, job count and queue depth
 ``GET  /metrics``           Prometheus exposition text (whole registry)
 ``POST /jobs``              submit (:class:`SweepJobSpec` JSON body)
 ``GET  /jobs``              all job records, submission order
@@ -22,7 +22,8 @@ The server is a ``ThreadingHTTPServer`` so status polls answer while a
 submission handler is blocked on the service lock; job *execution* stays in
 the service's own worker thread, never in a request handler.  Status polls,
 the listing and ``/health`` read the job store's in-memory index and open no
-record file; the result route streams the payload file in fixed-size
+record file, and ``/health`` lists no directory (the cache's counters are
+on ``/metrics``); the result route streams the payload file in fixed-size
 chunks, so a download holds one chunk in memory, not the payload.
 """
 
@@ -84,7 +85,6 @@ class _Handler(BaseHTTPRequestHandler):
                     "status": "ok",
                     "jobs": len(service.store),
                     "queued": len(service.store.pending()),
-                    "cache_entries": len(service.cache),
                 }
             )
             return

@@ -2,7 +2,9 @@
 
 Every submission becomes one :class:`JobRecord`, persisted as a JSON file in
 the service root's ``jobs/`` directory the moment it is accepted and
-rewritten (atomically: temp file + ``os.replace``) on every status change.
+rewritten (atomically, through :func:`~repro.engine.cache.atomic_file`) on
+every status change.  A record's JSON is its dataclass, walked by
+:mod:`repro.engine.codec`.
 Durability is therefore a property of the *files*, not of the process: a
 service restarted over the same root reads the directory once, re-queues
 anything that was mid-flight when the previous process died, and carries on
@@ -25,16 +27,16 @@ from __future__ import annotations
 import copy
 import json
 import logging
-import os
 import re
-import tempfile
 import threading
 import time
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Iterator, Mapping
 
+from ..engine.cache import atomic_file
+from ..engine.codec import _object, from_json, to_json
 from ..obs import REGISTRY
 from .specs import SweepJobSpec, spec_digest
 
@@ -67,8 +69,13 @@ class JobRecord:
     accumulated shard by shard, so a fully cache-served job finishes with
     ``simulated == 0`` and ``cache_hits == total_points``.  ``mode`` is the
     mode the submission resolved to; each result names the backend that
-    produced it.  Keys :meth:`from_json` does not know are ignored, so job
-    files carrying extra counters still load.
+    produced it.
+
+    :meth:`to_json` and :meth:`from_json` are the config walker's
+    (:mod:`repro.engine.codec`): a value of the wrong JSON type, or a
+    status outside :data:`JOB_STATUSES`, raises ``ValueError``.  Keys
+    :meth:`from_json` does not know are ignored, so job files carrying
+    extra counters still load.
     """
 
     job_id: str
@@ -90,71 +97,20 @@ class JobRecord:
     result_file: str | None = None
     note: str | None = None
 
+    def __post_init__(self) -> None:
+        if self.status not in JOB_STATUSES:
+            raise ValueError(f"unknown job status {self.status!r}")
+
     def to_json(self) -> dict[str, Any]:
-        return {
-            "job_id": self.job_id,
-            "spec": self.spec.to_json(),
-            "status": self.status,
-            "mode": self.mode,
-            "total_points": self.total_points,
-            "points_completed": self.points_completed,
-            "shards_total": self.shards_total,
-            "shards_completed": self.shards_completed,
-            "simulated": self.simulated,
-            "cache_hits": self.cache_hits,
-            "vectorized_groups": self.vectorized_groups,
-            "eta_seconds": self.eta_seconds,
-            "submitted_at": self.submitted_at,
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
-            "error": self.error,
-            "result_file": self.result_file,
-            "note": self.note,
-        }
+        return to_json(self)
 
     @classmethod
     def from_json(cls, payload: Mapping[str, Any]) -> "JobRecord":
-        status = str(payload.get("status", "queued"))
-        if status not in JOB_STATUSES:
-            raise ValueError(f"unknown job status {status!r}")
-        return cls(
-            job_id=str(payload["job_id"]),
-            spec=SweepJobSpec.from_json(payload["spec"]),
-            status=status,
-            mode=str(payload.get("mode", "")),
-            total_points=int(payload.get("total_points", 0)),
-            points_completed=int(payload.get("points_completed", 0)),
-            shards_total=int(payload.get("shards_total", 0)),
-            shards_completed=int(payload.get("shards_completed", 0)),
-            simulated=int(payload.get("simulated", 0)),
-            cache_hits=int(payload.get("cache_hits", 0)),
-            vectorized_groups=int(payload.get("vectorized_groups", 0)),
-            eta_seconds=(
-                None
-                if payload.get("eta_seconds") is None
-                else float(payload["eta_seconds"])
-            ),
-            submitted_at=float(payload.get("submitted_at", 0.0)),
-            started_at=(
-                None
-                if payload.get("started_at") is None
-                else float(payload["started_at"])
-            ),
-            finished_at=(
-                None
-                if payload.get("finished_at") is None
-                else float(payload["finished_at"])
-            ),
-            error=(
-                None if payload.get("error") is None else str(payload["error"])
-            ),
-            result_file=(
-                None
-                if payload.get("result_file") is None
-                else str(payload["result_file"])
-            ),
-            note=(None if payload.get("note") is None else str(payload["note"])),
-        )
+        items = _object(payload, cls.__name__).items()
+        return from_json(cls, {k: v for k, v in items if k in _FIELDS})
+
+
+_FIELDS = frozenset(field.name for field in fields(JobRecord))
 
 
 class JobStore:
@@ -244,21 +200,9 @@ class JobStore:
         A failed write raises before the index changes, so the file and the
         index both keep the old state.
         """
-        path = self._path(record.job_id)
         blob = json.dumps(record.to_json(), sort_keys=True, indent=2)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=self.root, prefix=path.stem, suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(blob + "\n")
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        with atomic_file(self._path(record.job_id)) as handle:
+            handle.write(blob.encode("utf-8") + b"\n")
         entry = _entry(record, blob)
         with self._lock:
             self._records[record.job_id] = entry

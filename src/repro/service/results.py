@@ -25,9 +25,7 @@ point's deflated members out of its cache entry
 from __future__ import annotations
 
 import io
-import os
 import struct
-import tempfile
 import zipfile
 from pathlib import Path
 from typing import IO, Mapping, Sequence
@@ -35,7 +33,7 @@ from typing import IO, Mapping, Sequence
 import numpy as np
 
 from ..backends import OpenSystemResult, SimulationResult
-from ..engine.cache import encode_entry, result_arrays
+from ..engine.cache import atomic_file, encode_entry, result_arrays
 from ..obs import REGISTRY
 
 __all__ = [
@@ -112,42 +110,34 @@ def save_result_npz(
 
     ``entries[i]`` is point ``i``'s cache entry (see
     :attr:`~repro.engine.SweepOutcome.entries`), or ``None`` to encode it.
+    The file is written through :func:`~repro.engine.cache.atomic_file`, so
+    a failed write raises and leaves no payload behind.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     if entries is None:
         entries = [None] * len(results)
-    fd, tmp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=path.stem, suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "wb") as handle, zipfile.ZipFile(
-            handle, "w", zipfile.ZIP_DEFLATED
-        ) as archive:
-            for index, (result, entry) in enumerate(zip(results, entries, strict=True)):
-                prefix = _POINT_KEY.format(index=index, key="")
-                name = f"{prefix}__mode__.npy"
-                with archive.open(name, "w", force_zip64=True) as member:
-                    np.lib.format.write_array(member, np.array(result.mode))
-                if entry is None:
-                    entry = encode_entry(result)
-                _copy_members(archive, handle, entry, prefix)
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+    with atomic_file(path) as handle, zipfile.ZipFile(
+        handle, "w", zipfile.ZIP_DEFLATED
+    ) as archive:
+        for index, (result, entry) in enumerate(zip(results, entries, strict=True)):
+            prefix = _POINT_KEY.format(index=index, key="")
+            name = f"{prefix}__mode__.npy"
+            with archive.open(name, "w", force_zip64=True) as member:
+                np.lib.format.write_array(member, np.array(result.mode))
+            if entry is None:
+                entry = encode_entry(result)
+            _copy_members(archive, handle, entry, prefix)
     encoded = sum(entry is None for entry in entries)
     _PAYLOAD_POINTS.labels(source="encoded").inc(encoded)
     _PAYLOAD_POINTS.labels(source="entry").inc(len(results) - encoded)
     return path
 
 
-def load_result_arrays(path: str | Path) -> dict[str, np.ndarray]:
-    """Read a result payload back into its flat array mapping."""
-    with np.load(Path(path), allow_pickle=False) as data:
+def load_result_arrays(source: str | Path | IO[bytes]) -> dict[str, np.ndarray]:
+    """Read a result payload, a file path or an open binary file, back into
+    its flat array mapping."""
+    with np.load(source, allow_pickle=False) as data:
         return {key: np.asarray(data[key]) for key in data.files}
 
 

@@ -8,13 +8,12 @@ from .batch_means import (
     steady_state_interval,
     warmup_truncate,
 )
-from .confidence import ConfidenceInterval, mean_confidence_interval, t_confidence_interval
-from .summary import ReplicationSummary, compare_to_reference, summarize_replications
+from .confidence import ConfidenceInterval, t_confidence_interval
+from .summary import ReplicationSummary, summarize_replications
 
 __all__ = [
     "ConfidenceInterval",
     "t_confidence_interval",
-    "mean_confidence_interval",
     "BatchMeansResult",
     "batch_means_interval",
     "batch_observations",
@@ -23,5 +22,4 @@ __all__ = [
     "steady_state_interval",
     "ReplicationSummary",
     "summarize_replications",
-    "compare_to_reference",
 ]

@@ -26,7 +26,6 @@ __all__ = [
     "ConfidenceInterval",
     "t_critical",
     "t_confidence_interval",
-    "mean_confidence_interval",
 ]
 
 #: Above this many degrees of freedom the four-term Cornish-Fisher expansion
@@ -154,11 +153,3 @@ def t_confidence_interval(
         confidence=confidence,
         sample_size=n,
     )
-
-
-def mean_confidence_interval(
-    values: Sequence[float] | np.ndarray,
-    confidence: float = 0.90,
-) -> ConfidenceInterval:
-    """Alias of :func:`t_confidence_interval` (kept for readability at call sites)."""
-    return t_confidence_interval(values, confidence)

@@ -10,13 +10,13 @@ per-replication observations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .confidence import ConfidenceInterval, t_confidence_interval
 
-__all__ = ["ReplicationSummary", "summarize_replications", "compare_to_reference"]
+__all__ = ["ReplicationSummary", "summarize_replications"]
 
 
 @dataclass(frozen=True)
@@ -76,28 +76,3 @@ def summarize_replications(
         maximum=float(np.max(data)),
         interval=interval,
     )
-
-
-def compare_to_reference(
-    measured: Mapping[str, float],
-    reference: Mapping[str, float],
-) -> dict[str, dict[str, float]]:
-    """Compare measured values against reference (paper) values key by key.
-
-    Returns, for every key present in both mappings, the measured value, the
-    reference value, the absolute error and the relative error.  Used by
-    EXPERIMENTS.md generation and by the agreement tests.
-    """
-    comparison: dict[str, dict[str, float]] = {}
-    for key in sorted(set(measured) & set(reference)):
-        m = float(measured[key])
-        r = float(reference[key])
-        error = m - r
-        rel = error / r if r != 0 else float("inf") if error else 0.0
-        comparison[key] = {
-            "measured": m,
-            "reference": r,
-            "absolute_error": error,
-            "relative_error": rel,
-        }
-    return comparison

@@ -19,9 +19,7 @@ from .owner_traces import (
 from .sweeps import (
     PAPER_MEASURED_UTILIZATION,
     PAPER_WORKSTATION_COUNTS,
-    GridPoint,
     ValidationGrid,
-    iterate_grid,
 )
 
 __all__ = [
@@ -38,8 +36,6 @@ __all__ = [
     "uptime_survey",
     "trivial_usage_behavior",
     "ValidationGrid",
-    "GridPoint",
-    "iterate_grid",
     "PAPER_MEASURED_UTILIZATION",
     "PAPER_WORKSTATION_COUNTS",
 ]

@@ -2,41 +2,24 @@
 
 The paper's measurement grid is: workstations 1..12 x problem sizes
 {1, 2, 4, 8, 16} minutes x 10 repetitions, owner utilization ≈ 3%.
-:class:`ValidationGrid` captures that grid (with every dimension overridable)
-and :func:`iterate_grid` walks it in the order the figures are drawn.
+:class:`ValidationGrid` captures that grid, with every dimension overridable.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from ..core.params import OwnerSpec
 from .local_computation import PAPER_PROBLEM_MINUTES, LocalComputationProblem, standard_problem_ladder
 
-__all__ = ["ValidationGrid", "GridPoint", "iterate_grid"]
+__all__ = ["ValidationGrid"]
 
 #: Owner utilization measured by the paper's uptime survey.
 PAPER_MEASURED_UTILIZATION = 0.03
 
 #: Workstation counts actually plotted in Figures 10-11.
 PAPER_WORKSTATION_COUNTS: tuple[int, ...] = (1, 2, 4, 6, 8, 10, 12)
-
-
-@dataclass(frozen=True)
-class GridPoint:
-    """One cell of the validation grid."""
-
-    problem: LocalComputationProblem
-    workstations: int
-    replication: int
-
-    @property
-    def label(self) -> str:
-        return (
-            f"{self.problem.name}-W{self.workstations}-rep{self.replication}"
-        )
 
 
 @dataclass(frozen=True)
@@ -72,23 +55,3 @@ class ValidationGrid:
     @property
     def owner_spec(self) -> OwnerSpec:
         return OwnerSpec(demand=self.owner_demand, utilization=self.owner_utilization)
-
-    @property
-    def num_points(self) -> int:
-        return (
-            len(tuple(self.problem_minutes))
-            * len(tuple(self.workstation_counts))
-            * self.replications
-        )
-
-
-def iterate_grid(grid: ValidationGrid) -> Iterator[GridPoint]:
-    """Walk the grid problem-by-problem, then workstation count, then replication."""
-    for problem, workstations, replication in itertools.product(
-        grid.problems, grid.workstation_counts, range(grid.replications)
-    ):
-        yield GridPoint(
-            problem=problem,
-            workstations=int(workstations),
-            replication=int(replication),
-        )

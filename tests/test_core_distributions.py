@@ -8,9 +8,6 @@ from scipy import special
 from scipy import stats as sps
 
 from repro.core.distributions import (
-    Binomial,
-    Deterministic,
-    Geometric,
     binomial_cdf,
     binomial_mean,
     binomial_pmf,
@@ -18,8 +15,6 @@ from repro.core.distributions import (
     max_of_iid_cdf,
     max_of_iid_mean,
     max_of_iid_pmf,
-    pmf_mean,
-    pmf_variance,
 )
 from repro.core.distributions import _log_factorial
 
@@ -145,82 +140,3 @@ class TestMaxOfIid:
     def test_invalid_count(self):
         with pytest.raises(ValueError):
             max_of_iid_cdf(binomial_cdf(10, 0.1), 0)
-
-
-class TestBinomialObject:
-    def test_properties(self):
-        b = Binomial(trials=100, prob=0.1)
-        assert b.mean == pytest.approx(10.0)
-        assert b.variance == pytest.approx(9.0)
-        assert b.pmf().sum() == pytest.approx(1.0)
-
-    def test_sampling_mean(self, rng):
-        b = Binomial(trials=50, prob=0.2)
-        samples = b.sample(rng, size=20000)
-        assert samples.mean() == pytest.approx(10.0, rel=0.05)
-
-    def test_max_helpers(self):
-        b = Binomial(trials=20, prob=0.1)
-        assert b.max_pmf(5).sum() == pytest.approx(1.0)
-        assert b.max_mean(5) >= b.mean
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Binomial(trials=-1, prob=0.5)
-        with pytest.raises(ValueError):
-            Binomial(trials=5, prob=2.0)
-
-
-class TestGeometric:
-    def test_mean_and_variance(self):
-        g = Geometric(prob=0.1)
-        assert g.mean == pytest.approx(10.0)
-        assert g.variance == pytest.approx(0.9 / 0.01)
-
-    def test_zero_probability_infinite_mean(self):
-        g = Geometric(prob=0.0)
-        assert g.mean == float("inf")
-        with pytest.raises(ValueError):
-            g.sample(np.random.default_rng(0))
-
-    def test_pmf_values(self):
-        g = Geometric(prob=0.25)
-        assert g.pmf(1) == pytest.approx(0.25)
-        assert g.pmf(2) == pytest.approx(0.75 * 0.25)
-        assert g.pmf(0) == 0.0
-
-    def test_sample_mean(self, rng):
-        g = Geometric(prob=0.05)
-        samples = g.sample(rng, size=50000)
-        assert samples.mean() == pytest.approx(20.0, rel=0.05)
-
-    def test_invalid_probability(self):
-        with pytest.raises(ValueError):
-            Geometric(prob=1.5)
-
-
-class TestDeterministic:
-    def test_moments(self):
-        d = Deterministic(value=10.0)
-        assert d.mean == 10.0
-        assert d.variance == 0.0
-
-    def test_sample_is_constant(self, rng):
-        d = Deterministic(value=3.0)
-        assert np.all(d.sample(rng, size=10) == 3.0)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            Deterministic(value=-1.0)
-
-
-class TestPmfHelpers:
-    def test_pmf_mean_variance(self):
-        support = [0, 1, 2]
-        pmf = [0.25, 0.5, 0.25]
-        assert pmf_mean(support, pmf) == pytest.approx(1.0)
-        assert pmf_variance(support, pmf) == pytest.approx(0.5)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            pmf_mean([0, 1], [1.0])

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 
@@ -13,9 +11,7 @@ from repro.desim import (
     ExponentialVariate,
     GeometricVariate,
     HyperExponentialVariate,
-    IntervalMonitor,
     StreamRegistry,
-    TallyMonitor,
     TimeWeightedMonitor,
     UniformVariate,
     make_variate,
@@ -120,35 +116,6 @@ class TestStreamRegistry:
         assert not np.allclose(a, b)
 
 
-class TestTallyMonitor:
-    def test_statistics(self):
-        monitor = TallyMonitor("t")
-        monitor.extend([1.0, 2.0, 3.0, 4.0])
-        assert monitor.count == 4
-        assert monitor.mean == pytest.approx(2.5)
-        assert monitor.minimum == 1.0
-        assert monitor.maximum == 4.0
-        assert monitor.variance == pytest.approx(np.var([1, 2, 3, 4], ddof=1))
-        assert monitor.std == pytest.approx(math.sqrt(monitor.variance))
-        assert monitor.percentile(50) == pytest.approx(2.5)
-
-    def test_empty_monitor_raises(self):
-        monitor = TallyMonitor()
-        with pytest.raises(ValueError):
-            _ = monitor.mean
-
-    def test_reset(self):
-        monitor = TallyMonitor()
-        monitor.record(1.0)
-        monitor.reset()
-        assert monitor.count == 0
-
-    def test_single_observation_variance_zero(self):
-        monitor = TallyMonitor()
-        monitor.record(5.0)
-        assert monitor.variance == 0.0
-
-
 class TestTimeWeightedMonitor:
     def test_time_average(self):
         monitor = TimeWeightedMonitor(initial_value=0.0, start_time=0.0)
@@ -173,36 +140,3 @@ class TestTimeWeightedMonitor:
         assert monitor.current == 2.0
         monitor.update(1.0, 7.0)
         assert monitor.current == 7.0
-
-
-class TestIntervalMonitor:
-    def test_utilization(self):
-        monitor = IntervalMonitor()
-        monitor.start(0.0)
-        monitor.stop(5.0)
-        monitor.start(10.0)
-        monitor.stop(15.0)
-        assert monitor.busy_time == pytest.approx(10.0)
-        assert monitor.utilization(20.0) == pytest.approx(0.5)
-        assert monitor.num_bursts if hasattr(monitor, "num_bursts") else True
-
-    def test_open_interval_counted_to_horizon(self):
-        monitor = IntervalMonitor()
-        monitor.start(8.0)
-        assert monitor.utilization(10.0) == pytest.approx(0.2)
-
-    def test_stop_without_start_is_noop(self):
-        monitor = IntervalMonitor()
-        monitor.stop(5.0)
-        assert monitor.busy_time == 0.0
-
-    def test_stop_before_start_rejected(self):
-        monitor = IntervalMonitor()
-        monitor.start(10.0)
-        with pytest.raises(ValueError):
-            monitor.stop(5.0)
-
-    def test_invalid_horizon(self):
-        monitor = IntervalMonitor()
-        with pytest.raises(ValueError):
-            monitor.utilization(0.0)

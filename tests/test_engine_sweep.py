@@ -313,16 +313,6 @@ class TestSweepRunner:
         assert outcome[0].mode == "monte-carlo"
         assert "simulated" in outcome.summary()
 
-    def test_run_experiment_by_name(self):
-        outcome = SweepRunner(jobs=1).run_experiment(
-            "fig01",
-            num_jobs=60,
-            num_batches=4,
-            workstation_counts=(5,),
-            utilizations=(0.1,),
-        )
-        assert len(outcome) == 1 and outcome.mode == "monte-carlo"
-
     def test_run_vectorized_agrees_statistically(self, small_grid):
         exact = SweepRunner(jobs=1).run(small_grid)
         fast = SweepRunner(jobs=1).run(small_grid, vectorized=True)

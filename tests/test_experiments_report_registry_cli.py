@@ -10,14 +10,12 @@ from repro.experiments import (
     EXPERIMENTS,
     FigureResult,
     figure_to_csv,
-    format_comparison,
     format_figure,
     format_mapping,
     get_experiment,
     list_experiments,
     run_fig07,
 )
-from repro.stats import compare_to_reference
 
 
 @pytest.fixture(scope="module")
@@ -67,11 +65,6 @@ class TestCsvAndMappings:
     def test_format_mapping(self):
         text = format_mapping("title", {"alpha": 1.23456, "beta": "x"})
         assert "title" in text and "alpha" in text and "beta" in text
-
-    def test_format_comparison(self):
-        comparison = compare_to_reference({"a": 1.1}, {"a": 1.0})
-        text = format_comparison("check", comparison)
-        assert "measured" in text and "+10.0%" in text
 
 
 class TestRegistry:

@@ -12,7 +12,6 @@ from repro.pvm import (
     PvmError,
     VirtualMachine,
     run_local_computation,
-    run_ring_exchange,
     run_self_scheduling,
 )
 from repro.pvm.programs import RESULT_TAG
@@ -294,15 +293,3 @@ class TestSelfScheduling:
         vm = make_vm(hosts=2)
         with pytest.raises(ValueError):
             run_self_scheduling(vm, job_demand=100.0, chunks_per_worker=0)
-
-
-class TestRingExchange:
-    def test_total_hops(self):
-        vm = make_vm(hosts=3)
-        hops = run_ring_exchange(vm, ring_size=5, rounds=2)
-        assert hops == 10
-
-    def test_small_ring_rejected(self):
-        vm = make_vm(hosts=2)
-        with pytest.raises(ValueError):
-            run_ring_exchange(vm, ring_size=1)

@@ -15,9 +15,11 @@ import builtins
 import contextlib
 import hashlib
 import http.client
+import http.server
 import io
 import json
 import os
+import shutil
 import signal
 import socket
 import statistics
@@ -38,6 +40,7 @@ from repro.core import ScenarioSpec
 from repro.engine import SweepRunner, build_grid, grid_mode
 from repro.obs import REGISTRY
 from repro.service import (
+    JobRecord,
     JobStore,
     ServiceClient,
     ServiceError,
@@ -540,7 +543,7 @@ class TestHTTPEndToEnd:
             client.submit_grid(GRID, dict(OVERRIDES, num_jobs=40)).job_id
         )
         assert record.job_id in [r.job_id for r in client.jobs()]
-        assert client.health()["cache_entries"] == 4
+        assert client.health() == {"status": "ok", "jobs": 1, "queued": 0}
 
     def test_error_answers(self, live):
         _, client = live
@@ -865,19 +868,51 @@ class TestJobIndex:
         assert [r.to_json() for r in store] == [r.to_json() for r in records]
 
 
+    def test_health_lists_no_directory(self, live, monkeypatch):
+        # Counted, not timed: /health answers from the job index and does
+        # not list the cache (or any directory), however many entries it
+        # holds; the cache's counters are on /metrics.
+        service, client = live
+        client.wait(client.submit_grid(GRID, OVERRIDES).job_id)
+        assert len(service.cache) == 4
+        listed = []
+        real_scandir, real_listdir = os.scandir, os.listdir
+
+        def counting_scandir(path=".", *args, **kwargs):
+            listed.append(path)
+            return real_scandir(path, *args, **kwargs)
+
+        def counting_listdir(path=".", *args, **kwargs):
+            listed.append(path)
+            return real_listdir(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "scandir", counting_scandir)
+        monkeypatch.setattr(os, "listdir", counting_listdir)
+        for _ in range(5):
+            assert client.health() == {"status": "ok", "jobs": 1, "queued": 0}
+        assert listed == []
+
+
+def _large_payload(service) -> tuple[str, str]:
+    """A done record whose payload is 32 MiB of random bytes; returns its
+    job id and the payload's sha256."""
+    record = service.store.create(
+        SweepJobSpec.for_grid(GRID, ONE_POINT),
+        status="done",
+        result_file="large.npz",
+    )
+    expected = hashlib.sha256()
+    with (service.results_dir / "large.npz").open("wb") as handle:
+        for _ in range(32):
+            block = os.urandom(1 << 20)
+            expected.update(block)
+            handle.write(block)
+    return record.job_id, expected.hexdigest()
+
+
 class TestResultStreaming:
     def test_result_is_streamed_not_buffered(self, service):
-        record = service.store.create(
-            SweepJobSpec.for_grid(GRID, ONE_POINT),
-            status="done",
-            result_file="large.npz",
-        )
-        expected = hashlib.sha256()
-        with (service.results_dir / "large.npz").open("wb") as handle:
-            for _ in range(32):
-                block = os.urandom(1 << 20)
-                expected.update(block)
-                handle.write(block)
+        job_id, expected = _large_payload(service)
         server = make_server(service)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
@@ -887,7 +922,7 @@ class TestResultStreaming:
         received = hashlib.sha256()
         tracemalloc.start()
         try:
-            connection.request("GET", f"/jobs/{record.job_id}/result")
+            connection.request("GET", f"/jobs/{job_id}/result")
             answer = connection.getresponse()
             length = int(answer.getheader("Content-Length"))
             while block := answer.read(1 << 16):
@@ -900,7 +935,28 @@ class TestResultStreaming:
             server.server_close()
         assert answer.status == 200
         assert length == 32 << 20
-        assert received.hexdigest() == expected.hexdigest()
+        assert received.hexdigest() == expected
+        assert peak < 4 << 20, peak
+
+    def test_download_is_streamed_into_the_output(self, service, tmp_path):
+        job_id, expected = _large_payload(service)
+        server = make_server(service)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        client = ServiceClient(f"http://127.0.0.1:{server.server_address[1]}")
+        out = tmp_path / "downloads" / "payload.npz"
+        out.parent.mkdir()
+        tracemalloc.start()
+        try:
+            size = client.save_result(job_id, out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            server.shutdown()
+            server.server_close()
+        assert size == 32 << 20
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
+        assert list(out.parent.iterdir()) == [out]
         assert peak < 4 << 20, peak
 
 
@@ -934,6 +990,68 @@ class TestServiceCLI:
         assert main(["result", job_id, "--url", url, "-o", str(out_path)]) == 0
         capsys.readouterr()
         assert out_path.read_bytes() == client.result_bytes(job_id)
+        assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_failed_download_leaves_no_file(self, live, tmp_path, capsys, monkeypatch):
+        _, client = live
+        record = client.wait(client.submit_grid(GRID, ONE_POINT).job_id)
+        out_path = tmp_path / "downloads" / "payload.npz"
+        out_path.parent.mkdir()
+
+        real_copy = shutil.copyfileobj
+
+        def dropped(source, target, *args):
+            if not isinstance(source, http.client.HTTPResponse):
+                return real_copy(source, target, *args)  # the server's side
+            target.write(source.read(100))
+            raise ConnectionResetError("connection dropped mid-body")
+
+        monkeypatch.setattr(shutil, "copyfileobj", dropped)
+        code = main(
+            ["result", record.job_id, "--url", client.base_url, "-o", str(out_path)]
+        )
+        assert code == 2
+        assert "connection dropped" in capsys.readouterr().err
+        assert list(out_path.parent.iterdir()) == []
+
+    def test_truncated_download_leaves_no_file(self, tmp_path, capsys):
+        # A body cut short by the server: a chunked read sees a quiet end
+        # of file, not an error, so the download must count its bytes.
+        record = JobRecord(
+            job_id="job-000001-00000000",
+            spec=SweepJobSpec.for_grid(GRID),
+            status="done",
+        )
+
+        class Truncating(http.server.BaseHTTPRequestHandler):
+            def log_message(self, *args):
+                pass
+
+            def do_GET(self):
+                if self.path.endswith("/result"):
+                    body, length = b"PK" * 500, 10_000
+                else:
+                    body = json.dumps(record.to_json()).encode()
+                    length = len(body)
+                self.send_response(200)
+                self.send_header("Content-Length", str(length))
+                self.end_headers()
+                self.wfile.write(body)
+                self.close_connection = True
+
+        server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Truncating)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        out_path = tmp_path / "payload.npz"
+        try:
+            url = f"http://127.0.0.1:{server.server_address[1]}"
+            code = main(["result", record.job_id, "--url", url, "-o", str(out_path)])
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert code == 2
+        assert "sent 1000 of the payload's 10000 bytes" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_cli_errors_exit_2(self, live, capsys):
         _, client = live

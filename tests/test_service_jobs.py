@@ -2,21 +2,34 @@
 
 from __future__ import annotations
 
+import ast
 import json
+import os
+from pathlib import Path
 
 import pytest
 
-from repro.backends import SimulationConfig
+from repro.backends import SimulationConfig, get_backend
 from repro.core import OwnerSpec
-from repro.engine import GRID_NAMES, build_grid, config_fingerprint, grid_mode
+from repro.engine import (
+    GRID_NAMES,
+    ResultCache,
+    build_grid,
+    config_fingerprint,
+    grid_mode,
+)
+from repro.obs import REGISTRY
 from repro.service import (
     JobRecord,
     JobStore,
     SweepJobSpec,
     config_from_json,
     config_to_json,
+    save_result_npz,
     spec_digest,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 #: Grid families covering every codec branch: homogeneous closed points,
 #: heterogeneous per-station scenarios, non-static policies, open-system
@@ -246,3 +259,228 @@ class TestJobStore:
             assert requeued.started_at is None
             done_again = reader.load(finished.job_id)
             assert done_again is not None and done_again.status == "done"
+
+
+#: A record with every field set, and the exact text its file holds.  The
+#: literal was written by the hand-written codec that the config walker
+#: replaced: a record file must not change by a byte.
+FULL_RECORD = JobRecord(
+    job_id="job-000042-0123abcd",
+    spec=SweepJobSpec.for_grid(
+        "fig01", {"num_jobs": 40, "workstation_counts": [2, 5]}, "vectorized"
+    ),
+    status="failed",
+    mode="monte-carlo",
+    total_points=4,
+    points_completed=2,
+    shards_total=2,
+    shards_completed=1,
+    simulated=1,
+    cache_hits=1,
+    vectorized_groups=3,
+    eta_seconds=1.25,
+    submitted_at=1700000000.123456,
+    started_at=1700000001.5,
+    finished_at=1700000002.75,
+    error="Traceback: boom\n",
+    result_file="x.npz",
+    note="recovered after restart",
+)
+FULL_RECORD_FILE = """\
+{
+  "cache_hits": 1,
+  "error": "Traceback: boom\\n",
+  "eta_seconds": 1.25,
+  "finished_at": 1700000002.75,
+  "job_id": "job-000042-0123abcd",
+  "mode": "monte-carlo",
+  "note": "recovered after restart",
+  "points_completed": 2,
+  "result_file": "x.npz",
+  "shards_completed": 1,
+  "shards_total": 2,
+  "simulated": 1,
+  "spec": {
+    "executor": "vectorized",
+    "grid": "fig01",
+    "kind": "grid",
+    "overrides": {
+      "num_jobs": 40,
+      "workstation_counts": [
+        2,
+        5
+      ]
+    }
+  },
+  "started_at": 1700000001.5,
+  "status": "failed",
+  "submitted_at": 1700000000.123456,
+  "total_points": 4,
+  "vectorized_groups": 3
+}
+"""
+DEFAULT_RECORD = JobRecord(
+    job_id="job-000001-00000000", spec=SweepJobSpec.for_grid("fig01")
+)
+DEFAULT_RECORD_FILE = """\
+{
+  "cache_hits": 0,
+  "error": null,
+  "eta_seconds": null,
+  "finished_at": null,
+  "job_id": "job-000001-00000000",
+  "mode": "",
+  "note": null,
+  "points_completed": 0,
+  "result_file": null,
+  "shards_completed": 0,
+  "shards_total": 0,
+  "simulated": 0,
+  "spec": {
+    "executor": "sweep",
+    "grid": "fig01",
+    "kind": "grid",
+    "overrides": {}
+  },
+  "started_at": null,
+  "status": "queued",
+  "submitted_at": 0.0,
+  "total_points": 0,
+  "vectorized_groups": 0
+}
+"""
+
+
+class TestRecordFile:
+    @pytest.mark.parametrize(
+        "record, text",
+        [(FULL_RECORD, FULL_RECORD_FILE), (DEFAULT_RECORD, DEFAULT_RECORD_FILE)],
+        ids=["every-field", "defaults"],
+    )
+    def test_file_text_is_pinned(self, tmp_path, record, text):
+        JobStore(tmp_path).save(record)
+        assert (tmp_path / f"{record.job_id}.json").read_text() == text
+        assert JobStore(tmp_path).load(record.job_id) == record
+
+    def test_an_extra_key_is_ignored(self, tmp_path):
+        path = tmp_path / f"{FULL_RECORD.job_id}.json"
+        payload = json.loads(FULL_RECORD_FILE)
+        payload["retries"] = 3
+        path.write_text(json.dumps(payload))
+        assert JobStore(tmp_path).load(FULL_RECORD.job_id) == FULL_RECORD
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("status", "vanished"),
+            ("total_points", "4"),
+            ("submitted_at", "0"),
+            (None, None),
+            (None, []),
+        ],
+        ids=["unknown-status", "string-int", "string-float", "null", "array"],
+    )
+    def test_a_bad_value_is_quarantined(self, tmp_path, key, value):
+        # Decoded by the config walker: nothing is coerced, so "4" is no
+        # longer read as 4.  A file that holds no JSON object is refused
+        # the same way.
+        path = tmp_path / f"{FULL_RECORD.job_id}.json"
+        payload = json.loads(FULL_RECORD_FILE)
+        if key is None:
+            payload = value
+        else:
+            payload[key] = value
+        path.write_text(json.dumps(payload))
+        corrupt = REGISTRY.get("repro_service_corrupt_records_total")
+        before = corrupt.value
+        store = JobStore(tmp_path)
+        assert store.load(FULL_RECORD.job_id) is None
+        assert not path.exists()
+        assert path.with_name(path.name + ".corrupt").exists()
+        assert corrupt.value - before == 1
+
+
+def _small_result():
+    config = build_grid("fig01", num_jobs=40, workstation_counts=(2,))[0]
+    return config, get_backend("monte-carlo")(config).run()
+
+
+def _cache_store(root: Path):
+    config, result = _small_result()
+    cache = ResultCache(root)
+    target = cache.path_for(config, "monte-carlo")
+
+    def write():
+        assert cache.store(config, "monte-carlo", result) is None
+
+    return target, write, lambda: None
+
+
+def _record_save(root: Path):
+    store = JobStore(root)
+    record = store.create(SweepJobSpec.for_grid("fig01"))
+    target = root / f"{record.job_id}.json"
+
+    def write():
+        record.status = "running"
+        with pytest.raises(OSError, match="rename refused"):
+            store.save(record)
+
+    def index_kept():
+        assert store.load(record.job_id).status == "queued"
+        assert [r.job_id for r in store.pending()] == [record.job_id]
+
+    return target, write, index_kept
+
+
+def _payload_write(root: Path):
+    _, result = _small_result()
+    target = root / "job.npz"
+
+    def write():
+        with pytest.raises(OSError, match="rename refused"):
+            save_result_npz(target, [result])
+
+    return target, write, lambda: None
+
+
+class TestOneWriter:
+    @pytest.mark.parametrize(
+        "writer",
+        [_cache_store, _record_save, _payload_write],
+        ids=["cache-store", "record-save", "payload-write"],
+    )
+    def test_a_failed_rename_keeps_the_old_file(self, tmp_path, monkeypatch, writer):
+        # The cache skips the store (None); a record save or a payload
+        # write raises.  Either way the target keeps its bytes, no temp
+        # file is left, and the job store's index keeps the old record.
+        target, write, index_kept = writer(tmp_path)
+        if not target.exists():
+            target.write_bytes(b"the old bytes")
+        old = target.read_bytes()
+
+        def refuse(source, destination):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        write()
+        assert target.read_bytes() == old
+        assert list(tmp_path.rglob("*.tmp")) == []
+        index_kept()
+
+    def test_only_atomic_file_makes_temp_files(self):
+        callers = set()
+        for path in sorted(SRC.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            scope = {}  # node -> its innermost enclosing function's name
+            for function in ast.walk(tree):  # outer functions come first
+                if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    scope.update(dict.fromkeys(ast.walk(function), function.name))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call) and "mkstemp" in (
+                    getattr(node.func, "attr", None),
+                    getattr(node.func, "id", None),
+                ):
+                    name = scope.get(node, "<module>")
+                    callers.add((path.relative_to(SRC).as_posix(), name))
+        assert callers == {("engine/cache.py", "atomic_file")}

@@ -11,7 +11,6 @@ from repro.stats import (
     ConfidenceInterval,
     batch_means_interval,
     batch_observations,
-    compare_to_reference,
     lag1_autocorrelation,
     summarize_replications,
     t_confidence_interval,
@@ -180,19 +179,3 @@ class TestReplications:
         d = summarize_replications("metric", [1.0, 2.0, 3.0]).as_dict()
         assert d["replications"] == 3.0
         assert "ci_half_width" in d
-
-
-class TestCompareToReference:
-    def test_comparison_values(self):
-        comparison = compare_to_reference(
-            {"a": 11.0, "b": 5.0, "c": 3.0}, {"a": 10.0, "b": 5.0}
-        )
-        assert set(comparison) == {"a", "b"}
-        assert comparison["a"]["absolute_error"] == pytest.approx(1.0)
-        assert comparison["a"]["relative_error"] == pytest.approx(0.1)
-        assert comparison["b"]["relative_error"] == 0.0
-
-    def test_zero_reference(self):
-        comparison = compare_to_reference({"a": 0.0, "b": 1.0}, {"a": 0.0, "b": 0.0})
-        assert comparison["a"]["relative_error"] == 0.0
-        assert comparison["b"]["relative_error"] == float("inf")

@@ -18,7 +18,6 @@ from repro.workload import (
     OwnerActivityTrace,
     ValidationGrid,
     generate_trace,
-    iterate_grid,
     measure_utilization,
     standard_problem_ladder,
     trivial_usage_behavior,
@@ -168,16 +167,6 @@ class TestValidationGrid:
         assert grid.replications == 10
         assert tuple(grid.workstation_counts) == PAPER_WORKSTATION_COUNTS
         assert grid.owner_spec.utilization == pytest.approx(0.03)
-        assert grid.num_points == 5 * 7 * 10
-
-    def test_iteration_order_and_count(self):
-        grid = ValidationGrid(problem_minutes=(1.0, 2.0), workstation_counts=(1, 2), replications=3)
-        points = list(iterate_grid(grid))
-        assert len(points) == 2 * 2 * 3
-        assert points[0].problem.minutes == 1.0
-        assert points[0].workstations == 1
-        assert points[0].replication == 0
-        assert "rep0" in points[0].label
 
     def test_validation(self):
         with pytest.raises(ValueError):
