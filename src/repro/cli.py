@@ -463,11 +463,13 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     if args.command == "metrics":
         if args.url:
+            import http.client
+
             from .service import ServiceClient, ServiceError
 
             try:
                 sys.stdout.write(ServiceClient(args.url).metrics_text())
-            except (ServiceError, OSError) as exc:
+            except (ServiceError, OSError, http.client.HTTPException) as exc:
                 print(
                     f"cannot scrape {args.url}/metrics: {exc}", file=sys.stderr
                 )
@@ -516,9 +518,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0
 
     if args.command in ("submit", "status", "result"):
+        import http.client
         import json as _json
 
         from .service import ServiceClient, ServiceError
+        from .service.client import OutputError
 
         client = ServiceClient(args.url)
 
@@ -579,8 +583,17 @@ def main(argv: Sequence[str] | None = None) -> int:
                 size = client.save_result(args.job_id, args.output)
                 print(f"wrote {size} bytes to {args.output}")
                 return 0
+        except OutputError as exc:
+            print(f"cannot write {args.output}: {exc.strerror}", file=sys.stderr)
+            return 2
         except (ServiceError, ValueError, TimeoutError) as exc:
             print(str(exc), file=sys.stderr)
+            return 2
+        except http.client.HTTPException as exc:
+            print(
+                f"the service at {args.url} sent a broken answer: {exc!r}",
+                file=sys.stderr,
+            )
             return 2
         except OSError as exc:
             print(f"cannot reach the service at {args.url}: {exc}", file=sys.stderr)

@@ -13,18 +13,22 @@ The cache itself is backend-agnostic: an entry's layout is its result
 dataclass.  :func:`result_arrays` stores every sample field of a
 :class:`~repro.backends.SimulationResult` or
 :class:`~repro.backends.OpenSystemResult` under its field name, and
-:meth:`ResultCache.load_entry` rebuilds the result from the same names, so
-no backend writes serialization code.  The fingerprint covers every field
-that influences the simulation output (including the seed and the backend
-mode), so two configs collide only when they would produce
-bitwise-identical results.  Confidence intervals are *not* stored; the
-result classes derive them from the samples on first access, which is
-deterministic and keeps the cache format independent of the stats layer.
+:func:`decode_entry` rebuilds the result from the same names, so no backend
+writes serialization code.  The fingerprint covers every field that
+influences the simulation output (including the seed and the backend mode),
+so two configs collide only when they would produce bitwise-identical
+results.  Confidence intervals are *not* stored; the result classes derive
+them from the samples on first access, which is deterministic and keeps the
+cache format independent of the stats layer.
 
-:func:`encode_entry` is the only place a point is deflated; a sweep's pool
-worker runs it.  The cache writes and reads back those bytes unchanged, and
-a job payload copies its deflated members out of them
-(:func:`repro.service.save_result_npz`).
+An entry travels as bytes.  :func:`encode_entry` is the only place a point
+is deflated; a sweep's pool worker runs it and ships the bytes, not the
+arrays.  A hit is the file's bytes, checked but not decoded
+(:meth:`ResultCache.read_entry`): every member is inflated in chunks to
+check its CRC-32 and size, and no array is built.  A job payload copies the
+deflated members out of those bytes (:mod:`repro.service.results`), and
+only a caller that asks for the result (:meth:`ResultCache.load`,
+:attr:`repro.engine.SweepOutcome.results`) decodes it, to float64 arrays.
 """
 
 from __future__ import annotations
@@ -33,10 +37,12 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import tempfile
 import zipfile
+import zlib
 from dataclasses import fields, replace
 from pathlib import Path
 from typing import Any, BinaryIO, Iterator, Mapping
@@ -54,7 +60,7 @@ from .codec import to_json
 
 __all__ = [
     "CACHE_VERSION", "SCHEMA_HISTORY", "atomic_file", "config_fingerprint",
-    "encode_entry", "result_arrays", "ResultCache",
+    "decode_entry", "encode_entry", "result_arrays", "ResultCache",
 ]
 
 # Cache observability: counted in whichever process performs the cache I/O —
@@ -221,6 +227,18 @@ def result_arrays(result: SimulationResult | OpenSystemResult) -> dict[str, np.n
     return arrays
 
 
+def _result_class(
+    config: SimulationConfig,
+) -> type[SimulationResult] | type[OpenSystemResult]:
+    return OpenSystemResult if config.effective_scenario.is_open else SimulationResult
+
+
+def _sample_fields(config: SimulationConfig) -> list[str]:
+    """The fields a result of ``config`` keeps in its entry, in order."""
+    cls = _result_class(config)
+    return [f.name for f in fields(cls) if f.name not in _POINT_FIELDS]
+
+
 def _result_from_arrays(
     config: SimulationConfig, mode: str, arrays: Mapping[str, np.ndarray]
 ) -> SimulationResult | OpenSystemResult:
@@ -229,24 +247,19 @@ def _result_from_arrays(
     A missing array raises ``KeyError``, and a first array that does not
     hold ``config.num_jobs`` samples raises ``ValueError``.
     """
-    cls: type[SimulationResult] | type[OpenSystemResult] = (
-        OpenSystemResult if config.effective_scenario.is_open else SimulationResult
-    )
     samples: dict[str, Any] = {}
-    for f in fields(cls):
-        if f.name in _POINT_FIELDS:
-            continue
-        value = np.asarray(arrays[f.name], dtype=np.float64)
+    for name in _sample_fields(config):
+        value = np.asarray(arrays[name], dtype=np.float64)
         if not samples and value.shape != (config.num_jobs,):
             raise ValueError(
                 f"cached entry holds {value.size} jobs but the config expects "
                 f"{config.num_jobs}"
             )
         if value.ndim == 0:  # a scalar field, NaN standing for None
-            samples[f.name] = None if np.isnan(value) else float(value)
+            samples[name] = None if np.isnan(value) else float(value)
         else:
-            samples[f.name] = value
-    return cls(config=config, mode=mode, **samples)
+            samples[name] = value
+    return _result_class(config)(config=config, mode=mode, **samples)
 
 
 def encode_entry(result: SimulationResult | OpenSystemResult) -> bytes:
@@ -258,6 +271,67 @@ def encode_entry(result: SimulationResult | OpenSystemResult) -> bytes:
     buffer = io.BytesIO()
     np.savez_compressed(buffer, **result_arrays(result))
     return buffer.getvalue()
+
+
+def decode_entry(
+    config: SimulationConfig, mode: str, entry: bytes
+) -> SimulationResult | OpenSystemResult:
+    """The result an entry holds, labelled ``mode``, its arrays as float64."""
+    with np.load(io.BytesIO(entry), allow_pickle=False) as data:
+        return _result_from_arrays(config, mode, data)
+
+
+#: Inflated bytes held at a time while an entry is checked.
+_CHECK_CHUNK = 1 << 20
+
+#: The ``.npy`` header reader of each format version numpy writes.
+_NPY_HEADERS = {
+    (1, 0): np.lib.format.read_array_header_1_0,
+    (2, 0): np.lib.format.read_array_header_2_0,
+}
+
+#: What a torn, garbled or foreign entry raises while it is checked
+#: (``zipfile`` raises ``RuntimeError`` for a member flagged encrypted, and
+#: ``NotImplementedError`` for an unknown compression method).
+_ENTRY_ERRORS = (
+    OSError, KeyError, ValueError, EOFError, RuntimeError, zipfile.BadZipFile,
+    zlib.error,
+)
+
+
+def _check_entry(config: SimulationConfig, entry: bytes) -> None:
+    """Raise one of :data:`_ENTRY_ERRORS` unless ``entry`` is whole.
+
+    Whole means what :func:`decode_entry` would accept, proved without
+    building an array: one ``.npy`` member per sample field of the
+    config's result class, in :func:`result_arrays` order; each member
+    inflated in :data:`_CHECK_CHUNK` pieces up to its directory size, where
+    ``zipfile`` compares the CRC-32 with the directory's; a header that
+    names no object dtype and whose shape accounts for every inflated data
+    byte; and ``config.num_jobs`` samples in the first member.  The
+    directory alone would pass a flipped bit: only the inflate finds it.
+    """
+    with zipfile.ZipFile(io.BytesIO(entry)) as archive:
+        members = archive.infolist()
+        names = [member.filename for member in members]
+        if names != [f"{name}.npy" for name in _sample_fields(config)]:
+            raise KeyError(f"cached entry holds members {names}")
+        for index, member in enumerate(members):
+            with archive.open(member) as stream:
+                read_header = _NPY_HEADERS.get(np.lib.format.read_magic(stream))
+                if read_header is None:
+                    raise ValueError(f"unsupported .npy version in {member.filename}")
+                shape, _, dtype = read_header(stream)
+                data = 0
+                while chunk := stream.read(_CHECK_CHUNK):
+                    data += len(chunk)
+            if dtype.hasobject or data != math.prod(shape) * dtype.itemsize:
+                raise ValueError(f"{member.filename} does not hold its shape {shape}")
+            if index == 0 and shape != (config.num_jobs,):
+                raise ValueError(
+                    f"cached entry holds {math.prod(shape)} jobs but the config "
+                    f"expects {config.num_jobs}"
+                )
 
 
 #: An :func:`atomic_file` temp-file name, ``<stem>.<writer pid>.<random>.tmp``.
@@ -310,7 +384,9 @@ class ResultCache:
     One NPZ file per point, named after its fingerprint, holding the
     point's :func:`result_arrays`.  Writes go through :func:`atomic_file`,
     so concurrent sweep workers sharing a cache directory never observe
-    torn files.
+    torn files.  :meth:`read_entry` and :meth:`write_entry` move an entry's
+    bytes; :meth:`load` and :meth:`store` decode and encode a result around
+    them.
     """
 
     def __init__(self, root: str | Path) -> None:
@@ -321,7 +397,7 @@ class ResultCache:
     def _sweep_stale_tmp_files(self) -> int:
         """Remove ``*.tmp`` leftovers of writers that crashed mid-store.
 
-        :meth:`store` writes through :func:`atomic_file`; a writer killed
+        :meth:`write_entry` writes through :func:`atomic_file`; a writer killed
         between its write and its rename leaks the temp file,
         which ``glob("*.npz")`` never sees — so without this sweep a shared
         cache directory accumulates invisible garbage across service
@@ -347,34 +423,25 @@ class ResultCache:
     def contains(self, config: SimulationConfig, mode: str) -> bool:
         return self.path_for(config, mode).exists()
 
-    def load_entry(
-        self, config: SimulationConfig, mode: str
-    ) -> tuple[SimulationResult | OpenSystemResult, bytes] | None:
-        """Return a cached point and its entry bytes, or ``None`` on a miss.
+    def read_entry(self, config: SimulationConfig, mode: str) -> bytes | None:
+        """Return a cached point's entry bytes, or ``None`` on a miss.
 
-        The file is read once; the result is inflated from those bytes, which
-        are returned beside it exactly as they were validated.  A corrupt or
-        unreadable entry is treated as a miss (the point is simply
-        resimulated and rewritten) and the corrupt file is deleted so it
-        cannot shadow the rewrite.  ``np.load`` surfaces a truncated or
-        garbled archive as ``zipfile.BadZipFile`` / ``EOFError``, not only as
-        ``OSError``, so both are part of the miss contract.  The result is
-        rebuilt from the fields of its class (:class:`OpenSystemResult` for
-        an open scenario), labelled with the requested ``mode``; a missing
-        array, or a sample count that contradicts the config, turns the
-        entry into a miss as well.  An unregistered ``mode`` raises
-        ``ValueError``.
+        The file is read once and checked, not decoded (:func:`_check_entry`).
+        An entry that fails the check — truncated, missing a member, a
+        flipped bit, a sample count that contradicts the config — is a
+        miss: the point is simply resimulated and rewritten, and the corrupt
+        file is deleted so it cannot shadow the rewrite.  An unregistered
+        ``mode`` raises ``ValueError``.
         """
         get_backend(mode)  # fail fast on an unregistered mode
         path = self.path_for(config, mode)
-        if not path.exists():
-            _CACHE_MISSES.inc()
-            return None
         try:
             entry = path.read_bytes()
-            with np.load(io.BytesIO(entry), allow_pickle=False) as data:
-                result = _result_from_arrays(config, mode, data)
-        except (OSError, KeyError, ValueError, EOFError, zipfile.BadZipFile):
+            _check_entry(config, entry)
+        except FileNotFoundError:
+            _CACHE_MISSES.inc()
+            return None
+        except _ENTRY_ERRORS:
             try:
                 path.unlink()
             except OSError:
@@ -383,7 +450,20 @@ class ResultCache:
             _CACHE_MISSES.inc()
             return None
         _CACHE_HITS.inc()
-        return result, entry
+        return entry
+
+    def load_entry(
+        self, config: SimulationConfig, mode: str
+    ) -> tuple[SimulationResult | OpenSystemResult, bytes] | None:
+        """Return a cached point's result and entry bytes, or ``None`` on a miss.
+
+        The entry is :meth:`read_entry`'s, and the result is decoded from it
+        (:func:`decode_entry`) with the fields of its class
+        (:class:`OpenSystemResult` for an open scenario), labelled with the
+        requested ``mode``.
+        """
+        entry = self.read_entry(config, mode)
+        return None if entry is None else (decode_entry(config, mode, entry), entry)
 
     def load(
         self, config: SimulationConfig, mode: str
@@ -397,12 +477,15 @@ class ResultCache:
         config: SimulationConfig,
         mode: str,
         result: SimulationResult | OpenSystemResult,
-        entry: bytes | None = None,
     ) -> Path | None:
-        """Persist one completed point; returns its cache file path.
+        """Persist one completed point: :meth:`write_entry` of its
+        :func:`encode_entry` bytes."""
+        return self.write_entry(config, mode, encode_entry(result))
 
-        ``entry``, the result's :func:`encode_entry` bytes if the caller
-        has them, is written unchanged; without it the result is encoded.
+    def write_entry(
+        self, config: SimulationConfig, mode: str, entry: bytes
+    ) -> Path | None:
+        """Write one point's entry bytes unchanged; returns its cache file path.
 
         A store is an optimisation, never a condition of the sweep: an
         ``OSError`` while writing or renaming the temp file (a full disk,
@@ -410,8 +493,6 @@ class ResultCache:
         ``repro_cache_store_failures_total`` and ``None`` is returned
         instead of a path.
         """
-        if entry is None:
-            entry = encode_entry(result)
         path = self.path_for(config, mode)
         try:
             with atomic_file(path) as handle:

@@ -15,6 +15,10 @@ the array kernel pinned bitwise to those generator oracles (which stay
 registered as the references the pins compare against).  Monte-Carlo group
 sampling is the one opt-in route (``vectorized=True``).
 
+With a cache attached, a sweep moves entries, not arrays: a hit is its
+entry's checked bytes, a pool worker returns its point's entry in place of
+the result, and :attr:`SweepOutcome.results` decodes them only when asked.
+
 Determinism: each point carries its own seed and every backend builds its
 random streams from that seed alone (via
 :class:`~repro.desim.StreamRegistry`), so the results are bitwise-identical
@@ -36,9 +40,11 @@ import cProfile
 import io
 import os
 import pstats
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
 
 from ..backends import (
@@ -51,7 +57,7 @@ from ..obs import REGISTRY, active_trace_path, configure_tracing, trace_span
 
 #: Either flavour of completed simulation point (closed or open system).
 PointResult = SimulationResult | OpenSystemResult
-from .cache import ResultCache, encode_entry
+from .cache import ResultCache, decode_entry, encode_entry
 
 __all__ = [
     "SweepOutcome",
@@ -137,13 +143,14 @@ _PointTask = tuple[SimulationConfig, str, bool, str | None, bool]
 
 def _execute_point(
     task: _PointTask,
-) -> tuple[PointResult, bytes | None, float, dict | None]:
+) -> tuple[PointResult | bytes, float, dict | None]:
     """Top-level worker entry point (must be picklable for the process pool).
 
-    Returns ``(result, entry, elapsed_seconds, profile stats or None)``;
-    ``entry`` is the result's :func:`~repro.engine.cache.encode_entry` bytes
-    if the task asks for them, so the deflate runs in the pool, not in the
-    parent.  The elapsed wall time (of the simulation alone) is measured
+    Returns ``(point, elapsed_seconds, profile stats or None)``.  ``point``
+    is the result, or, if the task asks for it, the result's
+    :func:`~repro.engine.cache.encode_entry` bytes in its place: the deflate
+    runs in the pool, and only the entry crosses the pipe, never the sample
+    arrays.  The elapsed wall time (of the simulation alone) is measured
     here, in the worker, so the parent can observe true per-point latencies
     into the histogram even when points run remotely.  With a trace path in
     the task, the worker adopts the parent's trace file and emits this
@@ -176,7 +183,7 @@ def _execute_point(
         else:
             result = _simulate_point((config, mode))
     elapsed = time.perf_counter() - started
-    return result, encode_entry(result) if encode else None, elapsed, stats
+    return encode_entry(result) if encode else result, elapsed, stats
 
 
 class _ProfileCarrier:
@@ -211,6 +218,23 @@ def merge_profile_stats(stats_dicts: Iterable[dict]) -> pstats.Stats | None:
     return merged
 
 
+#: Seconds between a pool worker's checks that its parent still lives.
+_PARENT_POLL_SECONDS = 0.5
+
+
+def _exit_with_parent() -> None:
+    """Pool initializer: end this worker once the process that started it is
+    gone (killed, say), rather than compute for no one."""
+    parent = os.getppid()
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(_PARENT_POLL_SECONDS)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="exit-with-parent", daemon=True).start()
+
+
 def parallel_map(
     fn: Callable[[_T], _R],
     items: Iterable[_T],
@@ -218,8 +242,9 @@ def parallel_map(
 ) -> list[_R]:
     """Order-preserving map, in-process for ``jobs=1`` else over a process pool.
 
-    ``fn`` and the items must be picklable when ``jobs != 1``.  Used by the
-    sweep runner and by the PVM validation measurements in
+    ``fn`` and the items must be picklable when ``jobs != 1``.  A pool
+    worker exits within :data:`_PARENT_POLL_SECONDS` of its parent's death.
+    Used by the sweep runner and by the PVM validation measurements in
     :mod:`repro.experiments.figures`.
     """
     work = list(items)
@@ -228,7 +253,9 @@ def parallel_map(
         return [fn(item) for item in work]
     workers = min(workers, len(work))
     chunksize = max(1, len(work) // (workers * 4))
-    with ProcessPoolExecutor(max_workers=workers) as executor:
+    with ProcessPoolExecutor(
+        max_workers=workers, initializer=_exit_with_parent
+    ) as executor:
         return list(executor.map(fn, work, chunksize=chunksize))
 
 
@@ -236,21 +263,30 @@ def parallel_map(
 class SweepOutcome:
     """Results of one sweep execution plus its bookkeeping.
 
-    ``results`` is ordered like the input grid, and each result's own
-    ``mode`` names the backend that produced it; ``mode`` here is the one
-    the sweep requested.  ``entries`` holds, in the same order, the
-    compressed cache entry each result was loaded from or encoded to
-    (:func:`~repro.engine.cache.encode_entry` bytes), or ``None`` for a
+    Every list is ordered like the input grid.  ``modes`` names the backend
+    that produced each point; ``mode`` is the one the sweep requested.
+    ``entries`` holds each point's compressed cache entry
+    (:func:`~repro.engine.cache.encode_entry` bytes), as read from the cache
+    or shipped by the pool worker that simulated it, or ``None`` for a
     point without one: a sampled (``vectorized``) point, or any point of a
-    run without a cache.  ``simulated`` counts points actually executed this
-    run; ``cache_hits`` counts points replayed from the cache
-    (``simulated + cache_hits == len(results)``).  ``vectorized_groups``
-    counts the shared-shape groups a ``vectorized`` sweep drew in single
-    batched passes.
+    run without a cache.  ``held`` holds the result of each point without
+    an entry, and ``None`` for the rest.  ``simulated`` counts points
+    actually executed this run; ``cache_hits`` counts points replayed from
+    the cache (``simulated + cache_hits == len(outcome)``).
+    ``vectorized_groups`` counts the shared-shape groups a ``vectorized``
+    sweep drew in single batched passes.
+
+    :attr:`results` decodes the entries on first access, so a caller that
+    needs only the entries — the service, which splices them into its
+    payload — never builds a sample array; a decoded result holds float64
+    arrays, as a cache hit always has.  ``len()`` and :meth:`summary`
+    decode nothing.
     """
 
-    results: list[PointResult]
-    entries: list[bytes | None]
+    configs: list[SimulationConfig] = field(repr=False)
+    modes: list[str]
+    entries: list[bytes | None] = field(repr=False)
+    held: Sequence[PointResult | None] = field(repr=False)
     mode: str
     jobs: int
     simulated: int = 0
@@ -259,8 +295,21 @@ class SweepOutcome:
     vectorized_groups: int = 0
     profile: pstats.Stats | None = None
 
+    @cached_property
+    def results(self) -> list[PointResult]:
+        """Every point's result, each entry decoded on first access."""
+        results: list[PointResult] = []
+        for config, mode, entry, result in zip(
+            self.configs, self.modes, self.entries, self.held, strict=True
+        ):
+            if result is None:
+                assert entry is not None, "a point holds its entry or its result"
+                result = decode_entry(config, mode, entry)
+            results.append(result)
+        return results
+
     def __len__(self) -> int:
-        return len(self.results)
+        return len(self.modes)
 
     def __iter__(self) -> Iterator[PointResult]:
         return iter(self.results)
@@ -271,7 +320,7 @@ class SweepOutcome:
     def summary(self) -> str:
         """One-line execution report for logs and the CLI."""
         line = (
-            f"{len(self.results)} points ({self.simulated} simulated, "
+            f"{len(self)} points ({self.simulated} simulated, "
             f"{self.cache_hits} cached) mode={self.mode} jobs={self.jobs} "
             f"in {self.elapsed_seconds:.2f}s"
         )
@@ -363,11 +412,12 @@ class SweepRunner:
             "sweep", mode=mode, points=len(configs), jobs=self.jobs, sampled=sampled
         ):
             if sampled:
-                results, groups, profiles = _sample_groups(configs, profile)
-                entries: list[bytes | None] = [None] * len(results)
+                held, groups, profiles = _sample_groups(configs, profile)
+                modes = [result.mode for result in held]
+                entries: list[bytes | None] = [None] * len(held)
                 cache_hits = 0
             else:
-                results, entries, cache_hits, profiles = self._run_points(
+                modes, entries, held, cache_hits, profiles = self._run_points(
                     configs, mode, profile
                 )
                 groups = 0
@@ -379,8 +429,10 @@ class SweepRunner:
         if sampled:
             _POINTS.labels(path="sampler-batched").inc(simulated)
         return SweepOutcome(
-            results=results,
+            configs=configs,
+            modes=modes,
             entries=entries,
+            held=held,
             mode=mode,
             jobs=self.jobs,
             simulated=simulated,
@@ -392,41 +444,42 @@ class SweepRunner:
 
     def _run_points(
         self, configs: list[SimulationConfig], mode: str, profile: bool
-    ) -> tuple[list[PointResult], list[bytes | None], int, list[dict]]:
-        """The per-point path; returns ``(results, entries, hits, profiles)``.
+    ) -> tuple[list[str], list[bytes | None], list[Any], int, list[dict]]:
+        """The per-point path; returns ``(modes, entries, held, hits, profiles)``.
 
-        Only a run with a cache has workers encode the entries it stores.
+        With a cache, a hit is its checked entry bytes and a miss's worker
+        ships its entry in place of its result, so no result is held;
+        without one, every point's result is.
         """
-        executors = [_executor(config, mode) for config in configs]
-        results: list[Any] = [None] * len(configs)
+        modes = [_executor(config, mode) for config in configs]
         entries: list[bytes | None] = [None] * len(configs)
+        held: list[Any] = [None] * len(configs)
         pending: list[int] = []
-        for index, (config, executor) in enumerate(zip(configs, executors)):
-            hit = (
-                None if self.cache is None else self.cache.load_entry(config, executor)
-            )
-            if hit is None:
+        cache = self.cache
+        for index, (config, executor) in enumerate(zip(configs, modes)):
+            if cache is not None:
+                entries[index] = cache.read_entry(config, executor)
+            if entries[index] is None:
                 pending.append(index)
-            else:
-                results[index], entries[index] = hit
 
         trace_path = active_trace_path()
-        encode = self.cache is not None
+        encode = cache is not None
         executed = parallel_map(
             _execute_point,
-            [(configs[i], executors[i], profile, trace_path, encode) for i in pending],
+            [(configs[i], modes[i], profile, trace_path, encode) for i in pending],
             jobs=self.jobs,
         )
         profiles: list[dict] = []
-        for index, (result, entry, elapsed, stats) in zip(pending, executed):
-            results[index] = result
-            entries[index] = entry
+        for index, (point, elapsed, stats) in zip(pending, executed):
             _POINT_SECONDS.observe(elapsed)
             if stats:
                 profiles.append(stats)
-            if self.cache is not None:
-                self.cache.store(configs[index], executors[index], result, entry)
-        return results, entries, len(configs) - len(pending), profiles
+            if cache is not None and isinstance(point, bytes):
+                entries[index] = point
+                cache.write_entry(configs[index], modes[index], point)
+            else:
+                held[index] = point
+        return modes, entries, held, len(configs) - len(pending), profiles
 
 
 def _sample_groups(

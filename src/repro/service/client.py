@@ -28,7 +28,7 @@ from .jobs import JobRecord
 from .results import load_result_arrays
 from .specs import SweepJobSpec
 
-__all__ = ["ServiceError", "ServiceClient"]
+__all__ = ["OutputError", "ServiceError", "ServiceClient"]
 
 
 class ServiceError(RuntimeError):
@@ -38,6 +38,44 @@ class ServiceError(RuntimeError):
         super().__init__(f"service answered {status}: {message}")
         self.status = status
         self.message = message
+
+
+class OutputError(OSError):
+    """A download's local file could not be written; ``filename`` names it."""
+
+
+class _Output:
+    """The local side of a download, written through
+    :func:`~repro.engine.cache.atomic_file`: a failure to create, write or
+    rename the file raises :class:`OutputError`, so it is never taken for a
+    failure to reach the service."""
+
+    def __init__(self, path: str | Path) -> None:
+        self.path = str(path)
+        self._file = atomic_file(path)
+
+    @contextlib.contextmanager
+    def _own_failures(self) -> Iterator[None]:
+        try:
+            yield
+        except OSError as exc:
+            raise OutputError(exc.errno, exc.strerror or str(exc), self.path) from exc
+
+    def __enter__(self) -> "_Output":
+        with self._own_failures():
+            self._handle = self._file.__enter__()
+        return self
+
+    def write(self, data: bytes) -> int:
+        with self._own_failures():
+            return self._handle.write(data)
+
+    def tell(self) -> int:
+        return self._handle.tell()
+
+    def __exit__(self, *exc_info: Any) -> bool | None:
+        with self._own_failures():  # the rename; a body's error passes through
+            return self._file.__exit__(*exc_info)
 
 
 class ServiceClient:
@@ -176,14 +214,15 @@ class ServiceClient:
         :func:`~repro.engine.cache.atomic_file`, so a payload of any size
         holds one chunk in memory, and a download that fails leaves no file.
         A body shorter than its ``Content-Length`` (a chunked read ends
-        quietly when the connection closes early) raises ``ConnectionError``.
+        quietly when the connection closes early) raises ``ConnectionError``;
+        a failure of ``path`` itself raises :class:`OutputError`.
         """
         with (
             self._response(f"/jobs/{job_id}/result") as answer,
-            atomic_file(path) as handle,
+            _Output(path) as output,
         ):
-            shutil.copyfileobj(answer, handle)
-            size, length = handle.tell(), answer.headers.get("Content-Length")
+            shutil.copyfileobj(answer, output)
+            size, length = output.tell(), answer.headers.get("Content-Length")
             if length is not None and size != int(length):
                 raise ConnectionError(
                     f"the service sent {size} of the payload's {length} bytes"

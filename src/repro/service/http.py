@@ -24,7 +24,9 @@ the service's own worker thread, never in a request handler.  Status polls,
 the listing and ``/health`` read the job store's in-memory index and open no
 record file, and ``/health`` lists no directory (the cache's counters are
 on ``/metrics``); the result route streams the payload file in fixed-size
-chunks, so a download holds one chunk in memory, not the payload.
+chunks, so a download holds one chunk in memory, not the payload.  A client
+that hangs up mid-download is counted in
+``repro_service_dropped_downloads_total`` and prints nothing.
 """
 
 from __future__ import annotations
@@ -45,6 +47,11 @@ __all__ = ["MAX_BODY_BYTES", "make_server", "serve_forever"]
 #: Longest ``POST /jobs`` body read.  A grid submission is a few hundred
 #: bytes; this leaves room for thousands of explicit points.
 MAX_BODY_BYTES = 16 * 1024 * 1024
+
+_DROPPED_DOWNLOADS = REGISTRY.counter(
+    "repro_service_dropped_downloads_total",
+    "Result downloads the client hung up on before the last byte",
+)
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -127,7 +134,13 @@ class _Handler(BaseHTTPRequestHandler):
                         "Content-Length", str(os.fstat(payload.fileno()).st_size)
                     )
                     self.end_headers()
-                    shutil.copyfileobj(payload, self.wfile)
+                    try:
+                        shutil.copyfileobj(payload, self.wfile)
+                    except (BrokenPipeError, ConnectionResetError):
+                        # the client hung up mid-body: no one is left to
+                        # answer, and it is not the server's error to print
+                        _DROPPED_DOWNLOADS.inc()
+                        self.close_connection = True
                 return
         self._send_error_json(404, f"no route for {self.path!r}")
 

@@ -14,21 +14,24 @@ deterministic under the bitwise contract, so the end-to-end pin in the test
 suite asserts equality of the serialized files, not merely of their
 contents.
 
-A payload deflates nothing again: :func:`save_result_npz` copies each
-point's deflated members out of its cache entry
-(:func:`~repro.engine.cache.encode_entry` bytes) and adds only the small
-``__mode__`` member and the zip headers.  Both files deflate the same
-``.npy`` bytes the same way, so the bytes equal those of
-``np.savez_compressed(**outcome_arrays(results))``.
+A payload deflates nothing again, and is written as it goes: a
+:class:`PayloadWriter` (:func:`open_payload`) appends each point as its
+``__mode__`` member followed by the deflated members copied out of its
+cache entry (:func:`~repro.engine.cache.encode_entry` bytes), so a job
+appends each shard's entries as the shard ends and holds no more than one
+shard of them.  Both files deflate the same ``.npy`` bytes the same way, so
+the bytes equal those of ``np.savez_compressed(**outcome_arrays(results))``.
+:func:`save_result_npz` is the same writer run over a list of results.
 """
 
 from __future__ import annotations
 
+import contextlib
 import io
 import struct
 import zipfile
 from pathlib import Path
-from typing import IO, Mapping, Sequence
+from typing import IO, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -37,6 +40,8 @@ from ..engine.cache import atomic_file, encode_entry, result_arrays
 from ..obs import REGISTRY
 
 __all__ = [
+    "PayloadWriter",
+    "open_payload",
     "outcome_arrays",
     "save_result_npz",
     "load_result_arrays",
@@ -101,6 +106,56 @@ def _copy_members(
         archive.NameToInfo[info.filename] = info
 
 
+class PayloadWriter:
+    """A job payload being written, one point at a time, in grid order."""
+
+    def __init__(self, handle: IO[bytes]) -> None:
+        self._handle = handle
+        self._archive = zipfile.ZipFile(handle, "w", zipfile.ZIP_DEFLATED)
+        #: Points appended so far.
+        self.points = 0
+
+    def add(
+        self,
+        mode: str,
+        entry: bytes | None,
+        result: SimulationResult | OpenSystemResult | None = None,
+    ) -> None:
+        """Append the next point: its ``mode`` label, then its entry's
+        members; a point without an ``entry`` has its ``result`` encoded."""
+        source = "entry"
+        if entry is None:
+            assert result is not None, "a point needs its entry or its result"
+            entry, source = encode_entry(result), "encoded"
+        prefix = _POINT_KEY.format(index=self.points, key="")
+        name = f"{prefix}__mode__.npy"
+        with self._archive.open(name, "w", force_zip64=True) as member:
+            np.lib.format.write_array(member, np.array(mode))
+        _copy_members(self._archive, self._handle, entry, prefix)
+        self.points += 1
+        _PAYLOAD_POINTS.labels(source=source).inc()
+
+    def close(self) -> None:
+        """Write the central directory; the payload then takes no more points."""
+        self._archive.close()
+
+
+@contextlib.contextmanager
+def open_payload(path: str | Path) -> Iterator[PayloadWriter]:
+    """A :class:`PayloadWriter` on ``path``, written through
+    :func:`~repro.engine.cache.atomic_file`: the file appears, closed, when
+    the block ends, and a block that raises (or a process killed inside it)
+    leaves no payload behind."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with atomic_file(path) as handle:
+        writer = PayloadWriter(handle)
+        try:
+            yield writer
+        finally:
+            writer.close()
+
+
 def save_result_npz(
     path: str | Path,
     results: Sequence[SimulationResult | OpenSystemResult],
@@ -110,28 +165,15 @@ def save_result_npz(
 
     ``entries[i]`` is point ``i``'s cache entry (see
     :attr:`~repro.engine.SweepOutcome.entries`), or ``None`` to encode it.
-    The file is written through :func:`~repro.engine.cache.atomic_file`, so
-    a failed write raises and leaves no payload behind.
+    The points go through one :func:`open_payload` writer, so a failed
+    write raises and leaves no payload behind.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     if entries is None:
         entries = [None] * len(results)
-    with atomic_file(path) as handle, zipfile.ZipFile(
-        handle, "w", zipfile.ZIP_DEFLATED
-    ) as archive:
-        for index, (result, entry) in enumerate(zip(results, entries, strict=True)):
-            prefix = _POINT_KEY.format(index=index, key="")
-            name = f"{prefix}__mode__.npy"
-            with archive.open(name, "w", force_zip64=True) as member:
-                np.lib.format.write_array(member, np.array(result.mode))
-            if entry is None:
-                entry = encode_entry(result)
-            _copy_members(archive, handle, entry, prefix)
-    encoded = sum(entry is None for entry in entries)
-    _PAYLOAD_POINTS.labels(source="encoded").inc(encoded)
-    _PAYLOAD_POINTS.labels(source="entry").inc(len(results) - encoded)
-    return path
+    with open_payload(path) as payload:
+        for result, entry in zip(results, entries, strict=True):
+            payload.add(result.mode, entry, result)
+    return Path(path)
 
 
 def load_result_arrays(source: str | Path | IO[bytes]) -> dict[str, np.ndarray]:

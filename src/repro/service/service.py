@@ -29,6 +29,13 @@ so progress streams to pollers and a crash loses at most one shard.  A
 group from one stream seeded by the group's first config, so the groups
 must be formed over the whole grid, as a library call forms them.
 
+A job moves bytes, not arrays.  Its payload is opened when the job starts
+(:func:`~repro.service.results.open_payload`) and each shard's cache
+entries are appended to it as the shard ends, so a job holds at most one
+shard of entries whatever its size, and no result is decoded in the
+service: pool workers ship entries and cache hits stay checked bytes.  The
+payload is renamed into ``results/`` only when the job succeeds.
+
 Determinism contract: every point's seed lives in its config (derived from
 grid coordinates at submission time), never in service state — so a job's
 results are bitwise-identical to a library ``SweepRunner.run`` of the same
@@ -52,7 +59,7 @@ from typing import Any
 from ..engine import ResultCache, SweepRunner
 from ..obs import REGISTRY, trace_span
 from .jobs import JobRecord, JobStore
-from .results import save_result_npz
+from .results import open_payload
 from .specs import SweepJobSpec
 
 __all__ = ["SHARD_SIZE", "SweepService"]
@@ -251,40 +258,40 @@ class SweepService:
                 configs, mode = record.spec.resolve()
                 size = _shard_size(executor, len(configs))
                 starts = range(0, len(configs), size)
-                results: list = []
-                entries: list[bytes | None] = []
                 shard_seconds = 0.0
-                for number, start in enumerate(starts, start=1):
-                    shard = configs[start : start + size]
-                    shard_started = time.perf_counter()
-                    with trace_span(
-                        "shard",
-                        executor=executor,
-                        shard=number,
-                        shards_total=len(starts),
-                        points=len(shard),
-                    ):
-                        outcome = self.runner.run(
-                            shard, mode, vectorized=executor == "vectorized"
-                        )
-                    seconds = time.perf_counter() - shard_started
-                    _SHARD_SECONDS.labels(executor=executor).observe(seconds)
-                    shard_seconds += seconds
-                    record.shards_completed += 1
-                    record.points_completed += len(shard)
-                    record.simulated += outcome.simulated
-                    record.cache_hits += outcome.cache_hits
-                    record.vectorized_groups += outcome.vectorized_groups
-                    record.eta_seconds = (shard_seconds / number) * (
-                        len(starts) - number
-                    )
-                    _ETA_SECONDS.set(record.eta_seconds)
-                    self.store.save(record)
-                    results.extend(outcome.results)
-                    entries.extend(outcome.entries)
                 result_file = f"{record.job_id}.npz"
-                with trace_span("payload", cat="service", points=len(results)):
-                    save_result_npz(self.results_dir / result_file, results, entries)
+                with open_payload(self.results_dir / result_file) as payload:
+                    for number, start in enumerate(starts, start=1):
+                        shard = configs[start : start + size]
+                        shard_started = time.perf_counter()
+                        with trace_span(
+                            "shard",
+                            executor=executor,
+                            shard=number,
+                            shards_total=len(starts),
+                            points=len(shard),
+                        ):
+                            outcome = self.runner.run(
+                                shard, mode, vectorized=executor == "vectorized"
+                            )
+                            points = zip(outcome.modes, outcome.entries, outcome.held)
+                            for point in points:
+                                payload.add(*point)
+                        seconds = time.perf_counter() - shard_started
+                        _SHARD_SECONDS.labels(executor=executor).observe(seconds)
+                        shard_seconds += seconds
+                        record.shards_completed += 1
+                        record.points_completed += len(shard)
+                        record.simulated += outcome.simulated
+                        record.cache_hits += outcome.cache_hits
+                        record.vectorized_groups += outcome.vectorized_groups
+                        record.eta_seconds = (shard_seconds / number) * (
+                            len(starts) - number
+                        )
+                        _ETA_SECONDS.set(record.eta_seconds)
+                        self.store.save(record)
+                    with trace_span("payload", cat="service", points=payload.points):
+                        payload.close()
             record.result_file = result_file
             record.status = "done"
         except Exception:

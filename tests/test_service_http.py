@@ -23,6 +23,7 @@ import shutil
 import signal
 import socket
 import statistics
+import struct
 import subprocess
 import sys
 import threading
@@ -960,6 +961,40 @@ class TestResultStreaming:
         assert peak < 4 << 20, peak
 
 
+    def test_a_dropped_download_is_counted_not_printed(self, service, capsys):
+        # A client that reads 64 KiB and resets the connection: the server's
+        # next write fails, which is counted and prints no traceback.
+        job_id, _ = _large_payload(service)
+        server = make_server(service)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        dropped = REGISTRY.get("repro_service_dropped_downloads_total")
+        before = dropped.value
+        try:
+            with socket.create_connection(
+                ("127.0.0.1", server.server_address[1]), timeout=30.0
+            ) as peer:
+                peer.sendall(
+                    f"GET /jobs/{job_id}/result HTTP/1.1\r\n"
+                    "Host: 127.0.0.1\r\n\r\n".encode()
+                )
+                received = 0
+                while received < 64 << 10:
+                    received += len(peer.recv(1 << 16))
+                peer.setsockopt(
+                    socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+                )
+            deadline = time.monotonic() + 30
+            while dropped.value == before and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert dropped.value - before == 1
+            assert service.status(job_id).status == "done"  # still serving
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert capsys.readouterr().err == ""
+
+
 class TestServiceCLI:
     def test_submit_status_result_subcommands(self, live, tmp_path, capsys):
         _, client = live
@@ -1052,6 +1087,58 @@ class TestServiceCLI:
         assert code == 2
         assert "sent 1000 of the payload's 10000 bytes" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["submit", GRID],
+            ["status", "job-000001-00000000"],
+            ["result", "job-000001-00000000", "-o", "unused.npz"],
+            ["metrics"],
+        ],
+    )
+    def test_cut_short_answer_exits_2_with_one_line(self, argv, capsys):
+        # The stub declares 4 000 bytes and sends 47 before it hangs up.
+        class CutShort(http.server.BaseHTTPRequestHandler):
+            def log_message(self, *args):
+                pass
+
+            def _answer(self):
+                self.send_response(200)
+                self.send_header("Content-Length", "4000")
+                self.end_headers()
+                self.wfile.write(b'{"job_id": "job-000001-00000000", "status": "do')
+                self.close_connection = True
+
+            do_GET = do_POST = _answer
+
+        server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), CutShort)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            url = f"http://127.0.0.1:{server.server_address[1]}"
+            code = main([*argv, "--url", url])
+        finally:
+            server.shutdown()
+            server.server_close()
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1, err
+        assert "IncompleteRead(47 bytes read" in err
+
+    def test_result_output_failure_names_the_output(self, live, tmp_path, capsys):
+        _, client = live
+        record = client.wait(client.submit_grid(GRID, ONE_POINT).job_id)
+        out_path = tmp_path / "no-such-directory" / "payload.npz"
+        argv = ["result", record.job_id, "-o", str(out_path)]
+        assert main([*argv, "--url", client.base_url]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot write {out_path}: No such file or directory" in err
+        assert "cannot reach" not in err and ".tmp" not in err
+        # a connection error keeps its own message
+        assert main([*argv, "--url", "http://127.0.0.1:9"]) == 2
+        assert "cannot reach the service at http://127.0.0.1:9" in capsys.readouterr().err
+        assert not out_path.parent.exists()
 
     def test_cli_errors_exit_2(self, live, capsys):
         _, client = live
