@@ -7,12 +7,13 @@ identical job-time samples, and the cached replay performs zero simulations.
 The parallel-speedup assertion only applies when the machine actually has a
 second CPU to use.
 
-A second case races Monte-Carlo group sampling (``run(..., vectorized=True)``)
-on a heterogeneous concentration grid against the scalar per-config path,
-asserting the >= 3x speedup the group-max batched sampler delivers plus
-statistical agreement within the batch-means CI, appending to the
-``BENCH_sweep.json`` trajectory (committed baseline + CI artifact) so the
-speedup is tracked across commits.
+A second case races the direct sampler (``run(..., mode="monte-carlo-max")``,
+each job's time drawn from its exact max-distribution) on a heterogeneous
+concentration grid against the scalar per-config ``monte-carlo`` path,
+asserting the >= 3x speedup it delivers plus statistical agreement (a
+per-point t-test on the batch means whose false-fail rate for the whole grid
+is at most 1%), appending to the ``BENCH_sweep.json`` trajectory (committed
+baseline + CI artifact) so the speedup is tracked across commits.
 
 A third case races the array *event kernel* against the generator oracles,
 each called directly per point, on the three event-driven grids —
@@ -24,6 +25,7 @@ trajectory.  (A sweep requested under an oracle mode runs on the kernel, so
 the oracle side cannot be timed through ``SweepRunner``.)
 """
 
+import math
 import os
 import time
 
@@ -33,6 +35,8 @@ from conftest import append_and_compare
 from repro.backends import get_backend
 from repro.engine import SweepRunner, build_grid
 from repro.experiments.report import format_mapping
+from repro.stats import batch_observations
+from repro.stats.confidence import t_critical
 
 #: A fig01-style grid heavy enough that per-point work dominates dispatch.
 GRID_KWARGS = dict(
@@ -90,8 +94,8 @@ def test_sweep_engine_serial_vs_parallel(once, tmp_path):
         assert parallel.elapsed_seconds < serial_time
 
 
-#: A heterogeneous concentration grid: 3 shared-shape groups of 6 configs,
-#: per-station owner-probability rows varying within each group.
+#: A heterogeneous concentration grid: 18 points, per-station
+#: owner-probability rows varying with the concentration level.
 HETERO_KWARGS = dict(
     num_jobs=20_000,
     workstation_counts=(8, 16, 32),
@@ -99,23 +103,44 @@ HETERO_KWARGS = dict(
     concentration_levels=(0.0, 0.5, 1.0),
 )
 
+#: Most often two unbiased samplers may fail the agreement check on a grid.
+FALSE_FAIL = 0.01
+
+
+def _disagreeing(exact, fast, false_fail=FALSE_FAIL) -> list:
+    """Points whose two samplers' mean job times differ beyond chance.
+
+    Each point's ``num_batches`` batch means from either sampler enter a
+    pooled two-sample t-test (``2 * num_batches - 2`` degrees of freedom:
+    unbiased samplers draw one job-time distribution, so the two variances
+    are equal).  Each test runs at ``false_fail / len(exact)``, so two
+    unbiased samplers fail the grid with probability at most ``false_fail``
+    (Bonferroni over points with independent seeds).  Both samplers of a
+    point draw from the first stream of its seed, which correlates their
+    means positively and only makes each test more conservative.
+    """
+    level = false_fail / len(exact)
+    outliers = []
+    for a, b in zip(exact, fast, strict=True):
+        batches = a.config.num_batches
+        x = batch_observations(a.job_times, batches)
+        y = batch_observations(b.job_times, batches)
+        pooled = (x.var(ddof=1) + y.var(ddof=1)) / 2
+        t = (x.mean() - y.mean()) / math.sqrt(2 * pooled / batches)
+        if abs(t) > t_critical(1 - level, 2 * batches - 2):
+            outliers.append((a.config.workstations, a.mean_job_time, b.mean_job_time, t))
+    return outliers
+
+
 def test_sweep_engine_vectorized_heterogeneous(once):
-    """Vectorized heterogeneous sweep: >= 3x over scalar, CI-level agreement."""
+    """Direct sampler on a heterogeneous grid: >= 3x over scalar, agreeing."""
     grid = build_grid("hetero-concentration", **HETERO_KWARGS)
 
     scalar_time, scalar = _timed(SweepRunner(jobs=1), grid)
-    fast = once(SweepRunner(jobs=1).run, grid, vectorized=True)
-
-    # The whole grid batches: one group per (W, T) cell.
+    fast = once(SweepRunner(jobs=1).run, grid, mode="monte-carlo-max")
     assert len(fast) == len(grid)
-    assert fast.vectorized_groups == 3
-
-    # Statistical agreement: scalar and batched means within the summed CI.
-    for a, b in zip(scalar, fast):
-        tolerance = (
-            a.job_time_interval.half_width + b.job_time_interval.half_width
-        )
-        assert abs(a.mean_job_time - b.mean_job_time) <= tolerance
+    outliers = _disagreeing(scalar, fast)
+    assert not outliers, f"(W, scalar mean, fast mean, t) beyond chance: {outliers}"
 
     speedup = scalar_time / fast.elapsed_seconds
     record = {
@@ -125,7 +150,6 @@ def test_sweep_engine_vectorized_heterogeneous(once):
         "scalar_seconds": scalar_time,
         "vectorized_seconds": fast.elapsed_seconds,
         "speedup": speedup,
-        "vectorized_groups": fast.vectorized_groups,
         "cpus": float(os.cpu_count() or 1),
     }
     print()

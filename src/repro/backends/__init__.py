@@ -1,8 +1,9 @@
 """Pluggable simulation back-ends for the non-dedicated cluster model.
 
-Four back-ends are provided, in increasing order of generality — the faithful
-:class:`DiscreteTimeSimulator`, the vectorised :class:`MonteCarloSampler`,
-the process-oriented :class:`EventDrivenClusterSimulator` and the job-stream
+Five back-ends are provided, in increasing order of generality — the faithful
+:class:`DiscreteTimeSimulator`, the vectorised :class:`MonteCarloSampler`
+and its direct max-distribution sibling :class:`MonteCarloMaxSampler`, the
+process-oriented :class:`EventDrivenClusterSimulator` and the job-stream
 :class:`OpenSystemSimulator` — each registered under its mode name in the
 backend registry defined by :mod:`repro.backends.base`.  Every dispatching
 layer (``run_simulation``, the sweep runner, the result cache, the grid
@@ -28,7 +29,7 @@ from .base import (
 )
 from .discrete import DiscreteTimeSimulator, simulate_task_discrete
 from .event_driven import EventDrivenClusterSimulator
-from .monte_carlo import MonteCarloSampler
+from .monte_carlo import MonteCarloMaxSampler, MonteCarloSampler
 from .open_system import OpenSystemResult, OpenSystemSimulator
 
 # The array-kernel backend lives with its executor in repro.kernel; importing
@@ -52,6 +53,7 @@ __all__ = [
     "OpenSystemResult",
     "DiscreteTimeSimulator",
     "EventKernelBackend",
+    "MonteCarloMaxSampler",
     "MonteCarloSampler",
     "EventDrivenClusterSimulator",
     "OpenSystemSimulator",

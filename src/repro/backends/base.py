@@ -30,7 +30,7 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import ClassVar, Sequence
+from typing import ClassVar
 
 import numpy as np
 
@@ -429,23 +429,6 @@ class SimulationBackend(abc.ABC):
     @abc.abstractmethod
     def run(self):
         """Execute the simulation and return this backend's result flavour."""
-
-    @classmethod
-    def run_batch(
-        cls,
-        configs: Sequence[SimulationConfig],
-        seed: int | None = None,
-    ) -> list[SimulationResult]:
-        """Vectorised multi-config fast path, for backends that batch.
-
-        Batching backends override this to evaluate many configs in one
-        pass; callers dispatch to it through the registry
-        (``get_backend(mode).run_batch(...)``) so replacement backends are
-        honoured.  The default refuses.
-        """
-        raise NotImplementedError(
-            f"backend {cls.name!r} has no batched run_batch"
-        )
 
 
 #: Alias kept for call sites annotated with the old ``Literal`` type; the

@@ -196,15 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sweep_parser.add_argument(
-        "--vectorized", action="store_true",
-        help=(
-            "opt monte-carlo points into group sampling: each shared-shape "
-            "group is drawn in one vectorized numpy pass (statistically "
-            "identical but not bitwise, so sampled points bypass the "
-            "cache); other modes run as without the flag"
-        ),
-    )
-    sweep_parser.add_argument(
         "--trace", default=None, metavar="OUT.json",
         help=(
             "record structured spans (one per sweep and per simulated point) "
@@ -317,9 +308,10 @@ def build_parser() -> argparse.ArgumentParser:
     submit_parser.add_argument(
         "--executor", default="sweep", choices=EXECUTORS,
         help=(
-            "execution strategy: 'sweep' (bitwise, fully cache-served; the "
-            "default) or 'vectorized' (monte-carlo points drawn by group "
-            "sampling — only statistically identical, bypassing the cache)"
+            "execution strategy: 'sweep' (the grid's backend; the default) "
+            "or 'vectorized' (monte-carlo points run on monte-carlo-max, "
+            "which draws each job's time from its exact distribution — "
+            "statistically identical, not bitwise)"
         ),
     )
     submit_parser.add_argument(
@@ -424,9 +416,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             configure_tracing(jsonl_path)
         profiling = args.profile is not None
         try:
-            outcome = runner.run(
-                configs, mode=mode, profile=profiling, vectorized=args.vectorized
-            )
+            outcome = runner.run(configs, mode=mode, profile=profiling)
+        except ValueError as exc:  # the backend refuses a point
+            print(exc, file=sys.stderr)
+            return 2
         finally:
             if args.trace:
                 disable_tracing()

@@ -157,6 +157,10 @@ def _codec(hint: Any, where: str) -> tuple[_Coerce, _Coerce]:
 def _number(value: Any, where: str) -> numbers.Real:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{where} must be a number, got {value!r}")
+    try:
+        float(value)
+    except OverflowError:  # an integer beyond a float's range
+        raise ValueError(f"{where} is out of range, got {value!r}") from None
     return value
 
 

@@ -67,7 +67,8 @@ MAX_GRID_POINTS = 100_000
 #: Most task times (``num_jobs * W``) one submitted point may ask for, 160 MB
 #: of float64: ten times the largest registered default point
 #: (``validation``, 20 000 jobs on 100 workstations).  The service refuses a
-#: larger point at submission (:meth:`repro.service.SweepJobSpec.resolve`).
+#: larger point at submission (:meth:`repro.service.SweepJobSpec.resolve`),
+#: and :func:`build_grid` before it builds a station.
 MAX_POINT_TASKS = 20_000_000
 
 
@@ -339,8 +340,9 @@ def build_grid(
     seed derives from its coordinates, so reordering or subsetting a grid
     never changes any point's samples.  An unknown key, an axis the grid
     lacks, a value of the wrong type (``num_jobs=100.9``, ``seed=True``,
-    ``workstation_counts=[2.9]``), or more than :data:`MAX_GRID_POINTS`
-    points raises ``ValueError``.
+    ``workstation_counts=[2.9]``), more than :data:`MAX_GRID_POINTS`
+    points, or a point of more than :data:`MAX_POINT_TASKS` task times
+    raises ``ValueError``.
     """
     kind, demand, default_jobs, _ = _grid(name)
     seed = _integer(seed, "seed")
@@ -383,6 +385,13 @@ def build_grid(
         "num_batches": num_batches,
         "confidence": confidence,
     }
+    widest = max(values["workstation_counts"], default=0)
+    if settings["num_jobs"] * widest > MAX_POINT_TASKS:
+        raise ValueError(
+            f"grid {name!r} would have a point of num_jobs "
+            f"{settings['num_jobs']} x W {widest} task times; "
+            f"a point may hold at most {MAX_POINT_TASKS}"
+        )
     labels = [_AXES[key].label for key in family.axes]
     streams = StreamRegistry(seed)
     configs: list[SimulationConfig] = []

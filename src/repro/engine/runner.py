@@ -12,8 +12,7 @@ so a newly registered backend is sweepable without touching this module.
 :meth:`SweepRunner.run` is the one entry point.  Points requested as
 ``event-driven`` or ``open-system`` execute on the ``event-kernel`` backend,
 the array kernel pinned bitwise to those generator oracles (which stay
-registered as the references the pins compare against).  Monte-Carlo group
-sampling is the one opt-in route (``vectorized=True``).
+registered as the references the pins compare against).
 
 With a cache attached, a sweep moves entries, not arrays: a hit is its
 entry's checked bytes, a pool worker returns its point's entry in place of
@@ -75,18 +74,13 @@ _R = TypeVar("_R")
 # dies with the worker and is never scraped).
 _POINTS = REGISTRY.counter(
     "repro_sweep_points_total",
-    "Sweep points by execution path, counted per run "
-    "(simulated / cached / sampler-batched)",
+    "Sweep points by execution path, counted per run (simulated / cached)",
     ("path",),
 )
 _POINT_SECONDS = REGISTRY.histogram(
     "repro_sweep_point_seconds",
     "Wall-clock seconds per individually executed point (measured in its "
     "worker, observed by the parent)",
-)
-_BATCH_SECONDS = REGISTRY.histogram(
-    "repro_sweep_batch_seconds",
-    "Wall-clock seconds per Monte-Carlo sampler group pass",
 )
 _SWEEPS = REGISTRY.counter("repro_sweeps_total", "Sweep executions")
 
@@ -96,9 +90,6 @@ _KERNEL_ORACLES = {"event-driven": False, "open-system": True}
 
 #: The backend executing the oracles' points.
 _KERNEL_MODE = "event-kernel"
-
-#: The backend whose ``run_batch`` the ``vectorized`` opt-in draws through.
-_SAMPLED_MODE = "monte-carlo"
 
 
 def resolve_jobs(jobs: int | None) -> int:
@@ -267,14 +258,11 @@ class SweepOutcome:
     that produced each point; ``mode`` is the one the sweep requested.
     ``entries`` holds each point's compressed cache entry
     (:func:`~repro.engine.cache.encode_entry` bytes), as read from the cache
-    or shipped by the pool worker that simulated it, or ``None`` for a
-    point without one: a sampled (``vectorized``) point, or any point of a
-    run without a cache.  ``held`` holds the result of each point without
-    an entry, and ``None`` for the rest.  ``simulated`` counts points
-    actually executed this run; ``cache_hits`` counts points replayed from
-    the cache (``simulated + cache_hits == len(outcome)``).
-    ``vectorized_groups`` counts the shared-shape groups a ``vectorized``
-    sweep drew in single batched passes.
+    or shipped by the pool worker that simulated it, or ``None`` for every
+    point of a run without a cache.  ``held`` holds the result of each point
+    without an entry, and ``None`` for the rest.  ``simulated`` counts
+    points actually executed this run; ``cache_hits`` counts points replayed
+    from the cache (``simulated + cache_hits == len(outcome)``).
 
     :attr:`results` decodes the entries on first access, so a caller that
     needs only the entries — the service, which splices them into its
@@ -292,7 +280,6 @@ class SweepOutcome:
     simulated: int = 0
     cache_hits: int = 0
     elapsed_seconds: float = 0.0
-    vectorized_groups: int = 0
     profile: pstats.Stats | None = None
 
     @cached_property
@@ -319,14 +306,11 @@ class SweepOutcome:
 
     def summary(self) -> str:
         """One-line execution report for logs and the CLI."""
-        line = (
+        return (
             f"{len(self)} points ({self.simulated} simulated, "
             f"{self.cache_hits} cached) mode={self.mode} jobs={self.jobs} "
             f"in {self.elapsed_seconds:.2f}s"
         )
-        if self.vectorized_groups:
-            line += f", {self.vectorized_groups} vectorized groups"
-        return line
 
     def profile_report(self, top: int = 15) -> str:
         """Top-``top`` cumulative-time profile lines merged across workers.
@@ -381,7 +365,6 @@ class SweepRunner:
         configs: Sequence[SimulationConfig],
         mode: str | None = None,
         profile: bool = False,
-        vectorized: bool = False,
     ) -> SweepOutcome:
         """Execute every point of the grid; results keep the input order.
 
@@ -391,15 +374,9 @@ class SweepRunner:
         equal to those oracles and sharing their cache entries — so their
         results are labelled ``event-kernel``.
 
-        ``vectorized=True`` opts ``monte-carlo`` points into group sampling:
-        the grid is grouped by shared ``(W, T, num_jobs)`` shape and each
-        group is drawn in one ``run_batch`` pass.  That is statistically
-        identical to the per-point path but not bitwise (a group shares one
-        stream), so sampled points bypass the cache.  Other modes ignore it.
-
         With ``profile=True`` every simulated point runs under ``cProfile``
-        *inside its worker process* (sampled groups profile in-process); the
-        stats merge into :attr:`SweepOutcome.profile` (render it with
+        *inside its worker process*; the stats merge into
+        :attr:`SweepOutcome.profile` (render it with
         :meth:`SweepOutcome.profile_report`).  Cached points execute nothing
         and therefore contribute nothing to the profile.
         """
@@ -407,27 +384,15 @@ class SweepRunner:
         get_backend(mode)  # fail fast on an unregistered mode
         configs = list(configs)
         started = time.perf_counter()
-        sampled = vectorized and mode == _SAMPLED_MODE
-        with trace_span(
-            "sweep", mode=mode, points=len(configs), jobs=self.jobs, sampled=sampled
-        ):
-            if sampled:
-                held, groups, profiles = _sample_groups(configs, profile)
-                modes = [result.mode for result in held]
-                entries: list[bytes | None] = [None] * len(held)
-                cache_hits = 0
-            else:
-                modes, entries, held, cache_hits, profiles = self._run_points(
-                    configs, mode, profile
-                )
-                groups = 0
+        with trace_span("sweep", mode=mode, points=len(configs), jobs=self.jobs):
+            modes, entries, held, cache_hits, profiles = self._run_points(
+                configs, mode, profile
+            )
 
         simulated = len(configs) - cache_hits
         _SWEEPS.inc()
         _POINTS.labels(path="simulated").inc(simulated)
         _POINTS.labels(path="cached").inc(cache_hits)
-        if sampled:
-            _POINTS.labels(path="sampler-batched").inc(simulated)
         return SweepOutcome(
             configs=configs,
             modes=modes,
@@ -438,7 +403,6 @@ class SweepRunner:
             simulated=simulated,
             cache_hits=cache_hits,
             elapsed_seconds=time.perf_counter() - started,
-            vectorized_groups=groups,
             profile=merge_profile_stats(profiles),
         )
 
@@ -480,44 +444,3 @@ class SweepRunner:
             else:
                 held[index] = point
         return modes, entries, held, len(configs) - len(pending), profiles
-
-
-def _sample_groups(
-    configs: list[SimulationConfig], profile: bool
-) -> tuple[list[PointResult], int, list[dict]]:
-    """Monte-Carlo group sampling; returns ``(results, groups, profiles)``.
-
-    Configs sharing ``(W, T, num_jobs, num_batches, confidence)`` form one
-    group — homogeneous utilization curves and heterogeneous static-policy
-    scenarios alike — drawn in one ``run_batch`` pass that samples each job
-    time directly from its exact distribution.  A config the sampler cannot
-    express raises its ``ValueError`` exactly as the per-point path would.
-    """
-    groups: dict[tuple, list[int]] = {}
-    for index, config in enumerate(configs):
-        key = (
-            config.workstations,
-            float(config.task_demand),
-            config.num_jobs,
-            config.num_batches,
-            float(config.confidence),
-        )
-        groups.setdefault(key, []).append(index)
-    backend = get_backend(_SAMPLED_MODE)
-    profiler = cProfile.Profile() if profile else None
-    results: list[Any] = [None] * len(configs)
-    for indices in groups.values():
-        group = [configs[i] for i in indices]
-        started = time.perf_counter()
-        with trace_span("sampler-group", points=len(group)):
-            if profiler is None:
-                batch = backend.run_batch(group)
-            else:
-                batch = profiler.runcall(backend.run_batch, group)
-        _BATCH_SECONDS.observe(time.perf_counter() - started)
-        for index, result in zip(indices, batch):
-            results[index] = result
-    if profiler is None or not groups:
-        return results, len(groups), []
-    profiler.create_stats()
-    return results, len(groups), [profiler.stats]

@@ -16,7 +16,7 @@ files — and then flags, outside the registry package itself (and outside the
 module defining the class):
 
 * calls of a backend class (``MonteCarloSampler(config)``),
-* attribute access on a backend class (``MonteCarloSampler.run_batch``);
+* attribute access on a backend class (``EventKernelBackend.run_batch``);
   class-level hooks are reachable via ``get_backend(mode)`` too,
 * any use of the private registry-dict names (``_REGISTRY`` / ``_BACKENDS``).
 

@@ -173,7 +173,9 @@ class _Handler(BaseHTTPRequestHandler):
             payload = json.loads(self.rfile.read(length) or b"{}")
             spec = SweepJobSpec.from_json(payload)
             record = self.server.service.submit(spec)
-        except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
+        except (
+            json.JSONDecodeError, KeyError, ValueError, TypeError, RecursionError
+        ) as exc:  # a RecursionError: nesting too deep to decode
             self._send_error_json(400, f"bad submission: {exc}")
             return
         self._send_json(record.to_json(), status=201)

@@ -88,7 +88,6 @@ class JobRecord:
     shards_completed: int = 0
     simulated: int = 0
     cache_hits: int = 0
-    vectorized_groups: int = 0
     eta_seconds: float | None = None
     submitted_at: float = 0.0
     started_at: float | None = None
@@ -242,7 +241,6 @@ class JobStore:
             record.shards_completed = 0
             record.simulated = 0
             record.cache_hits = 0
-            record.vectorized_groups = 0
             record.eta_seconds = None
             record.started_at = None
             record.note = "recovered after restart"

@@ -24,10 +24,7 @@ background worker thread that drains the queue in submission order, so no
 two jobs race on the cache or the process pool.  Each job runs in
 :data:`SHARD_SIZE`-point shards, one :meth:`SweepRunner.run` across the
 runner's *process* pool per shard; the record is saved after every shard,
-so progress streams to pollers and a crash loses at most one shard.  A
-``vectorized`` job runs as one shard: group sampling draws each sampler
-group from one stream seeded by the group's first config, so the groups
-must be formed over the whole grid, as a library call forms them.
+so progress streams to pollers and a crash loses at most one shard.
 
 A job moves bytes, not arrays.  Its payload is opened when the job starts
 (:func:`~repro.service.results.open_payload`) and each shard's cache
@@ -64,9 +61,8 @@ from .specs import SweepJobSpec
 
 __all__ = ["SHARD_SIZE", "SweepService"]
 
-#: Points per shard of a per-point job: small enough that progress streams
-#: and a crash costs little rework.  A vectorized job runs as one shard
-#: (:func:`_shard_size`).
+#: Points per shard of a job: small enough that progress streams and a
+#: crash costs little rework.
 SHARD_SIZE = 16
 
 _SHARD_SECONDS = REGISTRY.histogram(
@@ -97,16 +93,6 @@ _WORKER_BUSY = REGISTRY.counter(
 _JOB_SECONDS = REGISTRY.histogram(
     "repro_service_job_seconds", "Wall-clock seconds per executed job"
 )
-
-
-def _shard_size(executor: str, points: int) -> int:
-    """Points per shard of a job with ``points`` points.
-
-    A vectorized job's sampler groups span the whole grid, so it runs as one
-    shard.  Its sampled points bypass the cache, so shards would give it no
-    crash resume anyway; it gives up only per-shard progress.
-    """
-    return max(points, 1) if executor == "vectorized" else SHARD_SIZE
 
 
 #: Descriptors that hold a root's lock in this process.  A flock belongs to
@@ -202,7 +188,7 @@ class SweepService:
         at submission time.
         """
         configs, mode = spec.resolve()
-        shards = math.ceil(len(configs) / _shard_size(spec.executor, len(configs)))
+        shards = math.ceil(len(configs) / SHARD_SIZE)
         with self._lock:
             record = self.store.create(
                 spec, mode=mode, total_points=len(configs), shards_total=shards
@@ -256,13 +242,12 @@ class SweepService:
                 points=record.total_points,
             ):
                 configs, mode = record.spec.resolve()
-                size = _shard_size(executor, len(configs))
-                starts = range(0, len(configs), size)
+                starts = range(0, len(configs), SHARD_SIZE)
                 shard_seconds = 0.0
                 result_file = f"{record.job_id}.npz"
                 with open_payload(self.results_dir / result_file) as payload:
                     for number, start in enumerate(starts, start=1):
-                        shard = configs[start : start + size]
+                        shard = configs[start : start + SHARD_SIZE]
                         shard_started = time.perf_counter()
                         with trace_span(
                             "shard",
@@ -271,9 +256,7 @@ class SweepService:
                             shards_total=len(starts),
                             points=len(shard),
                         ):
-                            outcome = self.runner.run(
-                                shard, mode, vectorized=executor == "vectorized"
-                            )
+                            outcome = self.runner.run(shard, mode)
                             points = zip(outcome.modes, outcome.entries, outcome.held)
                             for point in points:
                                 payload.add(*point)
@@ -284,7 +267,6 @@ class SweepService:
                         record.points_completed += len(shard)
                         record.simulated += outcome.simulated
                         record.cache_hits += outcome.cache_hits
-                        record.vectorized_groups += outcome.vectorized_groups
                         record.eta_seconds = (shard_seconds / number) * (
                             len(starts) - number
                         )

@@ -32,10 +32,10 @@ from ..engine.codec import config_from_json, config_to_json
 __all__ = ["EXECUTORS", "SweepJobSpec", "spec_digest"]
 
 #: Execution strategies a job may request.  Both run every shard through
-#: :meth:`SweepRunner.run` on the job's backend mode.  ``sweep`` is the
-#: bitwise, fully cache-served contract the service guarantees;
-#: ``vectorized`` also opts Monte-Carlo points into group sampling, which
-#: is only statistically identical and bypasses the cache.
+#: :meth:`SweepRunner.run`.  ``sweep`` runs the job's backend mode;
+#: ``vectorized`` runs ``monte-carlo`` points on ``monte-carlo-max``, which
+#: draws each job's time from its exact distribution (statistically
+#: identical, not bitwise), and leaves every other mode as it is.
 EXECUTORS: tuple[str, ...] = ("sweep", "vectorized")
 
 
@@ -61,7 +61,8 @@ class SweepJobSpec:
     points:
         The raw config batch for the ``points`` kind.
     executor:
-        One of :data:`EXECUTORS` (default ``"sweep"``, the bitwise path).
+        One of :data:`EXECUTORS` (default ``"sweep"``); :meth:`resolve`
+        applies it to the mode.
     """
 
     kind: str
@@ -136,7 +137,8 @@ class SweepJobSpec:
         override, an invalid config, or a point asking for more than
         :data:`~repro.engine.MAX_POINT_TASKS` task times — submission-time
         validation, so a client learns about a bad job synchronously instead
-        of through a ``failed`` status.
+        of through a ``failed`` status.  A ``vectorized`` submission of
+        ``monte-carlo`` points resolves to ``monte-carlo-max``.
         """
         if self.kind == "grid":
             assert self.grid is not None
@@ -145,6 +147,8 @@ class SweepJobSpec:
         else:
             assert self.mode is not None
             configs, mode = list(self.points), self.mode
+        if self.executor == "vectorized" and mode == "monte-carlo":
+            mode = "monte-carlo-max"
         for index, config in enumerate(configs):
             tasks = config.num_jobs * config.workstations
             if tasks > MAX_POINT_TASKS:

@@ -16,6 +16,7 @@ import repro.backends.base as backends_base
 from repro.backends import (
     DiscreteTimeSimulator,
     EventDrivenClusterSimulator,
+    MonteCarloMaxSampler,
     MonteCarloSampler,
     OpenSystemResult,
     OpenSystemSimulator,
@@ -35,6 +36,7 @@ from repro.kernel.backend import EventKernelBackend
 ALL_MODES = (
     "discrete-time",
     "monte-carlo",
+    "monte-carlo-max",
     "event-driven",
     "open-system",
     "event-kernel",
@@ -43,6 +45,7 @@ ALL_MODES = (
 EXPECTED_CLASSES = {
     "discrete-time": DiscreteTimeSimulator,
     "monte-carlo": MonteCarloSampler,
+    "monte-carlo-max": MonteCarloMaxSampler,
     "event-driven": EventDrivenClusterSimulator,
     "open-system": OpenSystemSimulator,
     "event-kernel": EventKernelBackend,
@@ -148,10 +151,12 @@ class TestCapabilities:
             ScenarioSpec.homogeneous(3, paper_owner, policy="self-scheduling"),
             task_demand=30, num_jobs=40, num_batches=4, seed=11,
         )
-        with pytest.raises(ValueError, match="integral task_demand"):
-            run_simulation(fractional, "monte-carlo")
-        with pytest.raises(ValueError, match="self-scheduling"):
-            run_simulation(policy, "discrete-time")
+        for mode in ("monte-carlo", "monte-carlo-max"):
+            with pytest.raises(ValueError, match="integral task_demand"):
+                run_simulation(fractional, mode)
+        for mode in ("discrete-time", "monte-carlo-max"):
+            with pytest.raises(ValueError, match="self-scheduling"):
+                run_simulation(policy, mode)
         with pytest.raises(ValueError, match="job-arrival process"):
             run_simulation(_config_for("open-system", paper_owner), "event-driven")
         with pytest.raises(ValueError, match="job-arrival process"):

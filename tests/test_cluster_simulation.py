@@ -3,6 +3,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from repro.cluster import (
     validate_against_analysis,
 )
 from repro.core import OwnerSpec, expected_job_time, expected_task_time
+from repro.engine import SweepRunner, build_grid
 
 
 @pytest.fixture
@@ -298,6 +301,8 @@ class TestFractionalTaskDemandRejected:
 
 
 class TestMonteCarloBatch:
+    """``monte-carlo-max``: each job's time drawn from its exact maximum."""
+
     def test_matches_per_config_statistics(self, paper_owner, light_owner):
         configs = [
             SimulationConfig(
@@ -306,43 +311,68 @@ class TestMonteCarloBatch:
             )
             for owner in (light_owner, paper_owner)
         ]
-        batch = MonteCarloSampler.run_batch(configs)
-        assert len(batch) == 2
-        for config, result in zip(configs, batch):
+        for config in configs:
+            result = run_simulation(config, "monte-carlo-max")
             exact = MonteCarloSampler(config).run()
             assert result.mean_job_time == pytest.approx(exact.mean_job_time, rel=0.02)
-            assert result.mode == "monte-carlo"
+            assert result.mode == "monte-carlo-max"
             assert result.num_jobs == config.num_jobs
 
-    def test_reproducible(self, paper_owner, light_owner):
+    def test_reproducible(self, paper_owner):
+        config = SimulationConfig(
+            workstations=5, task_demand=50, owner=paper_owner, num_jobs=200, seed=33
+        )
+        a = run_simulation(config, "monte-carlo-max")
+        b = run_simulation(config, "monte-carlo-max")
+        np.testing.assert_array_equal(a.job_times, b.job_times)
+        np.testing.assert_array_equal(a.task_times, b.task_times)
+
+    def test_points_do_not_depend_on_their_sweep(self, paper_owner, light_owner):
+        # each point draws from its own config's seed, whatever shares its
+        # sweep (the group route it replaced shared one stream per group)
         configs = [
             SimulationConfig(
-                workstations=5, task_demand=50, owner=owner, num_jobs=200, seed=33
+                workstations=w, task_demand=50, owner=owner, num_jobs=100, seed=w
             )
-            for owner in (light_owner, paper_owner)
+            for w, owner in ((5, paper_owner), (5, light_owner), (6, paper_owner))
         ]
-        a = MonteCarloSampler.run_batch(configs)
-        b = MonteCarloSampler.run_batch(configs)
-        for x, y in zip(a, b):
-            np.testing.assert_array_equal(x.job_times, y.job_times)
+        together = SweepRunner(jobs=1).run(configs, mode="monte-carlo-max")
+        for config, result in zip(configs, together):
+            alone = run_simulation(config, "monte-carlo-max")
+            np.testing.assert_array_equal(result.job_times, alone.job_times)
+            np.testing.assert_array_equal(result.task_times, alone.task_times)
 
-    def test_mixed_shapes_rejected(self, paper_owner):
-        configs = [
-            SimulationConfig(workstations=5, task_demand=50, owner=paper_owner, num_jobs=100),
-            SimulationConfig(workstations=6, task_demand=50, owner=paper_owner, num_jobs=100),
-        ]
-        with pytest.raises(ValueError, match="run_batch"):
-            MonteCarloSampler.run_batch(configs)
+    def test_each_point_is_the_old_one_config_group_draw(self):
+        # sha256 of MonteCarloSampler.run_batch([config]) on these twelve
+        # configs, taken before that group route was removed: the backend is
+        # its body for one config, drawing from the same stream
+        configs = build_grid(
+            "fig01", num_jobs=300, workstation_counts=(1, 10, 100),
+            utilizations=(0.05, 0.2),
+        ) + build_grid(
+            "hetero-concentration", num_jobs=300, workstation_counts=(8, 16),
+            concentration_levels=(0.0, 0.5, 1.0),
+        )
+        digest = hashlib.sha256()
+        for config in configs:
+            result = run_simulation(config, "monte-carlo-max")
+            assert result.job_times.shape == result.task_times.shape == (300,)
+            digest.update(result.job_times.tobytes())
+            digest.update(result.task_times.tobytes())
+        assert digest.hexdigest() == (
+            "f276de36952cece6d5d110b18b9fc1eae7158709331e3604a009ae01edcddca1"
+        )
 
     def test_fractional_demand_rejected(self, paper_owner):
-        configs = [
-            SimulationConfig(workstations=5, task_demand=50.5, owner=paper_owner, num_jobs=100),
-        ]
+        config = SimulationConfig(
+            workstations=5, task_demand=50.5, owner=paper_owner, num_jobs=100
+        )
         with pytest.raises(ValueError, match="integral task_demand"):
-            MonteCarloSampler.run_batch(configs)
+            run_simulation(config, "monte-carlo-max")
 
     def test_empty_batch(self):
-        assert MonteCarloSampler.run_batch([]) == []
+        outcome = SweepRunner(jobs=1).run([], mode="monte-carlo-max")
+        assert len(outcome) == 0 and outcome.results == []
 
 
 class TestRunSimulationDispatch:

@@ -23,6 +23,7 @@ from repro.engine import (
     GRID_AXES,
     GRID_NAMES,
     MAX_GRID_POINTS,
+    MAX_POINT_TASKS,
     ResultCache,
     SweepRunner,
     build_grid,
@@ -315,7 +316,7 @@ class TestSweepRunner:
 
     def test_run_vectorized_agrees_statistically(self, small_grid):
         exact = SweepRunner(jobs=1).run(small_grid)
-        fast = SweepRunner(jobs=1).run(small_grid, vectorized=True)
+        fast = SweepRunner(jobs=1).run(small_grid, mode="monte-carlo-max")
         assert len(fast) == len(exact)
         for a, b in zip(exact, fast):
             assert a.config is b.config
@@ -328,7 +329,7 @@ class TestSweepRunner:
 
 
 class TestVectorizedHeterogeneous:
-    """Group sampling batches heterogeneous grids; event points use the kernel."""
+    """The direct sampler runs heterogeneous grids; event points use the kernel."""
 
     def _hetero_grid(self, num_jobs: int = 4000):
         return build_grid(
@@ -340,19 +341,10 @@ class TestVectorizedHeterogeneous:
             concentration_levels=(0.0, 0.5, 1.0),
         )
 
-    def test_heterogeneous_grid_is_fully_batched(self):
-        grid = self._hetero_grid(num_jobs=400)
-        outcome = SweepRunner(jobs=1).run(grid, vectorized=True)
-        assert len(outcome) == len(grid)
-        # one batched group per (W, T) cell
-        assert outcome.vectorized_groups == 2
-        assert outcome.mode == "monte-carlo"
-        assert "2 vectorized groups" in outcome.summary()
-
     def test_heterogeneous_batch_matches_scalar_within_ci(self):
         grid = self._hetero_grid(num_jobs=4000)
         exact = SweepRunner(jobs=1).run(grid)
-        fast = SweepRunner(jobs=1).run(grid, vectorized=True)
+        fast = SweepRunner(jobs=1).run(grid, mode="monte-carlo-max")
         for a, b in zip(exact, fast):
             tolerance = (
                 a.job_time_interval.half_width + b.job_time_interval.half_width
@@ -380,15 +372,17 @@ class TestVectorizedHeterogeneous:
         runner = SweepRunner(jobs=1)
         # the requested mode is honoured: the sampler refuses what it
         # cannot express instead of rerouting it
-        with pytest.raises(ValueError, match="static one-task-per-station"):
-            runner.run(eligible + [policy_config], vectorized=True)
+        for config, refusal in (
+            (policy_config, "static one-task-per-station"),
+            (open_config, "job-arrival process"),
+            (fractional, "integral task_demand"),
+        ):
+            with pytest.raises(ValueError, match=refusal):
+                runner.run(eligible + [config], "monte-carlo-max")
         # under the oracle modes the sampler-ineligible points run on the
-        # array kernel, and the sampling opt-in leaves them there
-        closed = runner.run(
-            [policy_config, fractional], "event-driven", vectorized=True
-        )
-        opened = runner.run([open_config], "open-system", vectorized=True)
-        assert closed.vectorized_groups == opened.vectorized_groups == 0
+        # array kernel
+        closed = runner.run([policy_config, fractional], "event-driven")
+        opened = runner.run([open_config], "open-system")
         assert [r.mode for r in (*closed, *opened)] == ["event-kernel"] * 3
         assert (closed.mode, opened.mode) == ("event-driven", "open-system")
 
@@ -433,7 +427,7 @@ class TestVectorizedHeterogeneous:
 
     def test_kernel_points_replay_from_the_cache(self, tmp_path, paper_owner):
         """Kernel-executed points are bitwise runs, so a configured cache
-        serves them; the sampled (non-bitwise) points keep bypassing it."""
+        serves them; it serves the direct sampler's points too."""
         fractional = SimulationConfig(
             workstations=2, task_demand=10.5, owner=paper_owner,
             num_jobs=20, num_batches=4, seed=5,
@@ -447,9 +441,13 @@ class TestVectorizedHeterogeneous:
         # the entry is the oracle's own: schema 6 shares the digest
         assert runner.cache.load(fractional, "event-driven") is not None
         sampled = self._hetero_grid(num_jobs=200)[:2]
-        runner.run(sampled, vectorized=True)
-        again = runner.run(sampled, vectorized=True)
-        assert again.simulated == 2 and again.cache_hits == 0
+        drawn = runner.run(sampled, "monte-carlo-max")
+        again = runner.run(sampled, "monte-carlo-max")
+        assert again.simulated == 0 and again.cache_hits == 2
+        for a, b in zip(drawn, again):
+            np.testing.assert_array_equal(a.job_times, b.job_times)
+        # its entries are its own: a monte-carlo request is not served them
+        assert runner.run(sampled, "monte-carlo").simulated == 2
 
     def test_cached_sweep_reports_no_phantom_degradations(
         self, tmp_path, paper_owner
@@ -775,39 +773,68 @@ class TestSweepCli:
         assert main(args) == 2
         assert f"at most {MAX_GRID_POINTS}" in capsys.readouterr().err
 
+    def test_point_over_the_task_cap_exits_2(self, capsys):
+        # refused before any station is built: a hetero-concentration point
+        # builds one per workstation
+        args = [
+            "sweep", "hetero-concentration", "--no-cache",
+            "--num-jobs", "2", "--workstations", str(2**63 - 1),
+        ]
+        assert main(args) == 2
+        assert f"at most {MAX_POINT_TASKS}" in capsys.readouterr().err
+
     def test_vectorized_path(self, capsys):
-        assert main(self.ARGS + ["--vectorized", "--no-cache"]) == 0
+        # the direct sampler is a mode like any other
+        assert main(self.ARGS + ["--mode", "monte-carlo-max", "--no-cache"]) == 0
         out = capsys.readouterr().out
-        assert "2 points (2 simulated, 0 cached)" in out
+        assert "2 points (2 simulated, 0 cached) mode=monte-carlo-max" in out
+        assert "[monte-carlo-max] W=5" in out
         assert "cache:" not in out
 
     def test_vectorized_kernel_grid_replays_from_the_cache(self, capsys, tmp_path):
-        # An event-driven grid runs on the array kernel, --vectorized or not;
-        # the kernel path is bitwise, so a second run replays every point.
-        args = [
+        # An event-driven grid runs on the array kernel and a monte-carlo-max
+        # grid on the direct sampler; both are per-point runs, so a second
+        # run replays every point with the same lines.
+        cache = ["--cache-dir", str(tmp_path / "cache")]
+        kernel = [
             "sweep", "policy-compare",
             "--num-jobs", "30",
             "--workstations", "4",
             "--utilizations", "0.1",
-            "--vectorized",
-            "--cache-dir", str(tmp_path / "cache"),
         ]
-        assert main(args) == 0
-        out = capsys.readouterr().out
-        assert "3 points (3 simulated, 0 cached)" in out
-        assert "[event-kernel]" in out and "vectorized groups" not in out
-        assert main(args) == 0
-        assert "3 points (0 simulated, 3 cached)" in capsys.readouterr().out
+        sampled = self.ARGS + ["--mode", "monte-carlo-max"]
 
-    @pytest.mark.parametrize("mode", ["discrete-time", "monte-carlo"])
-    def test_vectorized_honours_explicit_mode(self, capsys, mode):
-        """--vectorized only opts monte-carlo points into group sampling, so
-        it composes with every --mode, which is always honoured."""
-        args = self.ARGS + ["--no-cache", "--vectorized", "--mode", mode]
-        assert main(args) == 0
-        out = capsys.readouterr().out
-        assert f"[{mode}] W=5" in out
-        assert ("vectorized groups" in out) == (mode == "monte-carlo")
+        def lines(out):
+            return [line for line in out.splitlines() if line.startswith("[")]
+
+        for args, n, label in ((kernel, 3, "event-kernel"), (sampled, 2, "monte-carlo-max")):
+            assert main(args + cache) == 0
+            first = capsys.readouterr().out
+            assert f"{n} points ({n} simulated, 0 cached)" in first
+            assert f"[{label}]" in first
+            assert main(args + cache) == 0
+            again = capsys.readouterr().out
+            assert f"{n} points (0 simulated, {n} cached)" in again
+            assert lines(again) == lines(first)
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize(
+        "args, backend",
+        [
+            (["policy-compare", "--mode", "monte-carlo"], "monte-carlo"),
+            (["policy-compare", "--mode", "monte-carlo-max"], "monte-carlo-max"),
+            (["fig01", "--mode", "open-system"], "open-system"),
+        ],
+        ids=["monte-carlo", "monte-carlo-max", "open-system"],
+    )
+    def test_a_refused_mode_exits_2_with_one_line(self, capsys, args, backend, jobs):
+        argv = ["sweep", *args, "--num-jobs", "20", "--workstations", "2,3"]
+        assert main(argv + ["--utilizations", "0.1", "--no-cache", "--jobs", jobs]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1
+        assert f"the {backend} backend" in captured.err
+        assert "Traceback" not in captured.err
+        assert "points (" not in captured.out
 
     def test_profile_prints_cumulative_stats(self, capsys):
         args = self.ARGS + ["--no-cache", "--mode", "event-driven", "--profile", "5"]
@@ -863,10 +890,11 @@ class TestSweepProfiling:
             np.testing.assert_array_equal(a.job_times, b.job_times)
 
     def test_run_vectorized_profiles_the_batch_passes(self, small_grid):
-        outcome = SweepRunner(jobs=1).run(small_grid, vectorized=True, profile=True)
-        assert outcome.vectorized_groups == 2
+        outcome = SweepRunner(jobs=1).run(
+            small_grid, mode="monte-carlo-max", profile=True
+        )
         assert outcome.profile is not None
-        assert "run_batch" in outcome.profile_report(top=30)
+        assert "monte_carlo.py" in outcome.profile_report(top=30)
 
     def test_unprofiled_outcome_reports_no_profile(self, small_grid):
         outcome = SweepRunner(jobs=1).run(small_grid)

@@ -7,12 +7,11 @@ in the shipped tree, so the fixes cannot quietly revert:
   ``except Interrupt: pass``; a killed owner would resume as if nothing
   happened.  It must now propagate the interrupt while still closing its
   busy monitor.
-* SL004 — the sweep runner's vectorized path called
+* SL004 — the sweep runner's group-sampling path called
   ``MonteCarloSampler.run_batch`` on the class, which ignored replacement
-  backends registered under the same mode.  It must dispatch through
-  ``get_backend``.
-* The base-class ``run_batch`` hook must refuse on backends that do not
-  override it.
+  backends registered under the same mode.  The direct sampler is now the
+  ``monte-carlo-max`` backend, and the runner must dispatch to whatever is
+  registered under that name through ``get_backend``.
 """
 
 from __future__ import annotations
@@ -22,6 +21,7 @@ import pytest
 
 from repro.backends import (
     SimulationConfig,
+    backend_names,
     get_backend,
     register_backend,
 )
@@ -90,7 +90,7 @@ class TestOwnerInterruptPropagation:
 
 
 class TestRunBatchRegistryDispatch:
-    """SL004 regression: group sampling honours replacement backends."""
+    """SL004 regression: the direct sampler honours replacement backends."""
 
     def _configs(self):
         return [
@@ -105,43 +105,32 @@ class TestRunBatchRegistryDispatch:
         ]
 
     def test_vectorized_sweep_uses_registered_backend(self):
-        original = get_backend("monte-carlo")
+        original = get_backend("monte-carlo-max")
         calls: list[int] = []
 
         class InstrumentedSampler(original):  # type: ignore[misc, valid-type]
-            name = "monte-carlo"
+            name = "monte-carlo-max"
 
-            @classmethod
-            def run_batch(cls, configs, seed=None):
-                calls.append(len(configs))
-                return super().run_batch(configs, seed)
+            def run(self):
+                calls.append(self.config.seed)
+                return super().run()
 
         register_backend(InstrumentedSampler, replace=True)
         try:
             outcome = SweepRunner(jobs=1, cache=None).run(
-                self._configs(), vectorized=True
+                self._configs(), mode="monte-carlo-max"
             )
         finally:
             register_backend(original, replace=True)
-        assert calls == [2], (
-            "group sampling bypassed the registry: the replacement backend's "
-            "run_batch was never called"
+        assert calls == [7, 7], (
+            "the sweep bypassed the registry: the replacement backend's run "
+            "was never called"
         )
-        assert len(outcome.results) == 2
-        assert outcome.vectorized_groups == 1
-
-    def test_base_run_batch_refuses_unbatched_backend(self):
-        class Unbatched(SimulationBackend):
-            name = "unbatched-test-backend"
-
-            def run(self):  # pragma: no cover - never run
-                return None
-
-        with pytest.raises(NotImplementedError, match="batched"):
-            Unbatched.run_batch([])
+        assert [result.mode for result in outcome] == ["monte-carlo-max"] * 2
 
     def test_batched_capability_matches_override(self):
-        # The backends callers batch through must actually override the hook.
-        for mode in ("monte-carlo", "event-kernel"):
-            hook = get_backend(mode).run_batch.__func__
-            assert hook is not SimulationBackend.run_batch.__func__
+        # No backend hook batches points any more: the event kernel's
+        # run_batch, which shares one kernel across points, is its own.
+        assert not hasattr(SimulationBackend, "run_batch")
+        batching = [m for m in backend_names() if hasattr(get_backend(m), "run_batch")]
+        assert batching == ["event-kernel"]

@@ -91,12 +91,12 @@ def _scipy_binomial_cdf(trials: int, probability: float) -> np.ndarray:
 
 @pytest.mark.parametrize("grid", ["fig01", "hetero-concentration"])
 def test_run_batch_draws_match_the_scipy_table(grid, monkeypatch):
-    # jobs=1 samples in process, where the monkeypatch applies
+    # the direct sampler's draws; jobs=1 samples in process, where the
+    # monkeypatch applies
     configs = build_grid(grid, num_jobs=300)
-    ours = SweepRunner(jobs=1).run(configs, mode="monte-carlo", vectorized=True)
+    ours = SweepRunner(jobs=1).run(configs, mode="monte-carlo-max")
     monkeypatch.setattr(monte_carlo, "binomial_cdf", _scipy_binomial_cdf)
-    reference = SweepRunner(jobs=1).run(configs, mode="monte-carlo", vectorized=True)
-    assert ours.vectorized_groups == reference.vectorized_groups > 1
-    for got, want in zip(ours.results, reference.results):
+    reference = SweepRunner(jobs=1).run(configs, mode="monte-carlo-max")
+    for got, want in zip(ours.results, reference.results, strict=True):
         np.testing.assert_array_equal(got.job_times, want.job_times)
         np.testing.assert_array_equal(got.task_times, want.task_times)

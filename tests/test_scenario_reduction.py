@@ -6,7 +6,6 @@ bit of the homogeneous results, must stay within the established tolerances of
 the analytical model, and must agree with the heterogeneous product-CDF closed
 forms where those apply.
 """
-# simlint: ignore-file[SL004] - reduction tests call the batch sampler directly
 
 from __future__ import annotations
 
@@ -14,7 +13,6 @@ import numpy as np
 import pytest
 
 from repro.cluster import (
-    MonteCarloSampler,
     POLICY_NAMES,
     SimulationConfig,
     run_simulation,
@@ -142,8 +140,8 @@ class TestAnalyticalAgreement:
             )
             for s in scenarios
         ]
-        batch = MonteCarloSampler.run_batch(configs)
-        for config, result in zip(configs, batch):
+        for config in configs:
+            result = run_simulation(config, "monte-carlo-max")
             analytic = expected_job_time_heterogeneous(
                 100, HeterogeneousSystem.from_scenario(config.scenario)
             )

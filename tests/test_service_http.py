@@ -119,14 +119,18 @@ _OPEN_POINT_WIDTH_2_9 = _open_point_with(
 )
 
 
-def library_payload_bytes(tmp_path, overrides=OVERRIDES, vectorized=False):
+#: The mode a job of each executor runs the grid's points on.
+EXECUTOR_MODES = {"sweep": grid_mode(GRID), "vectorized": "monte-carlo-max"}
+
+
+def library_payload_bytes(tmp_path, overrides=OVERRIDES, executor="sweep"):
     """What SweepRunner.run of the same grid serializes to."""
     overrides = {
         key: tuple(value) if isinstance(value, list) else value
         for key, value in overrides.items()
     }
     outcome = SweepRunner(jobs=1).run(
-        build_grid(GRID, **overrides), mode=grid_mode(GRID), vectorized=vectorized
+        build_grid(GRID, **overrides), mode=EXECUTOR_MODES[executor]
     )
     return save_result_npz(tmp_path / "library.npz", outcome.results).read_bytes()
 
@@ -211,15 +215,16 @@ class TestServiceCore:
         assert finished.points_completed == finished.total_points == 4
         second.stop()
 
+    @pytest.mark.parametrize("executor", sorted(EXECUTOR_MODES))
     def test_killed_job_resumes_from_its_finished_shards(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, executor
     ):
         class Killed(BaseException):
             """Escapes the worker's ``except Exception``, as a kill would."""
 
         root = tmp_path / "service"
         first = SweepService(root, jobs=1)
-        record = first.submit_grid(GRID, OVERRIDES)
+        record = first.submit_grid(GRID, OVERRIDES, executor)
         run = first.runner.run
         calls = []
 
@@ -249,7 +254,9 @@ class TestServiceCore:
         assert finished.points_completed == 4
         payload = second.result_path(record.job_id)
         assert payload is not None
-        assert payload.read_bytes() == library_payload_bytes(tmp_path)
+        assert payload.read_bytes() == library_payload_bytes(
+            tmp_path, executor=executor
+        )
         second.stop()
 
 
@@ -338,9 +345,9 @@ class TestHTTPEndToEnd:
     def test_vectorized_job_is_not_served_the_per_point_entries(
         self, live, tmp_path
     ):
-        # The per-point job leaves cache entries for the same configs under
-        # the same mode label; serving them to the vectorized job would be a
-        # different sample.
+        # The per-point job leaves monte-carlo cache entries for the same
+        # configs; the vectorized job runs monte-carlo-max, whose entries
+        # are its own, so it simulates its points and caches them.
         _, client = live
         overrides = dict(OVERRIDES, workstation_counts=[2])
         before = payload_points()
@@ -349,27 +356,31 @@ class TestHTTPEndToEnd:
             client.submit_grid(GRID, overrides, executor="vectorized").job_id
         )
         assert per_point.status == sampled.status == "done"
-        assert per_point.simulated == 2 and sampled.vectorized_groups == 1
+        assert per_point.simulated == sampled.simulated == 2
+        assert (per_point.mode, sampled.mode) == ("monte-carlo", "monte-carlo-max")
         after = payload_points()
-        assert after["entry"] - before["entry"] == 2
-        assert after["encoded"] - before["encoded"] == 2
+        assert after["entry"] - before["entry"] == 4
+        assert after["encoded"] - before["encoded"] == 0
         served = client.result_bytes(sampled.job_id)
-        assert served == library_payload_bytes(tmp_path, overrides, vectorized=True)
+        assert served == library_payload_bytes(tmp_path, overrides, "vectorized")
         assert served != client.result_bytes(per_point.job_id)
 
     def test_vectorized_job_equals_the_library_across_shards(self, live, tmp_path):
-        # The two W sampler groups would fall into both two-point shards; a
-        # vectorized job runs as one shard, so it forms the library's groups.
+        # Each point draws from its own config's stream, so a vectorized job
+        # runs in shards like any other, and its resubmission replays them.
         _, client = live
         record = client.wait(
             client.submit_grid(GRID, OVERRIDES, executor="vectorized").job_id
         )
         assert record.status == "done"
-        assert client.result_bytes(record.job_id) == library_payload_bytes(
-            tmp_path, OVERRIDES, vectorized=True
+        served = client.result_bytes(record.job_id)
+        assert served == library_payload_bytes(tmp_path, OVERRIDES, "vectorized")
+        assert record.shards_total == record.shards_completed == 2
+        again = client.wait(
+            client.submit_grid(GRID, OVERRIDES, executor="vectorized").job_id
         )
-        assert record.shards_total == record.shards_completed == 1
-        assert record.vectorized_groups == 2
+        assert again.simulated == 0 and again.cache_hits == 4
+        assert client.result_bytes(again.job_id) == served
 
     @pytest.mark.parametrize("batch", sorted(POINT_BATCHES))
     def test_points_submission_round_trip(self, live, tmp_path, batch):
@@ -636,16 +647,27 @@ class TestHTTPEndToEnd:
 
 #: Takes a root, leaves a job ``running`` and forks a process that outlives
 #: it, as a pool worker of a killed service would; prints the job id and the
-#: forked process's pid, then waits to be killed.
+#: forked process's pid once that process runs, then waits to be killed.
+#: ``start()`` returns before the child has run its after-fork hooks, which
+#: close its copy of the root lock; the child's target runs after them, so
+#: its word over the pipe means the copy is closed.
 _HOLD_ROOT = """
 import multiprocessing, sys, time
 from repro.service import SweepService
+
+def report_then_sleep(running):
+    running.send(True)
+    time.sleep(120)
+
 service = SweepService(sys.argv[1], jobs=1)
 record = service.submit_grid("fig01", {"workstation_counts": [2], "num_jobs": 40})
 record.status = "running"
 service.store.save(record)
-worker = multiprocessing.get_context("fork").Process(target=time.sleep, args=(120,))
+fork = multiprocessing.get_context("fork")
+running, report = fork.Pipe(duplex=False)
+worker = fork.Process(target=report_then_sleep, args=(report,))
 worker.start()
+running.recv()
 print(record.job_id, worker.pid, flush=True)
 sys.stdin.read()
 """

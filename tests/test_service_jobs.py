@@ -125,12 +125,14 @@ class TestSweepJobSpec:
                 SweepJobSpec(**bad)
 
     def test_vectorized_points_accepted(self):
-        # the vectorized executor only opts monte-carlo points into group
-        # sampling, so it composes with a raw-points submission's mode
-        spec = SweepJobSpec.for_points(
-            build_grid("fig01")[:1], mode="monte-carlo", executor="vectorized"
-        )
+        # the vectorized executor runs monte-carlo points on monte-carlo-max
+        # and leaves every other mode as it is; the wire form is unchanged
+        points = build_grid("fig01")[:1]
+        spec = SweepJobSpec.for_points(points, mode="monte-carlo", executor="vectorized")
         assert SweepJobSpec.from_json(spec.to_json()) == spec
+        assert spec.resolve() == (points, "monte-carlo-max")
+        kept = SweepJobSpec.for_points(points, mode="event-driven", executor="vectorized")
+        assert kept.resolve() == (points, "event-driven")
 
     @pytest.mark.parametrize("grid", GRID_NAMES)
     def test_registered_grid_resolves_under_task_cap(self, grid):
@@ -191,7 +193,6 @@ class TestJobStore:
         record.shards_completed = 2
         record.simulated = 5
         record.cache_hits = 3
-        record.vectorized_groups = 2
         record.started_at = 100.0
         record.finished_at = 200.0
         record.result_file = f"{record.job_id}.npz"
@@ -277,7 +278,6 @@ FULL_RECORD = JobRecord(
     shards_completed=1,
     simulated=1,
     cache_hits=1,
-    vectorized_groups=3,
     eta_seconds=1.25,
     submitted_at=1700000000.123456,
     started_at=1700000001.5,
@@ -315,8 +315,7 @@ FULL_RECORD_FILE = """\
   "started_at": 1700000001.5,
   "status": "failed",
   "submitted_at": 1700000000.123456,
-  "total_points": 4,
-  "vectorized_groups": 3
+  "total_points": 4
 }
 """
 DEFAULT_RECORD = JobRecord(
@@ -345,8 +344,7 @@ DEFAULT_RECORD_FILE = """\
   "started_at": null,
   "status": "queued",
   "submitted_at": 0.0,
-  "total_points": 0,
-  "vectorized_groups": 0
+  "total_points": 0
 }
 """
 

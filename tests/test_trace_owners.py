@@ -161,18 +161,17 @@ class TestBackendSupport:
         assert result.measured_owner_utilization == pytest.approx(nominal, abs=0.03)
 
     def test_run_vectorized_routes_traces_to_the_kernel(self, busy_owner):
-        # The sampler cannot express trace replay, but the array kernel can:
-        # an event-driven trace point runs on the event-kernel backend
-        # (bitwise-equal to the oracle run), with or without the opt-in.
+        # The direct sampler cannot express trace replay, but the array
+        # kernel can: an event-driven trace point runs on the event-kernel
+        # backend (bitwise-equal to the oracle run).
         traces = _traces(busy_owner, count=2, horizon=2_000.0)
         config = SimulationConfig.from_scenario(
             ScenarioSpec.from_traces(traces), task_demand=20.0,
             num_jobs=20, num_batches=4,
         )
-        outcome = SweepRunner(jobs=1).run(
-            [config], mode="event-driven", vectorized=True
-        )
-        assert outcome.vectorized_groups == 0
+        with pytest.raises(ValueError, match="cannot replay recorded owner traces"):
+            SweepRunner(jobs=1).run([config], mode="monte-carlo-max")
+        outcome = SweepRunner(jobs=1).run([config], mode="event-driven")
         assert outcome[0].mode == "event-kernel"
         oracle = run_simulation(config, "event-driven")
         np.testing.assert_array_equal(outcome[0].job_times, oracle.job_times)
