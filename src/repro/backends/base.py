@@ -130,6 +130,8 @@ class SimulationConfig:
             raise ValueError(f"num_batches must be >= 2, got {self.num_batches!r}")
         if not 0.0 < self.confidence < 1.0:
             raise ValueError(f"confidence must be in (0, 1), got {self.confidence!r}")
+        if self.seed < 0:  # numpy's SeedSequence takes no negative entropy
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         if self.num_jobs < self.num_batches and not (
             self.scenario is not None and self.scenario.is_open
         ):
@@ -348,8 +350,8 @@ class SimulationResult:
 # -- shared backend guards -------------------------------------------------
 
 
-def _static_scenario(config: SimulationConfig, mode: str) -> ScenarioSpec:
-    """Resolve a config's scenario for a model-faithful (discrete) backend.
+def _static_scenario(config: SimulationConfig, mode: str) -> None:
+    """Refuse a scenario that a model-faithful (discrete) backend cannot run.
 
     The discrete-time walk and the Monte-Carlo sampler implement the paper's
     closed-form model, which has no notion of work redistribution — only the
@@ -374,7 +376,6 @@ def _static_scenario(config: SimulationConfig, mode: str) -> ScenarioSpec:
                 "trace-driven stations require the event-driven backend"
             )
     _reject_open_scenario(scenario, mode)
-    return scenario
 
 
 def _reject_open_scenario(scenario: ScenarioSpec, mode: str) -> None:
@@ -387,7 +388,11 @@ def _reject_open_scenario(scenario: ScenarioSpec, mode: str) -> None:
         )
 
 
-def _integral_task_demand(task_demand: float, mode: str) -> int:
+#: The largest binomial trial count numpy draws.
+_MAX_TRIALS = 2**63 - 1
+
+
+def _integral_task_demand(task_demand: float, mode: str) -> None:
     """Validate that a discrete backend received an integer task demand.
 
     The discrete-time walk and the Monte-Carlo sampler treat ``T`` as the
@@ -395,15 +400,20 @@ def _integral_task_demand(task_demand: float, mode: str) -> int:
     silently rounding it (to 0 in the worst case) distorts results without
     warning.  The event-driven backend and the analytical closed forms accept
     fractional ``T``; use those (or :class:`~repro.core.params.TaskRounding`)
-    for non-integral demands.
+    for non-integral demands.  numpy draws a binomial of an int64 trial
+    count, so a larger ``T`` is refused too.
     """
-    if float(task_demand) != int(task_demand):
+    if not float(task_demand).is_integer():
         raise ValueError(
             f"the {mode} backend requires an integral task_demand (it is the "
             f"binomial trial count), got {task_demand!r}; round it explicitly "
             "via TaskRounding or use the event-driven backend"
         )
-    return int(task_demand)
+    if int(task_demand) > _MAX_TRIALS:
+        raise ValueError(
+            f"the {mode} backend draws task_demand as an int64 binomial trial "
+            f"count, at most {_MAX_TRIALS}; got {task_demand!r}"
+        )
 
 
 # -- backend protocol and registry -----------------------------------------
@@ -413,8 +423,9 @@ class SimulationBackend(abc.ABC):
     """Abstract base of every simulation backend.
 
     Subclasses set :attr:`name` (the registry key, also exposed as ``mode``
-    for backwards compatibility) and implement :meth:`run`, which refuses,
-    with a ``ValueError``, any config the backend cannot simulate.
+    for backwards compatibility) and implement :meth:`run`.  A config the
+    backend cannot simulate is refused, with a ``ValueError``, by
+    :meth:`check`, which building a backend runs first.
     """
 
     #: Registry key; ``mode`` is kept as an alias because results and years
@@ -423,12 +434,35 @@ class SimulationBackend(abc.ABC):
     mode: ClassVar[str]
 
     def __init__(self, config: SimulationConfig) -> None:
+        self.check(config)
         self.config = config
         self._streams = StreamRegistry(config.seed)
+
+    @classmethod
+    def check(cls, config: SimulationConfig) -> None:
+        """Raise ``ValueError`` if this backend cannot simulate ``config``.
+
+        Draws nothing and builds no stream, so a caller can refuse a point
+        before anything runs: the sweep service checks every point of a
+        submission before it mints a job id
+        (:meth:`repro.service.SweepJobSpec.resolve`).  The base accepts
+        every config.
+        """
 
     @abc.abstractmethod
     def run(self):
         """Execute the simulation and return this backend's result flavour."""
+
+
+class _ClosedFormBackend(SimulationBackend):
+    """A backend of the paper's closed-form model: it runs a static scenario
+    (:func:`_static_scenario`) with an integral task demand, the binomial
+    trial count (:func:`_integral_task_demand`)."""
+
+    @classmethod
+    def check(cls, config: SimulationConfig) -> None:
+        _static_scenario(config, cls.name)
+        _integral_task_demand(config.task_demand, cls.name)
 
 
 #: Alias kept for call sites annotated with the old ``Literal`` type; the

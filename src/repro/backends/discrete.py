@@ -8,13 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import (
-    SimulationBackend,
-    SimulationResult,
-    _integral_task_demand,
-    _static_scenario,
-    register_backend,
-)
+from .base import SimulationResult, _ClosedFormBackend, register_backend
 
 __all__ = ["simulate_task_discrete", "DiscreteTimeSimulator"]
 
@@ -44,7 +38,7 @@ def simulate_task_discrete(
 
 
 @register_backend
-class DiscreteTimeSimulator(SimulationBackend):
+class DiscreteTimeSimulator(_ClosedFormBackend):
     """Faithful (slow) discrete-time simulation of the paper's model."""
 
     name = "discrete-time"
@@ -52,11 +46,11 @@ class DiscreteTimeSimulator(SimulationBackend):
     def run(self) -> SimulationResult:
         """Simulate ``num_jobs`` independent jobs and return the estimates."""
         cfg = self.config
-        scenario = _static_scenario(cfg, self.name)
+        scenario = cfg.effective_scenario
         probabilities = [station.request_probability for station in scenario.stations]
         demands = [station.owner.demand for station in scenario.stations]
         rng = self._streams.stream("discrete-time")
-        t = _integral_task_demand(cfg.task_demand, self.name)
+        t = int(cfg.task_demand)
         job_times = np.empty(cfg.num_jobs, dtype=np.float64)
         task_times = np.empty((cfg.num_jobs, cfg.workstations), dtype=np.float64)
         for j in range(cfg.num_jobs):

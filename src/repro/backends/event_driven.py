@@ -21,6 +21,7 @@ from ..desim import Environment
 from ..obs import get_sim_tap
 from .base import (
     SimulationBackend,
+    SimulationConfig,
     SimulationResult,
     _reject_open_scenario,
     register_backend,
@@ -53,6 +54,10 @@ class EventDrivenClusterSimulator(SimulationBackend):
 
     name = "event-driven"
 
+    @classmethod
+    def check(cls, config: SimulationConfig) -> None:
+        _reject_open_scenario(config.effective_scenario, cls.name)
+
     def _build_cluster(self, env: Environment) -> list[Workstation]:
         # Wire the process's installed sim-event tap (if any) into each
         # station's bare hook — the cluster layer never imports repro.obs.
@@ -73,7 +78,6 @@ class EventDrivenClusterSimulator(SimulationBackend):
         """Run ``num_jobs`` back-to-back jobs on a persistent cluster."""
         cfg = self.config
         scenario = cfg.effective_scenario
-        _reject_open_scenario(scenario, self.name)
         policy = make_policy(scenario.policy, **dict(scenario.policy_kwargs))
         env = Environment()
         stations = self._build_cluster(env)

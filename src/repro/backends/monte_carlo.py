@@ -19,19 +19,13 @@ from collections import Counter
 import numpy as np
 
 from ..core.distributions import binomial_cdf
-from .base import (
-    SimulationBackend,
-    SimulationResult,
-    _integral_task_demand,
-    _static_scenario,
-    register_backend,
-)
+from .base import SimulationResult, _ClosedFormBackend, register_backend
 
 __all__ = ["MonteCarloMaxSampler", "MonteCarloSampler"]
 
 
 @register_backend
-class MonteCarloSampler(SimulationBackend):
+class MonteCarloSampler(_ClosedFormBackend):
     """Vectorised direct sampler of the analytical model's closed form."""
 
     name = "monte-carlo"
@@ -45,23 +39,23 @@ class MonteCarloSampler(SimulationBackend):
         a scalar and an equal-valued vector ``p``).
         """
         cfg = self.config
-        scenario = _static_scenario(cfg, self.name)
+        scenario = cfg.effective_scenario
         probabilities = np.array(
             [station.request_probability for station in scenario.stations]
         )
         rng = self._streams.stream("monte-carlo")
         n = num_jobs if num_jobs is not None else cfg.num_jobs
-        t = _integral_task_demand(cfg.task_demand, self.name)
+        t = int(cfg.task_demand)
         return rng.binomial(t, probabilities, size=(n, cfg.workstations))
 
     def run(self) -> SimulationResult:
         """Sample ``num_jobs`` jobs and return the estimates."""
         cfg = self.config
-        scenario = _static_scenario(cfg, self.name)
+        scenario = cfg.effective_scenario
         owner_demands = np.array(
             [station.owner.demand for station in scenario.stations]
         )
-        t = _integral_task_demand(cfg.task_demand, self.name)
+        t = int(cfg.task_demand)
         interruptions = self.sample_interruptions()
         task_times = t + interruptions * owner_demands
         job_times = task_times.max(axis=1).astype(np.float64)
@@ -74,7 +68,7 @@ class MonteCarloSampler(SimulationBackend):
 
 
 @register_backend
-class MonteCarloMaxSampler(SimulationBackend):
+class MonteCarloMaxSampler(_ClosedFormBackend):
     """Direct sampler of each job's time from its exact max-distribution.
 
     The stations of the config are grouped by identical ``(P, O)``; the
@@ -96,8 +90,8 @@ class MonteCarloMaxSampler(SimulationBackend):
     def run(self) -> SimulationResult:
         """Sample ``num_jobs`` job times and one task time per job."""
         cfg = self.config
-        t = _integral_task_demand(cfg.task_demand, self.name)
-        scenario = _static_scenario(cfg, self.name)
+        t = int(cfg.task_demand)
+        scenario = cfg.effective_scenario
         rng = self._streams.stream("monte-carlo-batch")
         n = cfg.num_jobs
         pairs = [

@@ -313,17 +313,28 @@ class OpenSystemSimulator(EventDrivenClusterSimulator):
 
     name = "open-system"
 
-    def run(self) -> OpenSystemResult:  # type: ignore[override]
-        """Simulate ``num_jobs`` arrivals and return the queueing estimates."""
-        cfg = self.config
-        scenario = cfg.effective_scenario
-        spec = scenario.arrivals
+    @classmethod
+    def check(cls, config: SimulationConfig) -> None:
+        spec = config.effective_scenario.arrivals
         if spec is None:
             raise ValueError(
                 "the open-system backend needs a scenario with a job-arrival "
                 "process; set ScenarioSpec.arrivals (e.g. via "
                 "JobArrivalSpec.poisson) or use a closed backend"
             )
+        for job_class in spec.job_classes:
+            if job_class.width > config.workstations:
+                raise ValueError(
+                    f"job class {job_class.name!r} requests width "
+                    f"{job_class.width} on a {config.workstations}-station cluster"
+                )
+
+    def run(self) -> OpenSystemResult:  # type: ignore[override]
+        """Simulate ``num_jobs`` arrivals and return the queueing estimates."""
+        cfg = self.config
+        scenario = cfg.effective_scenario
+        spec = scenario.arrivals
+        assert spec is not None  # check() refused a closed scenario
         if spec.is_space_shared:
             return self._run_space_shared(cfg, scenario, spec)
         policy = make_policy(scenario.policy, **dict(scenario.policy_kwargs))
@@ -410,12 +421,6 @@ class OpenSystemSimulator(EventDrivenClusterSimulator):
         )
 
         classes = spec.job_classes
-        for job_class in classes:
-            if job_class.width > cfg.workstations:
-                raise ValueError(
-                    f"job class {job_class.name!r} requests width "
-                    f"{job_class.width} on a {cfg.workstations}-station cluster"
-                )
         policy = make_policy(scenario.policy, **dict(scenario.policy_kwargs))
         admission_policy = make_admission_policy(
             spec.admission_policy, **dict(spec.admission_kwargs)

@@ -550,7 +550,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                     jobs = client.jobs()
                     print(
                         _json.dumps(
-                            {"jobs": [r.to_json() for r in jobs]},
+                            {"jobs": [vars(job) for job in jobs]},
                             indent=2,
                             sort_keys=True,
                         )

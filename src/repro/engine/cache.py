@@ -23,11 +23,15 @@ cache format independent of the stats layer.
 
 An entry travels as bytes.  :func:`encode_entry` is the only place a point
 is deflated; a sweep's pool worker runs it and ships the bytes, not the
-arrays.  A hit is the file's bytes, checked but not decoded
-(:meth:`ResultCache.read_entry`): every member is inflated in chunks to
-check its CRC-32 and size, and no array is built.  A job payload copies the
-deflated members out of those bytes (:mod:`repro.service.results`), and
-only a caller that asks for the result (:meth:`ResultCache.load`,
+arrays.  An entry is the zip members ``np.savez_compressed`` writes, plus an
+8-byte archive comment, its *stamp*: the CRC-32 of every byte before it, as
+hex digits.  A hit is the file's bytes, checked but not decoded
+(:meth:`ResultCache.read_entry`): the stamp proves that no byte changed
+since the entry was written, and the zip directory and each ``.npy`` header
+prove that it holds the config's fields; no sample is inflated and no array
+is built.  A job payload copies the deflated members, not the stamp, out of
+those bytes (:mod:`repro.service.results`), and only a caller that asks for
+the result (:meth:`ResultCache.load`,
 :attr:`repro.engine.SweepOutcome.results`) decodes it, to float64 arrays.
 """
 
@@ -146,6 +150,14 @@ SCHEMA_HISTORY: tuple[tuple[int, str], ...] = (
         "fingerprint, where a forgotten field in the hand-written payload "
         "would have replayed stale entries",
     ),
+    (
+        8,
+        "stamped each entry with the CRC-32 of its own bytes, an 8-byte zip "
+        "archive comment, and checked a hit against the stamp and the "
+        "members' .npy headers instead of inflating every member: the "
+        "stamp also catches the flipped directory and header bits that "
+        "the inflate let through, and an entry without one is a miss",
+    ),
 )
 
 #: Current fingerprint schema version — always the last history entry.
@@ -262,15 +274,32 @@ def _result_from_arrays(
     return _result_class(config)(config=config, mode=mode, **samples)
 
 
+#: Bytes of an entry's stamp, its zip archive comment.
+_STAMP_SIZE = 8
+
+
+def _stamp(body: bytes | memoryview) -> bytes:
+    """The stamp of an entry whose other bytes are ``body``: their CRC-32,
+    as eight hex digits."""
+    return b"%08x" % zlib.crc32(body)
+
+
 def encode_entry(result: SimulationResult | OpenSystemResult) -> bytes:
     """The compressed NPZ cache entry of one result, as bytes.
 
-    Holds the result's :func:`result_arrays`, deflated by
-    ``np.savez_compressed`` — the only place a point is deflated.
+    Holds the result's :func:`result_arrays`, deflated by the ``zipfile``
+    calls ``np.savez_compressed`` makes, so the members and the central
+    directory are byte for byte what it writes; the archive comment is the
+    entry's stamp (:func:`_stamp`).  The only place a point is deflated.
     """
     buffer = io.BytesIO()
-    np.savez_compressed(buffer, **result_arrays(result))
-    return buffer.getvalue()
+    with zipfile.ZipFile(buffer, "w", zipfile.ZIP_DEFLATED) as archive:
+        archive.comment = bytes(_STAMP_SIZE)  # a placeholder the end record counts
+        for name, array in result_arrays(result).items():
+            with archive.open(f"{name}.npy", "w", force_zip64=True) as member:
+                np.lib.format.write_array(member, array, allow_pickle=False)
+    body = buffer.getvalue()[:-_STAMP_SIZE]
+    return body + _stamp(body)
 
 
 def decode_entry(
@@ -280,9 +309,6 @@ def decode_entry(
     with np.load(io.BytesIO(entry), allow_pickle=False) as data:
         return _result_from_arrays(config, mode, data)
 
-
-#: Inflated bytes held at a time while an entry is checked.
-_CHECK_CHUNK = 1 << 20
 
 #: The ``.npy`` header reader of each format version numpy writes.
 _NPY_HEADERS = {
@@ -302,15 +328,17 @@ _ENTRY_ERRORS = (
 def _check_entry(config: SimulationConfig, entry: bytes) -> None:
     """Raise one of :data:`_ENTRY_ERRORS` unless ``entry`` is whole.
 
-    Whole means what :func:`decode_entry` would accept, proved without
-    building an array: one ``.npy`` member per sample field of the
-    config's result class, in :func:`result_arrays` order; each member
-    inflated in :data:`_CHECK_CHUNK` pieces up to its directory size, where
-    ``zipfile`` compares the CRC-32 with the directory's; a header that
-    names no object dtype and whose shape accounts for every inflated data
-    byte; and ``config.num_jobs`` samples in the first member.  The
-    directory alone would pass a flipped bit: only the inflate finds it.
+    Whole means what :func:`encode_entry` wrote and :func:`decode_entry`
+    accepts, proved without inflating a sample: a stamp that equals the
+    CRC-32 of the bytes before it, so no byte changed since the entry was
+    written; one ``.npy`` member per sample field of the config's result
+    class, in :func:`result_arrays` order; in each member a header, read
+    from its first inflated bytes, that names no object dtype and whose
+    shape accounts for every data byte of the member's directory size; and
+    ``config.num_jobs`` samples in the first member.
     """
+    if entry[-_STAMP_SIZE:] != _stamp(memoryview(entry)[:-_STAMP_SIZE]):
+        raise ValueError("cached entry does not match its CRC-32 stamp")
     with zipfile.ZipFile(io.BytesIO(entry)) as archive:
         members = archive.infolist()
         names = [member.filename for member in members]
@@ -322,9 +350,7 @@ def _check_entry(config: SimulationConfig, entry: bytes) -> None:
                 if read_header is None:
                     raise ValueError(f"unsupported .npy version in {member.filename}")
                 shape, _, dtype = read_header(stream)
-                data = 0
-                while chunk := stream.read(_CHECK_CHUNK):
-                    data += len(chunk)
+                data = member.file_size - stream.tell()
             if dtype.hasobject or data != math.prod(shape) * dtype.itemsize:
                 raise ValueError(f"{member.filename} does not hold its shape {shape}")
             if index == 0 and shape != (config.num_jobs,):
@@ -428,8 +454,8 @@ class ResultCache:
 
         The file is read once and checked, not decoded (:func:`_check_entry`).
         An entry that fails the check — truncated, missing a member, a
-        flipped bit, a sample count that contradicts the config — is a
-        miss: the point is simply resimulated and rewritten, and the corrupt
+        flipped bit, a sample count that contradicts the config, no stamp
+        — is a miss: the point is simply resimulated and rewritten, and the corrupt
         file is deleted so it cannot shadow the rewrite.  An unregistered
         ``mode`` raises ``ValueError``.
         """

@@ -34,6 +34,7 @@ from ..backends.base import (
     SimulationBackend,
     SimulationConfig,
     SimulationResult,
+    get_backend,
     register_backend,
 )
 from ..backends.open_system import OpenSystemResult
@@ -48,6 +49,13 @@ class EventKernelBackend(SimulationBackend):
     """Array-based replacement for the event-driven / open-system hot path."""
 
     name = "event-kernel"
+
+    @classmethod
+    def check(cls, config: SimulationConfig) -> None:
+        # the kernel runs every closed scenario, and the open ones that
+        # its open-system oracle runs
+        if config.effective_scenario.is_open:
+            get_backend("open-system").check(config)
 
     def run(self):
         """Run one config on a fresh kernel instance."""

@@ -18,6 +18,7 @@ import urllib.error
 import urllib.request
 from http.client import HTTPResponse
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -144,9 +145,15 @@ class ServiceClient:
     ) -> JobRecord:
         return self.submit(SweepJobSpec.for_points(points, mode, executor))
 
-    def jobs(self) -> list[JobRecord]:
+    def jobs(self) -> list[SimpleNamespace]:
+        """Every job's summary (``GET /jobs``), in submission order.
+
+        A summary's attributes are its record's fields, but ``spec`` is the
+        spec's JSON, in which a points submission's ``points`` is their
+        count; :meth:`status` answers a job's full record.
+        """
         payload = self._request_json("/jobs")
-        return [JobRecord.from_json(entry) for entry in payload["jobs"]]
+        return [SimpleNamespace(**entry) for entry in payload["jobs"]]
 
     def status(self, job_id: str) -> JobRecord:
         return JobRecord.from_json(self._request_json(f"/jobs/{job_id}"))

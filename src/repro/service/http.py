@@ -7,16 +7,20 @@ exposing the service over five routes:
 ``GET  /health``            liveness, job count and queue depth
 ``GET  /metrics``           Prometheus exposition text (whole registry)
 ``POST /jobs``              submit (:class:`SweepJobSpec` JSON body)
-``GET  /jobs``              all job records, submission order
+``GET  /jobs``              every job's summary, submission order
 ``GET  /jobs/<id>``         one job's streamed status record
 ``GET  /jobs/<id>/result``  the finished NPZ payload (bytes)
 ==========================  =============================================
 
 Submissions are validated synchronously: a bad grid name, override, or
-config is a ``400`` with the error text, never a job that later flips to
-``failed``.  A body longer than :data:`MAX_BODY_BYTES` is a ``413``, refused
-unread.  The result route answers ``409`` while the job is still
-queued/running/failed — poll ``/jobs/<id>`` until ``status == "done"``.
+config, or a point that the mode's backend refuses, is a ``400`` with the
+error text, never a job that later flips to ``failed``.  A body longer than
+:data:`MAX_BODY_BYTES` is a ``413``, refused unread.  The result route
+answers ``409`` while the job is still queued/running/failed — poll
+``/jobs/<id>`` until ``status == "done"``.  The listing holds each job's
+summary (:meth:`~repro.service.jobs.JobStore.summaries`): its record with a
+points submission's raw points replaced by their count, so it does not grow
+with them; ``GET /jobs/<id>`` answers the full record.
 
 The server is a ``ThreadingHTTPServer`` so status polls answer while a
 submission handler is blocked on the service lock; job *execution* stays in
@@ -104,7 +108,7 @@ class _Handler(BaseHTTPRequestHandler):
             self.wfile.write(body)
             return
         if path == "/jobs":
-            self._send_json({"jobs": [r.to_json() for r in service.list_jobs()]})
+            self._send_json({"jobs": service.store.summaries()})
             return
         parts = path.lstrip("/").split("/")
         if len(parts) >= 2 and parts[0] == "jobs":

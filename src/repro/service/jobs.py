@@ -16,6 +16,10 @@ part of the memory that the directory takes on disk.  The index is only
 the truth while its store is the one writer of the directory, which the
 service's root lock guarantees.
 
+The index also holds each record's summary, what ``GET /jobs`` lists: the
+record without its raw points, so a listing decodes no record and does not
+grow with the points the jobs hold.
+
 The record carries the full submission spec, so recovery needs nothing but
 the job file; results are *not* stored here (they live as NPZ payloads next
 door, see :mod:`repro.service.results`), keeping the job files small enough
@@ -133,6 +137,9 @@ class JobStore:
     need it; a done or failed one as the JSON text of its file, deflated,
     and decoded on each read.  A finished job so costs the index about
     30 bytes per raw point (its file: about 460) or 0.3 KB for a grid.
+    Beside each record the index keeps its summary's JSON text
+    (:meth:`summaries`), built from the record's JSON when it is read or
+    saved.
     """
 
     def __init__(self, root: str | Path) -> None:
@@ -141,30 +148,35 @@ class JobStore:
         self._lock = threading.Lock()  # guards the index and the counter
         # by id, in submission order: a record, or a finished one's text
         self._records: dict[str, JobRecord | bytes] = {}
+        # by id, in the same order: the JSON text of each record's summary
+        self._summaries: dict[str, str] = {}
         self._last_index = 0
         for path in sorted(self.root.glob("job-*.json*")):  # quarantined too
             match = _JOB_ID_RE.match(path.name.split(".")[0])
             if match:
                 self._last_index = max(self._last_index, int(match.group(1)))
             if path.suffix == ".json":
-                entry = self._read(path)
-                if entry is not None:
-                    self._records[path.stem] = entry
+                read = self._read(path)
+                if read is not None:
+                    self._records[path.stem], self._summaries[path.stem] = read
 
     def _path(self, job_id: str) -> Path:
         return self.root / f"{job_id}.json"
 
-    def _read(self, path: Path) -> JobRecord | bytes | None:
-        """A record file's index entry, or ``None`` once it is quarantined."""
+    def _read(self, path: Path) -> tuple[JobRecord | bytes, str] | None:
+        """A record file's index entry and summary, or ``None`` once it is
+        quarantined."""
         try:
             text = path.read_text(encoding="utf-8")
-            record = JobRecord.from_json(json.loads(text))
+            payload = json.loads(text)
+            record = JobRecord.from_json(payload)
         except (ValueError, KeyError, TypeError) as exc:
             path.replace(path.with_name(path.name + ".corrupt"))
             _CORRUPT_RECORDS.inc()
             _LOG.warning("quarantined unreadable job record %s: %s", path, exc)
             return None
-        return _entry(record, text)
+        known = {key: value for key, value in payload.items() if key in _FIELDS}
+        return _entry(record, text), _summary(known)
 
     def _unfinished(self, status: str) -> list[JobRecord]:
         """Copies of the unfinished records in ``status``, in id order."""
@@ -199,12 +211,14 @@ class JobStore:
         A failed write raises before the index changes, so the file and the
         index both keep the old state.
         """
-        blob = json.dumps(record.to_json(), sort_keys=True, indent=2)
+        payload = record.to_json()
+        blob = json.dumps(payload, sort_keys=True, indent=2)
         with atomic_file(self._path(record.job_id)) as handle:
             handle.write(blob.encode("utf-8") + b"\n")
-        entry = _entry(record, blob)
+        entry, summary = _entry(record, blob), _summary(payload)
         with self._lock:
             self._records[record.job_id] = entry
+            self._summaries[record.job_id] = summary
 
     def load(self, job_id: str) -> JobRecord | None:
         """A copy of one record, or ``None`` if the id is unknown."""
@@ -220,6 +234,16 @@ class JobStore:
 
     def __len__(self) -> int:
         return len(self._records)
+
+    def summaries(self) -> list[dict[str, Any]]:
+        """Every record's summary, in submission order; decodes no record.
+
+        A summary is the record's JSON with a points submission's raw
+        ``points`` replaced by their count, so it does not grow with them.
+        """
+        with self._lock:
+            texts = list(self._summaries.values())
+        return [json.loads(text) for text in texts]
 
     def pending(self) -> list[JobRecord]:
         """Queued records in submission order — the service's work list."""
@@ -247,6 +271,14 @@ class JobStore:
             self.save(record)
             recovered.append(record)
         return recovered
+
+
+def _summary(payload: Mapping[str, Any]) -> str:
+    """The JSON text of the summary of a record whose JSON is ``payload``."""
+    spec = dict(payload["spec"])
+    if "points" in spec:
+        spec["points"] = len(spec["points"])
+    return json.dumps({**payload, "spec": spec}, sort_keys=True)
 
 
 def _entry(record: JobRecord, text: str) -> JobRecord | bytes:

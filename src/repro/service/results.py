@@ -19,8 +19,9 @@ A payload deflates nothing again, and is written as it goes: a
 ``__mode__`` member followed by the deflated members copied out of its
 cache entry (:func:`~repro.engine.cache.encode_entry` bytes), so a job
 appends each shard's entries as the shard ends and holds no more than one
-shard of them.  Both files deflate the same ``.npy`` bytes the same way, so
-the bytes equal those of ``np.savez_compressed(**outcome_arrays(results))``.
+shard of them.  Both files deflate the same ``.npy`` bytes the same way,
+and the entry's stamp (its archive comment) is not copied, so the bytes
+equal those of ``np.savez_compressed(**outcome_arrays(results))``.
 :func:`save_result_npz` is the same writer run over a list of results.
 """
 
@@ -79,7 +80,8 @@ def _copy_members(
 ) -> None:
     """Append an NPZ entry's deflated members, renamed under ``prefix``, to
     ``archive`` (which writes to ``handle``), each under a zip64 local
-    header as ``np.savez_compressed`` writes them."""
+    header as ``np.savez_compressed`` writes them; the entry's archive
+    comment, its stamp, stays behind."""
     with zipfile.ZipFile(io.BytesIO(entry)) as source:
         members = source.infolist()
     for member in members:

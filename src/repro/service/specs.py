@@ -25,7 +25,7 @@ import json
 from dataclasses import dataclass, field, fields
 from typing import Any, Mapping, Sequence
 
-from ..backends import SimulationConfig
+from ..backends import SimulationConfig, get_backend
 from ..engine import MAX_POINT_TASKS, build_grid, grid_mode
 from ..engine.codec import config_from_json, config_to_json
 
@@ -134,11 +134,14 @@ class SweepJobSpec:
         """Materialise the submission into ``(configs, backend mode)``.
 
         Raises ``KeyError``/``ValueError`` on an unknown grid, a bad
-        override, an invalid config, or a point asking for more than
-        :data:`~repro.engine.MAX_POINT_TASKS` task times — submission-time
-        validation, so a client learns about a bad job synchronously instead
-        of through a ``failed`` status.  A ``vectorized`` submission of
-        ``monte-carlo`` points resolves to ``monte-carlo-max``.
+        override, an invalid config, a point asking for more than
+        :data:`~repro.engine.MAX_POINT_TASKS` task times, or a point that
+        the mode's backend refuses (its
+        :meth:`~repro.backends.SimulationBackend.check`, which draws
+        nothing) — submission-time validation, so a client learns about a
+        bad job synchronously instead of through a ``failed`` status.  A
+        ``vectorized`` submission of ``monte-carlo`` points resolves to
+        ``monte-carlo-max``.
         """
         if self.kind == "grid":
             assert self.grid is not None
@@ -149,6 +152,7 @@ class SweepJobSpec:
             configs, mode = list(self.points), self.mode
         if self.executor == "vectorized" and mode == "monte-carlo":
             mode = "monte-carlo-max"
+        backend = get_backend(mode)
         for index, config in enumerate(configs):
             tasks = config.num_jobs * config.workstations
             if tasks > MAX_POINT_TASKS:
@@ -157,6 +161,10 @@ class SweepJobSpec:
                     f"(num_jobs {config.num_jobs} x W {config.workstations}); "
                     f"a point may hold at most {MAX_POINT_TASKS}"
                 )
+            try:
+                backend.check(config)
+            except ValueError as exc:
+                raise ValueError(f"point {index}: {exc}") from None
         return configs, mode
 
     def to_json(self) -> dict[str, Any]:

@@ -624,10 +624,11 @@ class TestSchemaFourCache:
         # 4 introduced the admission fields; 5 added trace-driven owners and
         # the backend-owned NPZ layouts; 6 canonicalized the mode so
         # event-kernel results alias the oracle fingerprints; 7 walks the
-        # payload off the spec dataclasses.  Pinned exactly: changing the
+        # payload off the spec dataclasses; 8 stamps each entry with the
+        # CRC-32 of its bytes.  Pinned exactly: changing the
         # fingerprint payload without bumping the schema must fail here, so
         # stale entries can never silently replay.
-        assert CACHE_VERSION == 7
+        assert CACHE_VERSION == 8
 
     def test_admission_fields_enter_fingerprint(self):
         base = _classed_config((JobClassSpec("narrow", width=2),))

@@ -59,9 +59,9 @@ class TestCacheSchemaV2:
         # admission subsystem (job classes, admission policy); schema 5
         # trace-driven owners and the backend-owned NPZ layouts; schema 6 the
         # canonical mode that aliases event-kernel entries to the oracles';
-        # schema 7 the payload walked off the spec dataclasses.
-        # Pinned exactly so a fingerprint-payload change must bump the schema.
-        assert CACHE_VERSION == 7
+        # schema 7 the payload walked off the spec dataclasses; schema 8 the
+        # entry's CRC-32 stamp.  Pinned exactly so a fingerprint-payload change must bump the schema.
+        assert CACHE_VERSION == 8
 
     def test_schema_history_is_the_source_of_truth(self):
         from repro.engine import SCHEMA_HISTORY

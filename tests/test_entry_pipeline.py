@@ -4,9 +4,12 @@ streamed payload.
 * A cache entry that fails its check — truncated, missing a member, a
   reserved deflate block type, a flipped bit only the CRC sees, a sample
   count that contradicts its config, a directory record that zipfile
-  cannot open — is a miss: the point is resimulated,
+  cannot open, a flipped attribute bit that only the entry's stamp sees —
+  is a miss: the point is resimulated,
   through the library runner and through a service job alike, and the
   job's payload still equals the library run's bytes.
+* No single flipped bit of an entry passes the check, and an entry without
+  a stamp is a miss.
 * A job's traced memory does not grow with its point count.
 * A killed service leaves no pool worker behind.
 """
@@ -33,7 +36,12 @@ import pytest
 import repro
 from repro.backends import run_simulation
 from repro.engine import ResultCache, SweepRunner, build_grid, grid_mode
-from repro.engine.cache import encode_entry
+from repro.engine.cache import (
+    _ENTRY_ERRORS,
+    _check_entry,
+    encode_entry,
+    result_arrays,
+)
 from repro.obs import REGISTRY
 from repro.service import SweepService, save_result_npz
 
@@ -144,6 +152,8 @@ CORRUPTIONS = {
     # zipfile refuses these with RuntimeError / NotImplementedError
     "encrypted-flag": _directory_flip(8),
     "compression-method": _directory_flip(10),  # 8 -> 9, deflate64
+    # zipfile reads it and the members inflate: only the stamp sees it
+    "external-attributes": _directory_flip(38),
 }
 
 
@@ -188,6 +198,59 @@ class TestCorruptEntryIsAMiss:
         library = SweepRunner(jobs=1).run(_grid(), mode=MODE)
         expected = save_result_npz(tmp_path / "library.npz", library.results)
         assert payload.read_bytes() == expected.read_bytes()
+
+
+class TestTheStamp:
+    def test_no_single_bit_flip_passes_the_check(self, tmp_path):
+        # fig01 at W=2, U=0.1 and num_jobs 40: an 837-byte entry
+        (config,) = build_grid(
+            GRID, workstation_counts=(2,), utilizations=(0.1,), num_jobs=40
+        )
+        cache = ResultCache(tmp_path / "cache")
+        SweepRunner(jobs=1, cache=cache).run([config], mode=MODE)
+        path = cache.path_for(config, MODE)
+        entry = path.read_bytes()
+        _check_entry(config, entry)
+        passed = []
+        for bit in range(len(entry) * 8):
+            flipped = bytearray(entry)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            try:
+                _check_entry(config, bytes(flipped))
+            except _ENTRY_ERRORS:
+                continue
+            passed.append(bit)
+        assert passed == []
+        # through the cache, one flip in every 32 bytes: deleted and counted
+        offsets = [*range(0, len(entry), 32), len(entry) - 1]
+        before = _corrupt_evictions()
+        for offset in offsets:
+            flipped = bytearray(entry)
+            flipped[offset] ^= 1
+            path.write_bytes(bytes(flipped))
+            assert cache.read_entry(config, MODE) is None
+            assert not path.exists()
+        assert _corrupt_evictions() - before == len(offsets)
+
+    def test_an_unstamped_entry_is_a_miss_then_rewritten(self, tmp_path):
+        # what np.savez_compressed writes, as a cache without stamps did
+        config = _grid()[1]
+        cache = ResultCache(tmp_path / "cache")
+        path = cache.path_for(config, MODE)
+        np.savez_compressed(path, **result_arrays(run_simulation(config, MODE)))
+        unstamped = path.read_bytes()
+        runner = SweepRunner(jobs=1, cache=cache)
+        before = _corrupt_evictions()
+        first = runner.run([config], mode=MODE)
+        assert first.simulated == 1 and first.cache_hits == 0
+        assert _corrupt_evictions() - before == 1
+        entry = path.read_bytes()
+        assert entry == first.entries[0]
+        assert entry[-8:] == b"%08x" % zlib.crc32(entry[:-8])
+        assert entry[:-10] + b"\0\0" == unstamped
+        second = runner.run([config], mode=MODE)
+        assert second.simulated == 0 and second.cache_hits == 1
+        assert second.entries == [entry]
 
 
 class TestNoArrayReachesTheService:

@@ -891,6 +891,33 @@ class TestJobIndex:
         assert [r.to_json() for r in store] == [r.to_json() for r in records]
 
 
+    def test_the_listing_does_not_grow_with_the_points(self, live):
+        # A root of 1 000 finished raw-points jobs, of 1 and then of 2 points
+        # each: GET /jobs lists summaries, whose points are a count, so the
+        # listing keeps its size; GET /jobs/<id> keeps the full record.
+        service, client = live
+        point = build_grid(GRID, num_jobs=40)[0]
+        sizes = {}
+        for count in (1, 2):
+            spec = SweepJobSpec.for_points([point] * count, grid_mode(GRID))
+            for index in range(1, 1001):
+                service.store.save(
+                    JobRecord(
+                        job_id=f"job-{index:06d}-00000000",
+                        spec=spec,
+                        status="done",
+                        total_points=count,
+                        submitted_at=1.0,
+                    )
+                )
+            sizes[count] = len(client._request("/jobs"))
+            summaries = client.jobs()
+            assert len(summaries) == 1000
+            assert {summary.spec["points"] for summary in summaries} == {count}
+            full = client.status(summaries[-1].job_id)
+            assert full.spec.points == (point,) * count
+        assert sizes[2] == sizes[1], sizes
+
     def test_health_lists_no_directory(self, live, monkeypatch):
         # Counted, not timed: /health answers from the job index and does
         # not list the cache (or any directory), however many entries it

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import zlib
 
 import numpy as np
 import pytest
@@ -27,6 +28,13 @@ def savez_bytes(arrays) -> bytes:
     buffer = io.BytesIO()
     np.savez_compressed(buffer, **arrays)
     return buffer.getvalue()
+
+
+def unstamped(entry: bytes) -> bytes:
+    """An entry without its stamp: the end record's comment length back to
+    0 and the 8 comment bytes dropped, so what ``np.savez_compressed``
+    writes for the same arrays."""
+    return entry[:-10] + b"\0\0"
 
 
 def _trace_owner_points() -> list[SimulationConfig]:
@@ -62,8 +70,9 @@ PAYLOAD_POINTS = {
     "trace-owner": lambda: (_trace_owner_points(), "event-driven"),
 }
 
-#: sha256 of ``encode_entry`` for point 0 of three kinds, computed when each
-#: backend still wrote its entry by hand: the entry bytes of cache schema 7.
+#: sha256 of ``encode_entry`` for point 0 of three kinds, its stamp removed
+#: (:func:`unstamped`), computed when each backend still wrote its entry by
+#: hand: the entry bytes of cache schema 7.
 ENTRY_SHA256 = {
     "closed": "f91f1cf8ee9fdcdece7b39d3194c6f95882467a15c005fee455b007822d19d56",
     "open-admission": "6c353d691c1a7e1a8c3ffd8be7ac00a800222a0d79805d5b490414cb65cffcb4",
@@ -154,21 +163,24 @@ class TestResultPayloads:
 
     @pytest.mark.parametrize("kind", sorted(PAYLOAD_POINTS))
     def test_entry_is_savez_of_the_serialized_arrays(self, kind, tmp_path):
-        # The entry bytes are the schema-7 cache files: pinning them to the
-        # result's arrays keeps existing caches replaying.
+        # Apart from its stamp an entry is the savez file of its arrays, so
+        # the payload can copy its members as numpy would have written them.
         configs, mode = PAYLOAD_POINTS[kind]()
         cache = ResultCache(tmp_path)
         outcome = SweepRunner(jobs=1, cache=cache).run(configs, mode=mode)
         for config, result, entry in zip(configs, outcome, outcome.entries):
             arrays = result_arrays(result)
-            assert entry == encode_entry(result) == savez_bytes(arrays)
+            assert entry == encode_entry(result)
+            assert unstamped(entry) == savez_bytes(arrays)
             assert cache.path_for(config, result.mode).read_bytes() == entry
 
     @pytest.mark.parametrize("kind", sorted(ENTRY_SHA256))
     def test_entry_bytes_are_pinned(self, kind):
         configs, mode = PAYLOAD_POINTS[kind]()
         (result,) = SweepRunner(jobs=1).run(configs[:1], mode=mode)
-        digest = hashlib.sha256(encode_entry(result)).hexdigest()
+        entry = encode_entry(result)
+        assert entry[-8:] == b"%08x" % zlib.crc32(entry[:-8])
+        digest = hashlib.sha256(unstamped(entry)).hexdigest()
         assert digest == ENTRY_SHA256[kind]
 
     @pytest.mark.parametrize("kind", sorted(PAYLOAD_POINTS))

@@ -78,6 +78,39 @@ def test_a_deeply_nested_body_is_refused(queued, capsys, body):
     assert capsys.readouterr().err == ""
 
 
+_CLOSED_POINT = config_to_json(build_grid("fig01", num_jobs=40)[0])
+_WIDE_CLASS = config_to_json(build_grid("admission-sweep", num_jobs=40)[0])
+_WIDE_CLASS["scenario"]["arrivals"]["job_classes"][1]["width"] = 9  # of 8
+
+#: A mode and a point that its backend refuses: each was accepted and
+#: failed when its job ran.
+REFUSED_POINTS = {
+    "negative-seed": ("monte-carlo", dict(_CLOSED_POINT, seed=-1)),
+    "trial-count-beyond-int64": (
+        "monte-carlo", dict(_CLOSED_POINT, task_demand=1e308)
+    ),
+    "fractional-trial-count": ("monte-carlo", dict(_CLOSED_POINT, task_demand=10.5)),
+    "open-point": (
+        "monte-carlo", config_to_json(build_grid("arrival-sweep", num_jobs=40)[0])
+    ),
+    "class-wider-than-the-cluster": ("open-system", _WIDE_CLASS),
+    "class-wider-than-the-kernel-cluster": ("event-kernel", _WIDE_CLASS),
+}
+
+
+@pytest.mark.parametrize(
+    ("mode", "point"), REFUSED_POINTS.values(), ids=REFUSED_POINTS.keys()
+)
+def test_a_point_the_backend_refuses_is_refused(queued, capsys, mode, point):
+    service, port = queued
+    body = {"mode": mode, "points": [point]}
+    status, answer = _post(port, json.dumps(body).encode())
+    assert status == 400, answer
+    assert json.loads(answer)["error"].startswith("bad submission")
+    assert len(service.store) == 0
+    assert capsys.readouterr().err == ""
+
+
 # -- generated bodies ---------------------------------------------------------
 
 _POINTS = [
