@@ -45,7 +45,7 @@ def test_des_kernel_event_throughput(benchmark):
                     try:
                         yield env.timeout(remaining)
                         remaining = 0
-                    except Interrupt:  # simlint: ignore[SL003] - preempt-resume kernel
+                    except Interrupt:
                         remaining -= env.now - start
 
         def owner(env):

@@ -17,6 +17,7 @@ built-in back-ends.
 """
 
 from .base import (
+    MAX_POINT_TASKS,
     SimulationBackend,
     SimulationConfig,
     SimulationMode,
@@ -46,6 +47,7 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
+    "MAX_POINT_TASKS",
     "SimulationBackend",
     "SimulationConfig",
     "SimulationMode",

@@ -49,6 +49,7 @@ from ..desim import StreamRegistry
 from ..stats import BatchMeansResult, batch_means_interval
 
 __all__ = [
+    "MAX_POINT_TASKS",
     "SimulationConfig",
     "SimulationResult",
     "SimulationBackend",
@@ -390,6 +391,14 @@ def _reject_open_scenario(scenario: ScenarioSpec, mode: str) -> None:
 
 #: The largest binomial trial count numpy draws.
 _MAX_TRIALS = 2**63 - 1
+
+#: Most task times (``num_jobs * W``) one submitted point may ask for, 160 MB
+#: of float64: ten times the largest registered default point
+#: (``validation``, 20 000 jobs on 100 workstations).  The service refuses a
+#: larger point at submission (:meth:`repro.service.SweepJobSpec.resolve`),
+#: and :func:`repro.engine.build_grid` before it builds a station.  It also
+#: bounds the ``monte-carlo-max`` backend's inverse-CDF tables.
+MAX_POINT_TASKS = 20_000_000
 
 
 def _integral_task_demand(task_demand: float, mode: str) -> None:

@@ -19,7 +19,13 @@ from collections import Counter
 import numpy as np
 
 from ..core.distributions import binomial_cdf
-from .base import SimulationResult, _ClosedFormBackend, register_backend
+from .base import (
+    MAX_POINT_TASKS,
+    SimulationConfig,
+    SimulationResult,
+    _ClosedFormBackend,
+    register_backend,
+)
 
 __all__ = ["MonteCarloMaxSampler", "MonteCarloSampler"]
 
@@ -86,6 +92,22 @@ class MonteCarloMaxSampler(_ClosedFormBackend):
     """
 
     name = "monte-carlo-max"
+
+    @classmethod
+    def check(cls, config: SimulationConfig) -> None:
+        """Also refuse a point whose inverse-CDF tables, ``T + 1`` floats for
+        each distinct non-zero request probability, would hold more than
+        :data:`~repro.backends.base.MAX_POINT_TASKS` entries."""
+        super().check(config)
+        stations = config.effective_scenario.stations
+        tables = len({station.request_probability for station in stations} - {0.0})
+        entries = (int(config.task_demand) + 1) * tables
+        if entries > MAX_POINT_TASKS:
+            raise ValueError(
+                f"the {cls.name} backend would build {tables} inverse-CDF "
+                f"table(s) of T + 1 = {int(config.task_demand) + 1} entries; "
+                f"a point's tables may hold at most {MAX_POINT_TASKS}"
+            )
 
     def run(self) -> SimulationResult:
         """Sample ``num_jobs`` job times and one task time per job."""

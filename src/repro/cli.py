@@ -205,36 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
 
-    lint_parser = subparsers.add_parser(
-        "lint",
-        help=(
-            "statically check the domain invariants (determinism, interrupt "
-            "safety, registry dispatch, NPZ symmetry, kernel and telemetry "
-            "layering)"
-        ),
-    )
-    lint_parser.add_argument(
-        "paths", nargs="*", default=["src"],
-        help="files or directories to lint (default: src)",
-    )
-    lint_parser.add_argument(
-        "--select", default=None,
-        help="comma-separated rule ids to run (default: all registered rules)",
-    )
-    lint_parser.add_argument(
-        "--ignore", default=None,
-        help="comma-separated rule ids to skip",
-    )
-    lint_parser.add_argument(
-        "--format", dest="report_format", default="text",
-        choices=("text", "json"),
-        help="report format (json is the CI artifact form)",
-    )
-    lint_parser.add_argument(
-        "--list-rules", action="store_true",
-        help="list the registered rules and exit",
-    )
-
     serve_parser = subparsers.add_parser(
         "serve",
         help=(
@@ -434,25 +404,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             count = export_chrome_trace(jsonl_path, args.trace)
             print(f"trace: {count} events -> {args.trace} (raw spans: {jsonl_path})")
         return 0
-
-    if args.command == "lint":
-        from .lint import all_rules, format_findings, run_lint
-
-        if args.list_rules:
-            for rule in all_rules():
-                print(f"{rule.rule_id}  {rule.summary}")
-            return 0
-        try:
-            findings = run_lint(
-                args.paths,
-                select=args.select.split(",") if args.select else None,
-                ignore=args.ignore.split(",") if args.ignore else None,
-            )
-        except (FileNotFoundError, ValueError) as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        sys.stdout.write(format_findings(findings, args.report_format))
-        return 1 if findings else 0
 
     if args.command == "metrics":
         if args.url:

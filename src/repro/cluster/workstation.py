@@ -80,7 +80,7 @@ class Workstation:
         self.executions: list[TaskExecution] = []
         #: Generic observer hook ``tap(kind, sim_time, **details)`` (``None``
         #: by default).  The telemetry layer is wired in by the *backend*
-        #: (never imported here — lint rule SL007); set it before
+        #: (never imported here, a tier-1 test checks); set it before
         #: :meth:`start_owner` so the owner generator sees it too.  Taps are
         #: pure observers: no randomness, no event reordering.
         self.tap: Callable[..., None] | None = None

@@ -372,7 +372,15 @@ class StreamRegistry:
         self._spawned = 0
 
     def stream(self, name: str) -> np.random.Generator:
-        """Return (creating on first use) the stream with the given name."""
+        """Return (creating on first use) the stream with the given name.
+
+        A registry's n-th new stream is its n-th spawned child, whatever its
+        name: the name only finds the stream again.  So
+        ``StreamRegistry(5).stream("monte-carlo")`` and
+        ``StreamRegistry(5).stream("monte-carlo-batch")`` draw the same
+        uniforms, and two backends run at one seed draw correlated samples.
+        Use :meth:`derive_seed` for streams that must depend on a name.
+        """
         if name not in self._streams:
             child = self._seed_sequence.spawn(1)[0]
             self._streams[name] = np.random.default_rng(child)

@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable
 
-from ..backends import SimulationConfig, get_backend
+from ..backends import MAX_POINT_TASKS, SimulationConfig, get_backend
 from ..cluster.admission import ADMISSION_POLICY_NAMES
 from ..cluster.policies import POLICY_NAMES
 from ..core.heterogeneous import concentrated_utilizations
@@ -63,13 +63,6 @@ __all__ = [
 #: Most points one grid may have: the five-digit ``point%05d`` namespace of
 #: a job payload (:mod:`repro.service.results`).
 MAX_GRID_POINTS = 100_000
-
-#: Most task times (``num_jobs * W``) one submitted point may ask for, 160 MB
-#: of float64: ten times the largest registered default point
-#: (``validation``, 20 000 jobs on 100 workstations).  The service refuses a
-#: larger point at submission (:meth:`repro.service.SweepJobSpec.resolve`),
-#: and :func:`build_grid` before it builds a station.
-MAX_POINT_TASKS = 20_000_000
 
 
 def saturation_rate(utilization: float, task_demand: float) -> float:

@@ -69,8 +69,8 @@ Stations whose demand also draws (or trace replays) fall back to scalar
 sampling in the exact interleaved order.
 
 This module deliberately imports no :mod:`repro.desim` generator machinery
-(enforced by simlint rule SL006) and nothing from :mod:`repro.backends`
-(avoids an import cycle; the backend adapter lives in
+(checked by ``tests/test_invariants.py``) and nothing from
+:mod:`repro.backends` (avoids an import cycle; the backend adapter lives in
 :mod:`repro.kernel.backend`).
 """
 
@@ -361,9 +361,9 @@ class EventKernel:
     ``tap(kind, sim_time, **details)``, invoked at each scheduling decision
     (owner arrivals, preemptions, migrations, admissions).  The kernel never
     imports the telemetry layer — the backend wires an installed
-    :class:`repro.obs.SimEventTap` in (lint rule SL007 enforces the
-    direction).  Taps observe only: they draw no randomness and reorder no
-    events, so a tapped run stays bitwise-identical.
+    :class:`repro.obs.SimEventTap` in (``tests/test_invariants.py`` checks
+    the direction).  Taps observe only: they draw no randomness and reorder
+    no events, so a tapped run stays bitwise-identical.
     """
 
     __slots__ = ("_heap", "tap")

@@ -16,10 +16,10 @@ traced, tapped run is bitwise-identical to a bare one — pinned in tests):
     (owner arrivals, preemptions, migrations, admissions) into the same
     trace stream — the first event-by-event policy debugging tool.
 
-Layering (enforced by lint rule SL007): engine, service and backend modules
-may import ``repro.obs``; the bitwise-pinned cores — ``repro.desim``, the
-kernel's agenda and state machines — never do.  They expose bare ``tap``
-hooks instead, which the backends wire up.
+Layering (checked by ``tests/test_invariants.py``): engine, service and
+backend modules may import ``repro.obs``; the bitwise-pinned cores —
+``repro.desim``, the kernel's agenda and state machines — never do.  They
+expose bare ``tap`` hooks instead, which the backends wire up.
 """
 
 from .chrome_trace import export_chrome_trace, read_trace_events, to_chrome_trace

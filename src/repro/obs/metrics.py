@@ -9,8 +9,8 @@ snapshot as Prometheus exposition text (:mod:`repro.obs.prometheus`).
 Design constraints, in order:
 
 * **Pure observer.**  Nothing in this module touches the simulation's random
-  streams or its event ordering; metrics can never perturb a result.  (The
-  SL007 lint rule keeps this module out of the bitwise-pinned hot loops
+  streams or its event ordering; metrics can never perturb a result.  (A
+  tier-1 test keeps this module out of the bitwise-pinned hot loops
   entirely.)
 * **Thread-safe.**  The service mutates metrics from its worker thread while
   HTTP handler threads render snapshots; every mutation and every snapshot

@@ -16,7 +16,7 @@ array :class:`~repro.kernel.machine.EventKernel` — expose a *generic* hook
                     requeued with its full demand
 ==================  ====================================================
 
-The hot loops never import this module (enforced by lint rule SL007); the
+The hot loops never import this module (a tier-1 test checks it); the
 *backends* wire an installed :class:`SimEventTap` into them per run.  Taps
 are pure observers: they draw no randomness and change no event ordering, so
 a tapped run is bitwise-identical to an untapped one (pinned in tests).

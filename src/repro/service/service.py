@@ -23,8 +23,9 @@ id is minted), persisted as ``queued`` records, and executed by a single
 background worker thread that drains the queue in submission order, so no
 two jobs race on the cache or the process pool.  Each job runs in
 :data:`SHARD_SIZE`-point shards, one :meth:`SweepRunner.run` across the
-runner's *process* pool per shard; the record is saved after every shard,
-so progress streams to pollers and a crash loses at most one shard.
+runner's *process* pool per shard; the record is saved after every shard
+but the last, whose counters the ``done`` (or ``failed``) save carries, so
+progress streams to pollers and a crash loses at most one shard.
 
 A job moves bytes, not arrays.  Its payload is opened when the job starts
 (:func:`~repro.service.results.open_payload`) and each shard's cache
@@ -271,7 +272,10 @@ class SweepService:
                             len(starts) - number
                         )
                         _ETA_SECONDS.set(record.eta_seconds)
-                        self.store.save(record)
+                        # The done or failed save below carries the last
+                        # shard's counters.
+                        if number < len(starts):
+                            self.store.save(record)
                     with trace_span("payload", cat="service", points=payload.points):
                         payload.close()
             record.result_file = result_file

@@ -1,7 +1,6 @@
 """Tests for the admission & space-sharing subsystem: job classes, admission
 policies, closed-loop sources, the pinned full-width FCFS reduction, cache
 schema 4, the admission-sweep grid, experiments and the CLI."""
-# simlint: ignore-file[SL004] - unit tests drive the concrete backend directly
 
 from __future__ import annotations
 

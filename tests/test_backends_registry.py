@@ -5,7 +5,6 @@ reproduces direct backend
 construction **bitwise** for every mode, and every registered backend's
 result round-trips bitwise through :class:`~repro.engine.ResultCache`.
 """
-# simlint: ignore-file[SL004] - these tests exercise the registry internals themselves
 
 from __future__ import annotations
 

@@ -1,5 +1,4 @@
 """Tests for the three cluster-simulation back-ends and their agreement."""
-# simlint: ignore-file[SL004] - backend unit tests instantiate the concrete classes
 
 from __future__ import annotations
 

@@ -295,7 +295,7 @@ class TestInterrupts:
                 try:
                     yield env.timeout(remaining)
                     remaining = 0
-                except Interrupt:  # simlint: ignore[SL003] - deliberate preempt-resume
+                except Interrupt:
                     remaining -= env.now - start
             log.append(env.now)
 

@@ -195,7 +195,7 @@ class TestPreemptiveResource:
                 yield req
                 try:
                     yield env.timeout(5)
-                except Interrupt:  # simlint: ignore[SL003] - deliberate preempt-resume
+                except Interrupt:
                     preemptions.append(env.now)
 
         def second(env):
@@ -219,7 +219,7 @@ class TestPreemptiveResource:
                 yield req
                 try:
                     yield env.timeout(5)
-                except Interrupt:  # simlint: ignore[SL003] - deliberate preempt-resume
+                except Interrupt:
                     preemptions.append(env.now)
 
         def polite_high(env):
@@ -277,7 +277,7 @@ class TestPreemptiveResource:
                     try:
                         yield env.timeout(remaining)
                         remaining = 0
-                    except Interrupt:  # simlint: ignore[SL003] - deliberate preempt-resume
+                    except Interrupt:
                         remaining -= env.now - start
             done.append(env.now)
 

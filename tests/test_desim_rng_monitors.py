@@ -115,6 +115,13 @@ class TestStreamRegistry:
         b = StreamRegistry(2).stream("s").random(5)
         assert not np.allclose(a, b)
 
+    def test_a_stream_is_its_creation_rank_not_its_name(self):
+        # The first stream of each backend draws the same uniforms at one
+        # seed; changing that would move every pinned sample.
+        a = StreamRegistry(5).stream("monte-carlo").random(3)
+        b = StreamRegistry(5).stream("monte-carlo-batch").random(3)
+        np.testing.assert_array_equal(a, b)
+
 
 class TestTimeWeightedMonitor:
     def test_time_average(self):

@@ -117,7 +117,7 @@ class TestKernelFailureInjection:
         def consumer(env):
             try:
                 yield store.get()
-            except Interrupt:  # simlint: ignore[SL003] - deliberate preempt-resume
+            except Interrupt:
                 outcomes.append("interrupted")
 
         def interrupter(env, victim):
@@ -139,7 +139,7 @@ class TestKernelFailureInjection:
                 yield req
                 try:
                     yield env.timeout(10)
-                except Interrupt:  # simlint: ignore[SL003] - deliberate preempt-resume
+                except Interrupt:
                     preemptions.append(name)
 
         def high(env):

@@ -1,13 +1,14 @@
-"""Regression tests for the true positives the simlint pass flagged.
+"""Regression tests for two true positives the static checks once found.
 
-Each test pins the *behavioural* consequence of a finding the linter caught
-in the shipped tree, so the fixes cannot quietly revert:
+Each test pins the *behavioural* consequence of a finding in the shipped
+tree, so the fixes cannot quietly revert (``tests/test_invariants.py``
+holds the checks themselves):
 
-* SL003 — ``owner_process`` used to swallow an ``Interrupt`` with a bare
-  ``except Interrupt: pass``; a killed owner would resume as if nothing
-  happened.  It must now propagate the interrupt while still closing its
-  busy monitor.
-* SL004 — the sweep runner's group-sampling path called
+* a swallowed ``Interrupt`` — ``owner_process`` used to swallow one with a
+  bare ``except Interrupt: pass``; a killed owner would resume as if
+  nothing happened.  It must now propagate the interrupt while still
+  closing its busy monitor.
+* a registry bypass — the sweep runner's group-sampling path called
   ``MonteCarloSampler.run_batch`` on the class, which ignored replacement
   backends registered under the same mode.  The direct sampler is now the
   ``monte-carlo-max`` backend, and the runner must dispatch to whatever is
@@ -38,7 +39,7 @@ from repro.engine import SweepRunner
 
 
 class TestOwnerInterruptPropagation:
-    """SL003 regression: a killed owner must not resume silently."""
+    """A killed owner must not resume silently."""
 
     def _env_with_owner(self):
         env = Environment()
@@ -47,7 +48,7 @@ class TestOwnerInterruptPropagation:
             OwnerSpec(demand=10.0, request_probability=1.0)
         )
         monitor = TimeWeightedMonitor("owner-busy")
-        rng = np.random.default_rng(0)  # seeded: fine under SL001
+        rng = np.random.default_rng(0)  # seeded, so it descends from one seed
         proc = env.process(owner_process(env, cpu, behavior, rng, monitor))
         return env, proc, monitor
 
@@ -90,7 +91,7 @@ class TestOwnerInterruptPropagation:
 
 
 class TestRunBatchRegistryDispatch:
-    """SL004 regression: the direct sampler honours replacement backends."""
+    """The direct sampler honours replacement backends."""
 
     def _configs(self):
         return [

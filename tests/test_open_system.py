@@ -1,6 +1,5 @@
 """Tests for the open-system (job-stream) mode: arrival specs, the simulator,
 queueing metrics, the M/M/1 cross-check, caching and the arrival-sweep grid."""
-# simlint: ignore-file[SL004] - unit tests drive the concrete backend directly
 
 from __future__ import annotations
 

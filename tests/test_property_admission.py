@@ -16,7 +16,6 @@ check the subsystem's invariants:
 5. **Completion** — every arrival eventually completes with
    ``arrival <= start <= end``, even under preemptive kill-and-requeue.
 """
-# simlint: ignore-file[SL004] - unit tests drive the concrete backend directly
 
 from __future__ import annotations
 

@@ -71,7 +71,7 @@ class TestKernelProperties:
                         yield env.timeout(remaining)
                         received += remaining
                         remaining = 0.0
-                    except Interrupt:  # simlint: ignore[SL003] - deliberate preempt-resume
+                    except Interrupt:
                         received += env.now - start
                         remaining -= env.now - start
             busy_time.append(received)

@@ -843,8 +843,9 @@ class TestJobIndex:
             service.close()
         assert record.status == "done" and record.shards_total == 1
         assert reads == []
-        # queued (once, with its totals), running, its one shard, done
-        assert writes == [f"{record.job_id}.json"] * 4
+        # queued (once, with its totals), running, done: the done save
+        # carries the counters of the last (here the only) shard
+        assert writes == [f"{record.job_id}.json"] * 3
 
     def test_reads_are_copies_taken_at_a_save(self, tmp_path):
         store = JobStore(tmp_path)

@@ -129,14 +129,19 @@ class TestJobShards:
             save(record)
 
         monkeypatch.setattr(service.store, "save", spy)
-        service.submit_grid("fig01", SMALL_GRID)
+        record = service.submit_grid("fig01", SMALL_GRID)
         service.run_pending()
-        assert seen == [(0, 0, 0), (1, 2, 2), (2, 4, 4)]
+        # No running save after the last shard: the done save carries it.
+        assert seen == [(0, 0, 0), (1, 2, 2)]
+        done = service.status(record.job_id)
+        assert (done.shards_completed, done.points_completed, done.simulated) == (2, 4, 4)
         # Resubmission: the shared cache serves every shard, nothing simulates.
         seen.clear()
-        service.submit_grid("fig01", SMALL_GRID)
+        record = service.submit_grid("fig01", SMALL_GRID)
         service.run_pending()
-        assert seen == [(0, 0, 0), (1, 2, 0), (2, 4, 0)]
+        assert seen == [(0, 0, 0), (1, 2, 0)]
+        done = service.status(record.job_id)
+        assert (done.shards_completed, done.points_completed, done.simulated) == (2, 4, 0)
 
 
 class TestResultPayloads:

@@ -10,12 +10,13 @@ from __future__ import annotations
 import http.client
 import json
 import threading
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backends import backend_names
+from repro.backends import MAX_POINT_TASKS, backend_names, get_backend
 from repro.engine import GRID_NAMES, build_grid
 from repro.service import EXECUTORS, SweepService, config_to_json, make_server
 
@@ -109,6 +110,40 @@ def test_a_point_the_backend_refuses_is_refused(queued, capsys, mode, point):
     assert json.loads(answer)["error"].startswith("bad submission")
     assert len(service.store) == 0
     assert capsys.readouterr().err == ""
+
+
+#: A closed point of T = 2**62: a direct-sampler table of it would hold
+#: 2**62 + 1 floats.
+_HUGE_TABLE_POINT = dict(_CLOSED_POINT, task_demand=2**62)
+
+
+@pytest.mark.parametrize(
+    ("fields", "expected"),
+    [
+        ({"mode": "monte-carlo-max"}, 400),
+        ({"mode": "monte-carlo", "executor": "vectorized"}, 400),
+        # monte-carlo builds no table (the queued job never runs)
+        ({"mode": "monte-carlo"}, 201),
+    ],
+    ids=["monte-carlo-max", "vectorized", "monte-carlo"],
+)
+def test_a_point_beyond_the_direct_samplers_tables_is_refused(
+    queued, capsys, fields, expected
+):
+    service, port = queued
+    body = {**fields, "points": [_HUGE_TABLE_POINT]}
+    status, answer = _post(port, json.dumps(body).encode())
+    assert status == expected, answer
+    assert len(service.store) == (1 if expected == 201 else 0)
+    assert capsys.readouterr().err == ""
+
+
+def test_a_point_at_the_table_bound_passes_the_check():
+    config = build_grid("fig01", num_jobs=40)[0]
+    check = get_backend("monte-carlo-max").check
+    check(replace(config, task_demand=MAX_POINT_TASKS - 1))  # not run
+    with pytest.raises(ValueError, match="inverse-CDF"):
+        check(replace(config, task_demand=MAX_POINT_TASKS))
 
 
 # -- generated bodies ---------------------------------------------------------
