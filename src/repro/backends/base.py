@@ -36,7 +36,6 @@ import numpy as np
 
 from ..cluster.admission import make_admission_policy
 from ..cluster.policies import make_policy
-from ..core.analytical import evaluate_inputs
 from ..core.params import (
     STATIC_POLICY,
     ModelInputs,
@@ -50,15 +49,14 @@ from ..stats import BatchMeansResult, batch_means_interval
 
 __all__ = [
     "MAX_POINT_TASKS",
+    "MAX_WORKSTATIONS",
     "SimulationConfig",
     "SimulationResult",
     "SimulationBackend",
-    "SimulationMode",
     "register_backend",
     "get_backend",
     "backend_names",
     "run_simulation",
-    "validate_against_analysis",
 ]
 
 
@@ -400,6 +398,12 @@ _MAX_TRIALS = 2**63 - 1
 #: bounds the ``monte-carlo-max`` backend's inverse-CDF tables.
 MAX_POINT_TASKS = 20_000_000
 
+#: Most workstations one submitted point may have: 100 times the largest
+#: ``W`` of the paper and of every registered grid.  A point's fingerprint
+#: and a scenario grid's walk build one station record per workstation.
+#: Refused where :data:`MAX_POINT_TASKS` is.
+MAX_WORKSTATIONS = 10_000
+
 
 def _integral_task_demand(task_demand: float, mode: str) -> None:
     """Validate that a discrete backend received an integer task demand.
@@ -431,16 +435,14 @@ def _integral_task_demand(task_demand: float, mode: str) -> None:
 class SimulationBackend(abc.ABC):
     """Abstract base of every simulation backend.
 
-    Subclasses set :attr:`name` (the registry key, also exposed as ``mode``
-    for backwards compatibility) and implement :meth:`run`.  A config the
-    backend cannot simulate is refused, with a ``ValueError``, by
-    :meth:`check`, which building a backend runs first.
+    Subclasses set :attr:`name`, the registry key that results carry as
+    their ``mode``, and implement :meth:`run`.  A config the backend cannot
+    simulate is refused, with a ``ValueError``, by :meth:`check`, which
+    building a backend runs first.
     """
 
-    #: Registry key; ``mode`` is kept as an alias because results and years
-    #: of call sites label themselves with ``mode`` strings.
+    #: Registry key.
     name: ClassVar[str]
-    mode: ClassVar[str]
 
     def __init__(self, config: SimulationConfig) -> None:
         self.check(config)
@@ -474,10 +476,6 @@ class _ClosedFormBackend(SimulationBackend):
         _integral_task_demand(config.task_demand, cls.name)
 
 
-#: Alias kept for call sites annotated with the old ``Literal`` type; the
-#: registry is open, so any registered backend name is a valid mode.
-SimulationMode = str
-
 _REGISTRY: dict[str, type[SimulationBackend]] = {}
 
 
@@ -506,7 +504,6 @@ def register_backend(
                 f"a backend named {name!r} is already registered "
                 f"({_REGISTRY[name]!r}); pass replace=True to override it"
             )
-        backend.mode = name  # keep the alias in sync with the registry key
         _REGISTRY[name] = backend
         return backend
 
@@ -534,36 +531,6 @@ def backend_names() -> tuple[str, ...]:
     return tuple(_REGISTRY)
 
 
-def run_simulation(config: SimulationConfig, mode: SimulationMode = "monte-carlo"):
+def run_simulation(config: SimulationConfig, mode: str = "monte-carlo"):
     """Run one simulation with the chosen back-end (registry dispatch)."""
     return get_backend(mode)(config).run()
-
-
-def validate_against_analysis(
-    config: SimulationConfig, mode: SimulationMode = "monte-carlo"
-) -> dict[str, float]:
-    """Compare a simulation run against the analytical model (Section 2.2).
-
-    Returns the analytic and simulated ``E_t`` / ``E_j`` together with the
-    relative errors and the CI half-width; the paper reports the two were
-    "indistinguishable".
-    """
-    result = run_simulation(config, mode)
-    analytic = evaluate_inputs(config.model_inputs)
-    ej_rel_error = (
-        result.mean_job_time - analytic.expected_job_time
-    ) / analytic.expected_job_time
-    et_rel_error = (
-        result.mean_task_time - analytic.expected_task_time
-    ) / analytic.expected_task_time
-    return {
-        "analytic_task_time": analytic.expected_task_time,
-        "simulated_task_time": result.mean_task_time,
-        "task_time_relative_error": et_rel_error,
-        "analytic_job_time": analytic.expected_job_time,
-        "simulated_job_time": result.mean_job_time,
-        "job_time_relative_error": ej_rel_error,
-        "job_time_ci_half_width": result.job_time_interval.half_width,
-        "job_time_ci_relative_half_width": result.job_time_interval.relative_half_width,
-        "num_jobs": float(result.num_jobs),
-    }

@@ -23,10 +23,10 @@ from ..stats import (
     steady_state_interval,
     warmup_truncate,
 )
-from .base import SimulationConfig, register_backend
+from .base import SimulationConfig, SimulationResult, register_backend
 from .event_driven import EventDrivenClusterSimulator, _split_demands
 
-__all__ = ["OpenSystemResult", "OpenSystemSimulator"]
+__all__ = ["OpenSystemResult", "OpenSystemSimulator", "result_class"]
 
 
 @dataclass(frozen=True)
@@ -40,8 +40,7 @@ class OpenSystemResult:
     statistics are formed.
 
     ``widths``, ``class_ids`` and ``restarts`` hold each job's station
-    width, job class and admission-preemption count.  A classless stream
-    may leave them ``None``, and the constructor fills in its defaults:
+    width, job class and admission-preemption count; in a classless stream
     every job spans the whole cluster as class 0 and is never restarted.
     """
 
@@ -51,20 +50,10 @@ class OpenSystemResult:
     start_times: np.ndarray
     end_times: np.ndarray
     demands: np.ndarray
-    widths: np.ndarray = None  # type: ignore[assignment]
-    class_ids: np.ndarray = None  # type: ignore[assignment]
-    restarts: np.ndarray = None  # type: ignore[assignment]
+    widths: np.ndarray
+    class_ids: np.ndarray
+    restarts: np.ndarray
     measured_owner_utilization: float | None = None
-
-    def __post_init__(self) -> None:
-        jobs = self.num_jobs
-        if self.widths is None:
-            width = float(self.config.workstations)
-            object.__setattr__(self, "widths", np.full(jobs, width))
-        if self.class_ids is None:
-            object.__setattr__(self, "class_ids", np.zeros(jobs))
-        if self.restarts is None:
-            object.__setattr__(self, "restarts", np.zeros(jobs))
 
     @property
     def arrival_spec(self) -> JobArrivalSpec:
@@ -287,6 +276,11 @@ class OpenSystemResult:
         )
 
 
+def result_class(config: SimulationConfig) -> type[SimulationResult | OpenSystemResult]:
+    """The result class a point of ``config`` yields, on any backend."""
+    return OpenSystemResult if config.effective_scenario.is_open else SimulationResult
+
+
 @register_backend
 class OpenSystemSimulator(EventDrivenClusterSimulator):
     """Event-driven cluster fed by a stream of competing parallel jobs.
@@ -375,7 +369,10 @@ class OpenSystemSimulator(EventDrivenClusterSimulator):
                 while demand <= 0.0:
                     demand = float(demand_variate.sample(demand_rng))
                 record = OpenJobRecord(
-                    job_id=job_id, arrival_time=env.now, demand=demand
+                    job_id=job_id,
+                    arrival_time=env.now,
+                    demand=demand,
+                    width=cfg.workstations,
                 )
                 records.append(record)
                 job_procs.append(env.process(run_one_job(record)))
@@ -386,20 +383,28 @@ class OpenSystemSimulator(EventDrivenClusterSimulator):
         env.run(until=source_proc)
         if job_procs:
             env.run(until=env.all_of(job_procs))
+        return self._result(stations, records)
 
-        measured_util = float(
-            np.mean([s.measured_owner_utilization() for s in stations])
-        )
+    def _result(self, stations, records: list[OpenJobRecord]) -> OpenSystemResult:
+        """The result of a finished run: its jobs' records, in arrival order,
+        as arrays, and the owners' measured utilization."""
+
+        def column(name: str) -> np.ndarray:
+            return np.array([getattr(r, name) for r in records], dtype=np.float64)
+
         return OpenSystemResult(
-            config=cfg,
+            config=self.config,
             mode=self.name,
-            arrival_times=np.array(
-                [r.arrival_time for r in records], dtype=np.float64
+            arrival_times=column("arrival_time"),
+            start_times=column("start_time"),
+            end_times=column("end_time"),
+            demands=column("demand"),
+            widths=column("width"),
+            class_ids=column("class_id"),
+            restarts=column("admission_preemptions"),
+            measured_owner_utilization=float(
+                np.mean([s.measured_owner_utilization() for s in stations])
             ),
-            start_times=np.array([r.start_time for r in records], dtype=np.float64),
-            end_times=np.array([r.end_time for r in records], dtype=np.float64),
-            demands=np.array([r.demand for r in records], dtype=np.float64),
-            measured_owner_utilization=measured_util,
         )
 
     def _run_space_shared(
@@ -564,23 +569,4 @@ class OpenSystemSimulator(EventDrivenClusterSimulator):
             env.run(until=env.all_of(source_procs))
         if job_procs:
             env.run(until=env.all_of(job_procs))
-
-        measured_util = float(
-            np.mean([s.measured_owner_utilization() for s in stations])
-        )
-        return OpenSystemResult(
-            config=cfg,
-            mode=self.name,
-            arrival_times=np.array(
-                [r.arrival_time for r in records], dtype=np.float64
-            ),
-            start_times=np.array([r.start_time for r in records], dtype=np.float64),
-            end_times=np.array([r.end_time for r in records], dtype=np.float64),
-            demands=np.array([r.demand for r in records], dtype=np.float64),
-            widths=np.array([r.width for r in records], dtype=np.float64),
-            class_ids=np.array([r.class_id for r in records], dtype=np.float64),
-            restarts=np.array(
-                [r.admission_preemptions for r in records], dtype=np.float64
-            ),
-            measured_owner_utilization=measured_util,
-        )
+        return self._result(stations, records)

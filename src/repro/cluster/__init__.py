@@ -53,7 +53,6 @@ _SIMULATION_EXPORTS = frozenset(
         "SimulationResult",
         "run_simulation",
         "simulate_task_discrete",
-        "validate_against_analysis",
     }
 )
 
@@ -108,5 +107,4 @@ __all__ = [
     "OpenSystemResult",
     "run_simulation",
     "simulate_task_discrete",
-    "validate_against_analysis",
 ]

@@ -152,7 +152,7 @@ class OpenJobRecord:
     start_time: float = float("nan")
     end_time: float = float("nan")
     tasks: tuple[TaskResult, ...] = ()
-    #: Stations this job occupies (space-shared streams; 0 = whole cluster).
+    #: Stations this job occupies (all ``W`` in a classless stream).
     width: int = 0
     #: Index into the arrival spec's job classes (0 for classless streams).
     class_id: int = 0

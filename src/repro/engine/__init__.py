@@ -20,6 +20,7 @@ from .grids import (
     GRID_NAMES,
     MAX_GRID_POINTS,
     MAX_POINT_TASKS,
+    MAX_WORKSTATIONS,
     PAPER_UTILIZATIONS,
     build_grid,
     grid_mode,
@@ -42,6 +43,7 @@ __all__ = [
     "GRID_NAMES",
     "MAX_GRID_POINTS",
     "MAX_POINT_TASKS",
+    "MAX_WORKSTATIONS",
     "PAPER_UTILIZATIONS",
     "build_grid",
     "saturation_rate",

@@ -10,16 +10,19 @@ raw→cache→report pipeline used by the figure-reproduction repos this engine
 is modelled on.
 
 The cache itself is backend-agnostic: an entry's layout is its result
-dataclass.  :func:`result_arrays` stores every sample field of a
+dataclass, the one :func:`~repro.backends.result_class` names for the
+config.  :func:`result_arrays` stores every sample field of a
 :class:`~repro.backends.SimulationResult` or
 :class:`~repro.backends.OpenSystemResult` under its field name, and
 :func:`decode_entry` rebuilds the result from the same names, so no backend
 writes serialization code.  The fingerprint covers every field that
-influences the simulation output (including the seed and the backend mode),
-so two configs collide only when they would produce bitwise-identical
-results.  Confidence intervals are *not* stored; the result classes derive
-them from the samples on first access, which is deterministic and keeps the
-cache format independent of the stats layer.
+influences the simulation output (including the seed and the backend mode,
+with ``event-kernel`` standing for the oracle of
+:data:`~repro.backends.KERNEL_ORACLES` it replaces), so two configs collide
+only when they would produce bitwise-identical results.  Confidence
+intervals are *not* stored; the result classes derive them from the samples
+on first access, which is deterministic and keeps the cache format
+independent of the stats layer.
 
 An entry travels as bytes.  :func:`encode_entry` is the only place a point
 is deflated; a sweep's pool worker runs it and ships the bytes, not the
@@ -54,10 +57,12 @@ from typing import Any, BinaryIO, Iterator, Mapping
 import numpy as np
 
 from ..backends import (
+    KERNEL_ORACLES,
     OpenSystemResult,
     SimulationConfig,
     SimulationResult,
     get_backend,
+    result_class,
 )
 from ..obs import REGISTRY
 from .codec import to_json
@@ -169,12 +174,11 @@ def _canonical_mode(config: SimulationConfig, mode: str) -> str:
 
     The ``event-kernel`` backend is pinned bitwise to the generator-based
     oracles and stores their exact NPZ layouts, so its points share digests
-    with the oracle mode they replace; every other mode is its own identity.
+    with the oracle it stands in for (:data:`~repro.backends.KERNEL_ORACLES`);
+    every other mode is its own identity.
     """
     if str(mode) == "event-kernel":
-        return (
-            "open-system" if config.effective_scenario.is_open else "event-driven"
-        )
+        return KERNEL_ORACLES[config.effective_scenario.is_open]
     return str(mode)
 
 
@@ -239,15 +243,9 @@ def result_arrays(result: SimulationResult | OpenSystemResult) -> dict[str, np.n
     return arrays
 
 
-def _result_class(
-    config: SimulationConfig,
-) -> type[SimulationResult] | type[OpenSystemResult]:
-    return OpenSystemResult if config.effective_scenario.is_open else SimulationResult
-
-
 def _sample_fields(config: SimulationConfig) -> list[str]:
     """The fields a result of ``config`` keeps in its entry, in order."""
-    cls = _result_class(config)
+    cls = result_class(config)
     return [f.name for f in fields(cls) if f.name not in _POINT_FIELDS]
 
 
@@ -271,7 +269,7 @@ def _result_from_arrays(
             samples[name] = None if np.isnan(value) else float(value)
         else:
             samples[name] = value
-    return _result_class(config)(config=config, mode=mode, **samples)
+    return result_class(config)(config=config, mode=mode, **samples)
 
 
 #: Bytes of an entry's stamp, its zip archive comment.

@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable
 
-from ..backends import MAX_POINT_TASKS, SimulationConfig, get_backend
+from ..backends import MAX_POINT_TASKS, MAX_WORKSTATIONS, SimulationConfig, get_backend
 from ..cluster.admission import ADMISSION_POLICY_NAMES
 from ..cluster.policies import POLICY_NAMES
 from ..core.heterogeneous import concentrated_utilizations
@@ -54,6 +54,7 @@ __all__ = [
     "GridAxis",
     "MAX_GRID_POINTS",
     "MAX_POINT_TASKS",
+    "MAX_WORKSTATIONS",
     "PAPER_UTILIZATIONS",
     "build_grid",
     "grid_mode",
@@ -334,8 +335,8 @@ def build_grid(
     never changes any point's samples.  An unknown key, an axis the grid
     lacks, a value of the wrong type (``num_jobs=100.9``, ``seed=True``,
     ``workstation_counts=[2.9]``), more than :data:`MAX_GRID_POINTS`
-    points, or a point of more than :data:`MAX_POINT_TASKS` task times
-    raises ``ValueError``.
+    points, or a point of more than :data:`MAX_WORKSTATIONS` workstations
+    or :data:`MAX_POINT_TASKS` task times raises ``ValueError``.
     """
     kind, demand, default_jobs, _ = _grid(name)
     seed = _integer(seed, "seed")
@@ -384,6 +385,11 @@ def build_grid(
             f"grid {name!r} would have a point of num_jobs "
             f"{settings['num_jobs']} x W {widest} task times; "
             f"a point may hold at most {MAX_POINT_TASKS}"
+        )
+    if widest > MAX_WORKSTATIONS:
+        raise ValueError(
+            f"grid {name!r} would have a point of W {widest}; "
+            f"a point may have at most {MAX_WORKSTATIONS} workstations"
         )
     labels = [_AXES[key].label for key in family.axes]
     streams = StreamRegistry(seed)

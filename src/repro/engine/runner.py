@@ -9,10 +9,11 @@ re-run of a figure replays cached raw samples instead of resimulating.
 Back-ends are resolved through the registry in :mod:`repro.backends.base`,
 so a newly registered backend is sweepable without touching this module.
 
-:meth:`SweepRunner.run` is the one entry point.  Points requested as
-``event-driven`` or ``open-system`` execute on the ``event-kernel`` backend,
-the array kernel pinned bitwise to those generator oracles (which stay
-registered as the references the pins compare against).
+:meth:`SweepRunner.run` is the one entry point, and a sweep runs all its
+points on one backend.  A sweep requested as ``event-driven`` or
+``open-system`` runs on ``event-kernel``, the array kernel pinned bitwise to
+those generator oracles (:data:`~repro.backends.KERNEL_ORACLES`), once the
+oracle's check has passed every point.
 
 With a cache attached, a sweep moves entries, not arrays: a hit is its
 entry's checked bytes, a pool worker returns its point's entry in place of
@@ -47,6 +48,7 @@ from functools import cached_property
 from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
 
 from ..backends import (
+    KERNEL_ORACLES,
     OpenSystemResult,
     SimulationConfig,
     SimulationResult,
@@ -84,13 +86,6 @@ _POINT_SECONDS = REGISTRY.histogram(
 )
 _SWEEPS = REGISTRY.counter("repro_sweeps_total", "Sweep executions")
 
-#: The bitwise-pinned oracle modes the array kernel executes, each mapped to
-#: whether its scenarios are open (job-stream) ones.
-_KERNEL_ORACLES = {"event-driven": False, "open-system": True}
-
-#: The backend executing the oracles' points.
-_KERNEL_MODE = "event-kernel"
-
 
 def resolve_jobs(jobs: int | None) -> int:
     """Normalise a worker-count request (``None`` means one per CPU)."""
@@ -99,20 +94,6 @@ def resolve_jobs(jobs: int | None) -> int:
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs!r}")
     return int(jobs)
-
-
-def _executor(config: SimulationConfig, mode: str) -> str:
-    """The backend that executes one point requested under ``mode``.
-
-    An oracle's points run on the array kernel.  A config outside the
-    oracle's scope (an open scenario under ``event-driven``, a closed one
-    under ``open-system``) stays on the oracle, so it fails with the
-    oracle's own ``ValueError`` exactly as a direct run would.
-    """
-    is_open = _KERNEL_ORACLES.get(mode)
-    if is_open is not None and is_open == config.effective_scenario.is_open:
-        return _KERNEL_MODE
-    return mode
 
 
 def _simulate_point(item: tuple[SimulationConfig, str]) -> PointResult:
@@ -254,8 +235,9 @@ def parallel_map(
 class SweepOutcome:
     """Results of one sweep execution plus its bookkeeping.
 
-    Every list is ordered like the input grid.  ``modes`` names the backend
-    that produced each point; ``mode`` is the one the sweep requested.
+    Every list is ordered like the input grid.  ``backend`` names the
+    backend that produced every point; ``mode`` is the one the sweep
+    requested (``event-kernel`` runs an oracle mode's points).
     ``entries`` holds each point's compressed cache entry
     (:func:`~repro.engine.cache.encode_entry` bytes), as read from the cache
     or shipped by the pool worker that simulated it, or ``None`` for every
@@ -272,7 +254,7 @@ class SweepOutcome:
     """
 
     configs: list[SimulationConfig] = field(repr=False)
-    modes: list[str]
+    backend: str
     entries: list[bytes | None] = field(repr=False)
     held: Sequence[PointResult | None] = field(repr=False)
     mode: str
@@ -286,17 +268,17 @@ class SweepOutcome:
     def results(self) -> list[PointResult]:
         """Every point's result, each entry decoded on first access."""
         results: list[PointResult] = []
-        for config, mode, entry, result in zip(
-            self.configs, self.modes, self.entries, self.held, strict=True
+        for config, entry, result in zip(
+            self.configs, self.entries, self.held, strict=True
         ):
             if result is None:
                 assert entry is not None, "a point holds its entry or its result"
-                result = decode_entry(config, mode, entry)
+                result = decode_entry(config, self.backend, entry)
             results.append(result)
         return results
 
     def __len__(self) -> int:
-        return len(self.modes)
+        return len(self.configs)
 
     def __iter__(self) -> Iterator[PointResult]:
         return iter(self.results)
@@ -368,11 +350,13 @@ class SweepRunner:
     ) -> SweepOutcome:
         """Execute every point of the grid; results keep the input order.
 
-        Every point takes the same path: cache lookup, execution over the
-        worker pool, cache store.  Points requested as ``event-driven`` or
-        ``open-system`` execute on the ``event-kernel`` backend — bitwise
-        equal to those oracles and sharing their cache entries — so their
-        results are labelled ``event-kernel``.
+        Every point takes the same path on one backend: cache lookup,
+        execution over the worker pool, cache store.  A sweep requested as
+        ``event-driven`` or ``open-system`` runs on the ``event-kernel``
+        backend — bitwise equal to those oracles and sharing their cache
+        entries — so its results are labelled ``event-kernel``, once the
+        oracle's check has passed every point: a point it refuses raises
+        its ``ValueError`` before any point runs.
 
         With ``profile=True`` every simulated point runs under ``cProfile``
         *inside its worker process*; the stats merge into
@@ -381,12 +365,17 @@ class SweepRunner:
         and therefore contribute nothing to the profile.
         """
         mode = mode or self.mode
-        get_backend(mode)  # fail fast on an unregistered mode
+        requested = get_backend(mode)  # fail fast on an unregistered mode
         configs = list(configs)
+        backend = mode
+        if mode in KERNEL_ORACLES.values():
+            for config in configs:
+                requested.check(config)
+            backend = "event-kernel"
         started = time.perf_counter()
         with trace_span("sweep", mode=mode, points=len(configs), jobs=self.jobs):
-            modes, entries, held, cache_hits, profiles = self._run_points(
-                configs, mode, profile
+            entries, held, cache_hits, profiles = self._run_points(
+                configs, backend, profile
             )
 
         simulated = len(configs) - cache_hits
@@ -395,7 +384,7 @@ class SweepRunner:
         _POINTS.labels(path="cached").inc(cache_hits)
         return SweepOutcome(
             configs=configs,
-            modes=modes,
+            backend=backend,
             entries=entries,
             held=held,
             mode=mode,
@@ -407,22 +396,22 @@ class SweepRunner:
         )
 
     def _run_points(
-        self, configs: list[SimulationConfig], mode: str, profile: bool
-    ) -> tuple[list[str], list[bytes | None], list[Any], int, list[dict]]:
-        """The per-point path; returns ``(modes, entries, held, hits, profiles)``.
+        self, configs: list[SimulationConfig], backend: str, profile: bool
+    ) -> tuple[list[bytes | None], list[Any], int, list[dict]]:
+        """The per-point path on ``backend``; returns ``(entries, held, hits,
+        profiles)``.
 
         With a cache, a hit is its checked entry bytes and a miss's worker
         ships its entry in place of its result, so no result is held;
         without one, every point's result is.
         """
-        modes = [_executor(config, mode) for config in configs]
         entries: list[bytes | None] = [None] * len(configs)
         held: list[Any] = [None] * len(configs)
         pending: list[int] = []
         cache = self.cache
-        for index, (config, executor) in enumerate(zip(configs, modes)):
+        for index, config in enumerate(configs):
             if cache is not None:
-                entries[index] = cache.read_entry(config, executor)
+                entries[index] = cache.read_entry(config, backend)
             if entries[index] is None:
                 pending.append(index)
 
@@ -430,7 +419,7 @@ class SweepRunner:
         encode = cache is not None
         executed = parallel_map(
             _execute_point,
-            [(configs[i], modes[i], profile, trace_path, encode) for i in pending],
+            [(configs[i], backend, profile, trace_path, encode) for i in pending],
             jobs=self.jobs,
         )
         profiles: list[dict] = []
@@ -440,7 +429,7 @@ class SweepRunner:
                 profiles.append(stats)
             if cache is not None and isinstance(point, bytes):
                 entries[index] = point
-                cache.write_entry(configs[index], modes[index], point)
+                cache.write_entry(configs[index], backend, point)
             else:
                 held[index] = point
-        return modes, entries, held, len(configs) - len(pending), profiles
+        return entries, held, len(configs) - len(pending), profiles

@@ -7,18 +7,17 @@ tuples and integer transition tables, while reproducing the oracle's results
 bit for bit:
 
 :mod:`repro.kernel.machine`
-    :class:`EventKernel`: the closed system, the classless job stream and
-    the space-shared job classes run on one loop that defines the owner,
-    CPU and task state machines once (instead of coroutines); only the job
-    lifecycle differs between them.  The module also states the ordering
-    contract the loop shares with the oracle's agenda.
+    :class:`EventKernel`, whose one entry point :meth:`EventKernel.run`
+    returns a config's whole result fields.  The closed system, the
+    classless job stream and the space-shared job classes run on one loop
+    that defines the owner, CPU and task state machines once (instead of
+    coroutines); only the job lifecycle, read off the scenario, differs
+    between them.  The module also states the ordering contract the loop
+    shares with the oracle's agenda.
 
-:mod:`repro.kernel.backend`
-    The ``event-kernel`` registry backend, which the sweep runner executes
-    the oracles' points on.  Imported by :mod:`repro.backends` (which owns the
-    registry), *not* here — importing ``repro.kernel`` alone must not drag
-    the backend layer in, both to keep layering one-directional and to avoid
-    an import cycle.
+The ``event-kernel`` registry backend that wraps it lives in
+:mod:`repro.backends.event_kernel`, and this package imports nothing from
+:mod:`repro.backends`, so the layering runs one way and has no cycle.
 """
 
 from .machine import KERNEL_POLICIES, EventKernel

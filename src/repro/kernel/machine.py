@@ -12,9 +12,9 @@ floating-point operations in the *same* order on the *same* RNG streams, so
 its results are bitwise-identical to the oracle's (pinned by
 ``tests/test_kernel.py``).
 
-The three entry points share the loop and differ only in the *job
-lifecycle*: how jobs arrive, are admitted and end.  The owner, CPU and task
-machinery — owners preempting the tasks of a parallel job on every
+The one entry point, :meth:`EventKernel.run`, reads the *job lifecycle* off
+the scenario: how jobs arrive, are admitted and end.  The owner, CPU and
+task machinery — owners preempting the tasks of a parallel job on every
 workstation — is written once.  A classless job's station subset is all
 ``W`` stations in order; a space-shared job gets its subset at admission.
 
@@ -70,8 +70,8 @@ sampling in the exact interleaved order.
 
 This module deliberately imports no :mod:`repro.desim` generator machinery
 (checked by ``tests/test_invariants.py``) and nothing from
-:mod:`repro.backends` (avoids an import cycle; the backend adapter lives in
-:mod:`repro.kernel.backend`).
+:mod:`repro.backends`, whose ``event-kernel`` adapter
+(:mod:`repro.backends.event_kernel`) imports it.
 """
 
 from __future__ import annotations
@@ -96,7 +96,7 @@ from ..cluster.policies import (
     StaticPartition,
     make_policy,
 )
-from ..core.params import JobArrivalSpec, ScenarioSpec
+from ..core.params import ScenarioSpec
 from ..desim.rng import StreamRegistry, make_variate
 
 __all__ = ["EventKernel", "KERNEL_POLICIES"]
@@ -112,10 +112,10 @@ KERNEL_POLICIES: tuple[str, ...] = (
 URGENT = 0
 NORMAL = 1
 
-# Job lifecycles, one per public entry point.
-_CLOSED = 0  # run_closed: num_jobs jobs back to back, one at a time
-_CLASSLESS = 1  # run_open: a job stream behind a FIFO admission limit
-_SPACE = 2  # run_space_shared: job classes on station subsets, by policy
+# Job lifecycles, read off the scenario by EventKernel.run.
+_CLOSED = 0  # no arrivals: num_jobs jobs back to back, one at a time
+_CLASSLESS = 1  # a job stream behind a FIFO admission limit
+_SPACE = 2  # job classes on station subsets, by admission policy
 
 # Event kinds.  One integer per distinct continuation in the oracle's
 # generators.  The owner, task and job kinds serve every lifecycle (the job
@@ -303,37 +303,6 @@ class _Source:
         self.class_index = class_index
 
 
-def _arrival_spec(
-    scenario: ScenarioSpec, life: int, workstations: int
-) -> JobArrivalSpec:
-    """The scenario's job-arrival spec, checked against the open lifecycle."""
-    spec = scenario.arrivals
-    if life == _CLASSLESS:
-        if spec is None:
-            raise ValueError(
-                "the event kernel's open mode needs a scenario with a "
-                "job-arrival process; set ScenarioSpec.arrivals"
-            )
-        if spec.is_space_shared:
-            raise ValueError(
-                "space-shared (job-class) arrival specs run through "
-                "EventKernel.run_space_shared, not the classless loop"
-            )
-        return spec
-    if spec is None or not spec.is_space_shared:
-        raise ValueError(
-            "run_space_shared needs a scenario whose arrival spec defines "
-            "job classes; use run_open for the classless stream"
-        )
-    for job_class in spec.job_classes:
-        if job_class.width > workstations:
-            raise ValueError(
-                f"job class {job_class.name!r} requests width "
-                f"{job_class.width} on a {workstations}-station cluster"
-            )
-    return spec
-
-
 def _policy_role(policy: SchedulingPolicy) -> tuple[int, int]:
     """Map a policy instance to its kernel transition table (+ chunk count)."""
     if isinstance(policy, StaticPartition):
@@ -372,52 +341,28 @@ class EventKernel:
         self._heap: list[tuple] = []
         self.tap: Callable[..., None] | None = None
 
-    # -- public entry points -------------------------------------------------
-    def run_closed(
-        self, config, streams: StreamRegistry | None = None
-    ) -> tuple[np.ndarray, np.ndarray, float]:
-        """Closed system: ``num_jobs`` back-to-back jobs on one cluster.
+    def run(self, config, streams: StreamRegistry | None = None) -> tuple:
+        """Run one config; its result class's sample fields in declaration order.
 
-        Returns ``(job_times, task_times, measured_owner_utilization)``,
-        bitwise-equal to the corresponding fields of the ``event-driven``
-        backend's :class:`SimulationResult`.
-        """
-        return self._run(config, streams, _CLOSED)
+        The job lifecycle is read off the scenario.  Without a job-arrival
+        process it is the closed system, ``num_jobs`` back-to-back jobs on
+        one cluster, and the fields are ``(job_times, task_times,
+        measured_owner_utilization)`` of the ``event-driven`` backend's
+        :class:`SimulationResult`.  An open scenario yields ``(arrival_times,
+        start_times, end_times, demands, widths, class_ids, restarts,
+        measured_owner_utilization)`` of the ``open-system`` backend's
+        :class:`OpenSystemResult`: a classless stream of ``num_jobs``
+        arrivals, each on all ``W`` stations as class 0 and never
+        restarted, or moldable job classes space-sharing the cluster.  Each
+        is bitwise-equal to the oracle's.  A job class wider than the
+        cluster raises ``ValueError``.
 
-    def run_open(
-        self, config, streams: StreamRegistry | None = None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
-        """Open system: a classless stream of ``num_jobs`` arrivals.
-
-        Returns ``(arrival_times, start_times, end_times, demands,
-        measured_owner_utilization)``, bitwise-equal to the corresponding
-        fields of the ``open-system`` backend's :class:`OpenSystemResult`.
-        """
-        return self._run(config, streams, _CLASSLESS)
-
-    def run_space_shared(
-        self, config, streams: StreamRegistry | None = None
-    ) -> tuple[
-        np.ndarray,
-        np.ndarray,
-        np.ndarray,
-        np.ndarray,
-        np.ndarray,
-        np.ndarray,
-        np.ndarray,
-        float,
-    ]:
-        """Moldable job classes space-sharing the cluster under admission.
-
-        Flattens the ``open-system`` oracle's ``_run_space_shared`` — the
+        The space-shared lifecycle flattens the ``open-system`` oracle's
+        ``_run_space_shared`` — the
         :class:`~repro.cluster.admission.AdmissionController` decision loop
         (queue state, exclusive station-subset allocation, EASY reservation /
         backfill checks, preemptive kill-and-requeue restarts) plus the
-        open/closed job sources — into transition tables of the kernel's
-        one event loop.  Returns ``(arrival_times, start_times, end_times,
-        demands, widths, class_ids, restarts, measured_owner_utilization)``,
-        bitwise-equal to the corresponding fields of the oracle's
-        :class:`OpenSystemResult`.
+        open/closed job sources — into transition tables of the one loop.
 
         Admission-controller mapping (on top of the module-level contract):
 
@@ -435,10 +380,6 @@ class EventKernel:
         source process / sources' AllOf        ``SRC_*`` kinds
         =====================================  ==============================
         """
-        return self._run(config, streams, _SPACE)
-
-    # -- the flat event loop -------------------------------------------------
-    def _run(self, config, streams, life: int):
         cfg = config
         scenario: ScenarioSpec = cfg.effective_scenario
         workstations: int = cfg.workstations
@@ -446,8 +387,18 @@ class EventKernel:
         imbalance: float = scenario.imbalance
         job_demand: float = cfg.job_demand
 
-        if life != _CLOSED:
-            spec = _arrival_spec(scenario, life, workstations)
+        arrivals = scenario.arrivals
+        if arrivals is None:
+            life = _CLOSED
+        else:
+            spec = arrivals
+            life = _SPACE if spec.is_space_shared else _CLASSLESS
+            for job_class in spec.job_classes:
+                if job_class.width > workstations:
+                    raise ValueError(
+                        f"job class {job_class.name!r} requests width "
+                        f"{job_class.width} on a {workstations}-station cluster"
+                    )
         policy = make_policy(scenario.policy, **dict(scenario.policy_kwargs))
         role, chunks_per_station = _policy_role(policy)
 
@@ -663,6 +614,11 @@ class EventKernel:
             start_times = np.empty(num_jobs, dtype=np.float64)
             end_times = np.empty(num_jobs, dtype=np.float64)
             job_demands = np.empty(num_jobs, dtype=np.float64)
+            # A classless job spans all W stations as class 0; the
+            # space-shared lifecycle writes each job's own at submission.
+            widths = np.full(num_jobs, float(workstations))
+            class_ids = np.zeros(num_jobs)
+            restarts = np.zeros(num_jobs)
             submitted = 0
             exited = 0
             sources_done = False
@@ -726,9 +682,6 @@ class EventKernel:
                 weights /= weights.sum()
             mean_gap = spec.mean_interarrival if open_indices else 0.0
 
-            widths = np.empty(num_jobs, dtype=np.float64)
-            class_ids = np.empty(num_jobs, dtype=np.float64)
-            restarts = np.zeros(num_jobs, dtype=np.float64)
             budget = num_jobs
 
             # Admission-controller state, flattened: a sorted free-station
@@ -1320,8 +1273,6 @@ class EventKernel:
                 np.asarray(task_times, dtype=np.float64),
                 measured_util,
             )
-        if life == _CLASSLESS:
-            return arrival_times, start_times, end_times, job_demands, measured_util
         return (
             arrival_times,
             start_times,

@@ -29,10 +29,12 @@ progress streams to pollers and a crash loses at most one shard.
 
 A job moves bytes, not arrays.  Its payload is opened when the job starts
 (:func:`~repro.service.results.open_payload`) and each shard's cache
-entries are appended to it as the shard ends, so a job holds at most one
-shard of entries whatever its size, and no result is decoded in the
-service: pool workers ship entries and cache hits stay checked bytes.  The
-payload is renamed into ``results/`` only when the job succeeds.
+entries are appended to it as the shard ends, each labelled with the one
+backend that ran the shard (``event-kernel`` for an event grid), so a job
+holds at most one shard of entries whatever its size, and no result is
+decoded in the service: pool workers ship entries and cache hits stay
+checked bytes.  The payload is renamed into ``results/`` only when the job
+succeeds.
 
 Determinism contract: every point's seed lives in its config (derived from
 grid coordinates at submission time), never in service state — so a job's
@@ -258,9 +260,8 @@ class SweepService:
                             points=len(shard),
                         ):
                             outcome = self.runner.run(shard, mode)
-                            points = zip(outcome.modes, outcome.entries, outcome.held)
-                            for point in points:
-                                payload.add(*point)
+                            for point in zip(outcome.entries, outcome.held):
+                                payload.add(outcome.backend, *point)
                         seconds = time.perf_counter() - shard_started
                         _SHARD_SECONDS.labels(executor=executor).observe(seconds)
                         shard_seconds += seconds

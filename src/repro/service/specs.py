@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, fields
 from typing import Any, Mapping, Sequence
 
 from ..backends import SimulationConfig, get_backend
-from ..engine import MAX_POINT_TASKS, build_grid, grid_mode
+from ..engine import MAX_POINT_TASKS, MAX_WORKSTATIONS, build_grid, grid_mode
 from ..engine.codec import config_from_json, config_to_json
 
 __all__ = ["EXECUTORS", "SweepJobSpec", "spec_digest"]
@@ -134,7 +134,8 @@ class SweepJobSpec:
         """Materialise the submission into ``(configs, backend mode)``.
 
         Raises ``KeyError``/``ValueError`` on an unknown grid, a bad
-        override, an invalid config, a point asking for more than
+        override, an invalid config, a point of more than
+        :data:`~repro.engine.MAX_WORKSTATIONS` workstations or
         :data:`~repro.engine.MAX_POINT_TASKS` task times, or a point that
         the mode's backend refuses (its
         :meth:`~repro.backends.SimulationBackend.check`, which draws
@@ -160,6 +161,11 @@ class SweepJobSpec:
                     f"point {index} would hold {tasks} task times "
                     f"(num_jobs {config.num_jobs} x W {config.workstations}); "
                     f"a point may hold at most {MAX_POINT_TASKS}"
+                )
+            if config.workstations > MAX_WORKSTATIONS:
+                raise ValueError(
+                    f"point {index} has W {config.workstations}; "
+                    f"a point may have at most {MAX_WORKSTATIONS} workstations"
                 )
             try:
                 backend.check(config)

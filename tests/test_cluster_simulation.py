@@ -14,9 +14,13 @@ from repro.cluster import (
     SimulationConfig,
     run_simulation,
     simulate_task_discrete,
-    validate_against_analysis,
 )
-from repro.core import OwnerSpec, expected_job_time, expected_task_time
+from repro.core import (
+    OwnerSpec,
+    evaluate_inputs,
+    expected_job_time,
+    expected_task_time,
+)
 from repro.engine import SweepRunner, build_grid
 
 
@@ -88,9 +92,11 @@ class TestSimulateTaskDiscrete:
 
 class TestMonteCarloSampler:
     def test_matches_analysis(self, base_config):
-        comparison = validate_against_analysis(base_config, "monte-carlo")
-        assert abs(comparison["job_time_relative_error"]) < 0.01
-        assert abs(comparison["task_time_relative_error"]) < 0.01
+        result = run_simulation(base_config, "monte-carlo")
+        analytic = evaluate_inputs(base_config.model_inputs)
+        ej, et = analytic.expected_job_time, analytic.expected_task_time
+        assert abs(result.mean_job_time - ej) / ej < 0.01
+        assert abs(result.mean_task_time - et) / et < 0.01
 
     def test_reproducible_with_seed(self, base_config):
         a = MonteCarloSampler(base_config).run()
@@ -134,8 +140,9 @@ class TestDiscreteTimeSimulator:
         config = SimulationConfig(
             workstations=5, task_demand=50, owner=paper_owner, num_jobs=400, seed=3
         )
-        comparison = validate_against_analysis(config, "discrete-time")
-        assert abs(comparison["job_time_relative_error"]) < 0.05
+        result = run_simulation(config, "discrete-time")
+        ej = evaluate_inputs(config.model_inputs).expected_job_time
+        assert abs(result.mean_job_time - ej) / ej < 0.05
 
     def test_agrees_with_monte_carlo(self, paper_owner):
         config = SimulationConfig(

@@ -35,7 +35,7 @@ from repro.engine import (
 from repro.engine.cache import result_arrays
 from repro.engine.codec import config_to_json
 from repro.experiments import run_simulation_validation
-from repro.obs import REGISTRY
+from repro.obs import REGISTRY, SimEventTap, install_sim_tap, uninstall_sim_tap
 from repro.service import JobRecord, SweepJobSpec
 
 
@@ -543,6 +543,24 @@ class TestKernelRoute:
         )
         loaded = JobRecord.from_json(payload)
         assert (loaded.mode, loaded.total_points) == (mode, len(grid))
+
+    def test_an_oracle_refusal_comes_before_any_point_runs(self):
+        # the closed point first: a sweep that ran points one by one would
+        # simulate it before the open point failed
+        closed, opened = (
+            build_grid(name, num_jobs=20, num_batches=4, workstation_counts=(4,))[0]
+            for name in ("policy-compare", "arrival-sweep")
+        )
+        with pytest.raises(ValueError) as direct:
+            get_backend("event-driven")(opened).run()
+        tap = install_sim_tap(SimEventTap())
+        try:
+            with pytest.raises(ValueError) as routed:
+                SweepRunner(jobs=1).run([closed, opened], "event-driven")
+        finally:
+            uninstall_sim_tap()
+        assert str(routed.value) == str(direct.value)
+        assert tap.events == []
 
 
 class TestParallelMap:

@@ -347,21 +347,29 @@ def pinned_core_leaks(module: Module) -> list[Finding]:
     return found
 
 
-def _names_in(text: str) -> set[str]:
+def _names_in(text: str) -> set[str | None]:
+    """The names and attribute chains of an expression's text."""
     try:
         tree = ast.parse(text, mode="eval")
     except SyntaxError:
         return set()
-    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return {
+        node.id if isinstance(node, ast.Name) else _dotted(node)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
 
 
 def dead_imports(module: Module) -> list[Finding]:
     """Imported names the module never reads.
 
     A name is read when the code loads it, when a string annotation names
-    it, or when the module's ``__all__`` lists it.
+    it, or when the module's ``__all__`` lists it.  A dotted ``import a.b``
+    without ``as`` binds ``a``, which another import may bind too, so it is
+    read only through the attribute chain ``a.b``.
     """
     read = {node.id for node in module.of(ast.Name)}
+    read |= {_dotted(node) for node in module.of(ast.Attribute)}
     annotations = [node.annotation for node in module.of(ast.arg, ast.AnnAssign)]
     annotations += [node.returns for node in module.of(ast.FunctionDef, ast.AsyncFunctionDef)]
     for annotation in filter(None, annotations):
@@ -377,7 +385,7 @@ def dead_imports(module: Module) -> list[Finding]:
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
         for alias in node.names:
-            name = alias.asname or alias.name.split(".")[0]
+            name = alias.asname or alias.name
             if name != "*" and name not in read:
                 found.append((alias.lineno, name))
     return found
@@ -800,3 +808,17 @@ def test_detects_an_unused_import_and_honours_the_exemptions():
     )
     # A `noqa` comment exempts nothing: the check reads no comments.
     assert sorted(dead_imports(module)) == [(2, "os"), (3, "sys"), (4, "Sequence"), (5, "loads")]
+
+
+def test_a_dotted_import_is_read_through_its_chain():
+    module = _module(
+        "import os\n"
+        "import os.path\n"
+        "import urllib.request\n"
+        "import xml.etree.ElementTree as ET\n"
+        "os.getcwd()\n"
+        "urllib.request.urlopen\n"
+        "ET.parse\n"
+    )
+    # `os` is read, but not through `os.path`
+    assert dead_imports(module) == [(2, "os.path")]

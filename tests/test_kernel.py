@@ -257,11 +257,12 @@ class TestKernelBlocker:
             assert result.mode == "event-kernel"
             assert result.widths is not None and result.restarts is not None
 
-    def test_run_space_shared_rejects_classless_configs(self):
+    def test_a_class_wider_than_the_cluster_is_refused(self):
         from repro.kernel import EventKernel
 
-        with pytest.raises(ValueError, match="job classes"):
-            EventKernel().run_space_shared(_open_config("static"))
+        wide = (JobClassSpec.open("huge", width=9),)  # on 8 stations
+        with pytest.raises(ValueError, match="'huge' requests width 9"):
+            EventKernel().run(_space_shared_config(classes=wide))
 
     def test_registered_with_full_capabilities(self):
         # policies, open streams, trace owners and fractional demands, batched
@@ -492,12 +493,12 @@ class TestRunBatch:
         # the shared heap is empty after a run, and the next run on the same
         # instance is bitwise-equal to the oracle
         kernel = EventKernel()
-        kernel.run_space_shared(configs[0])
+        kernel.run(configs[0])
         assert kernel._heap == []
         _assert_bitwise(
             run_simulation(configs[1], "open-system"),
             OpenSystemResult(
-                configs[1], "event-kernel", *kernel.run_space_shared(configs[1])
+                configs[1], "event-kernel", *kernel.run(configs[1])
             ),
         )
 

@@ -10,15 +10,27 @@ from __future__ import annotations
 import http.client
 import json
 import threading
+import time
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backends import MAX_POINT_TASKS, backend_names, get_backend
+from repro.backends import (
+    MAX_POINT_TASKS,
+    MAX_WORKSTATIONS,
+    backend_names,
+    get_backend,
+)
 from repro.engine import GRID_NAMES, build_grid
-from repro.service import EXECUTORS, SweepService, config_to_json, make_server
+from repro.service import (
+    EXECUTORS,
+    SweepJobSpec,
+    SweepService,
+    config_to_json,
+    make_server,
+)
 
 
 @pytest.fixture
@@ -144,6 +156,46 @@ def test_a_point_at_the_table_bound_passes_the_check():
     check(replace(config, task_demand=MAX_POINT_TASKS - 1))  # not run
     with pytest.raises(ValueError, match="inverse-CDF"):
         check(replace(config, task_demand=MAX_POINT_TASKS))
+
+
+def _wide_bodies(workstations: int) -> dict[str, dict]:
+    """A scenario grid and a raw legacy point of ``workstations`` stations,
+    at ``num_jobs`` 2: within the task cap up to 10**7 stations, and each
+    builds one station record per workstation (the grid's walk, the point's
+    cache fingerprint)."""
+    sizes = {"num_jobs": 2, "num_batches": 2}
+    return {
+        "hetero-concentration": {
+            "grid": "hetero-concentration",
+            "overrides": {"workstation_counts": [workstations], **sizes},
+        },
+        "raw-point": {
+            "mode": "monte-carlo",
+            "points": [dict(_CLOSED_POINT, workstations=workstations, **sizes)],
+        },
+    }
+
+
+@pytest.mark.parametrize("kind", ["hetero-concentration", "raw-point"])
+@pytest.mark.parametrize(
+    "workstations", [MAX_WORKSTATIONS + 1, 10_000_000], ids=["cap+1", "1e7"]
+)
+def test_a_point_wider_than_the_cap_is_refused(queued, capsys, kind, workstations):
+    service, port = queued
+    body = json.dumps(_wide_bodies(workstations)[kind]).encode()
+    started = time.perf_counter()
+    status, answer = _post(port, body)
+    assert time.perf_counter() - started < 1.0
+    assert status == 400, answer
+    assert f"at most {MAX_WORKSTATIONS} workstations" in json.loads(answer)["error"]
+    assert len(service.store) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_a_point_at_the_workstation_cap_resolves():
+    for body in _wide_bodies(MAX_WORKSTATIONS).values():
+        configs, _ = SweepJobSpec.from_json(body).resolve()  # not run
+        assert max(config.workstations for config in configs) == MAX_WORKSTATIONS
 
 
 # -- generated bodies ---------------------------------------------------------
